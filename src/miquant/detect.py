@@ -10,7 +10,7 @@ import numpy as np
 
 from . import learnlib as ll
 from . import vio
-from .errors import EmptyMask, SingleClassError, Unachievable
+from .errors import EmptyDenominator, EmptyMask, SingleClassError, Unachievable
 from .volcore import LabeledCase
 
 DETECT_INPUT_SIZE = 89
@@ -230,6 +230,8 @@ class PermutationResult:
 
     @property
     def p_value(self) -> float:
+        if self.n == 0:
+            raise EmptyDenominator("permutation p-value needs at least one split")
         hits = sum(
             1 for ap, anp in zip(self.auc_permuted, self.auc_unpermuted) if ap >= anp
         )

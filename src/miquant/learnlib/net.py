@@ -5,6 +5,15 @@ Conventions: batches are (N, H, W, C); convolutions are valid-padding,
 stride 1; pooling is 2x2 stride 2 (odd remainders dropped); the terminal
 layer is a softmax over two classes. L2 regularization acts on connection
 weights, not biases.
+
+Inference (``forward(train=False)``) computes the same outputs as the
+training chain by a cheaper route: max pooling keeps no argmax indices, a
+pool that follows a ReLU runs before it (ReLU is monotone, so both orders
+give the same values on a map 4x smaller), and the convolutional trunk runs
+over chunks of ``INFER_CHUNK`` samples so that each im2col matrix stays
+cache-sized. The dense head then runs on the whole batch at once, as it does
+in training, because a BLAS matrix product can round a row differently
+depending on how many rows share the call.
 """
 from __future__ import annotations
 
@@ -16,6 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .. import vio
 from ..errors import DivergenceError, ShapeError
 
+INFER_CHUNK = 32  # samples per trunk pass at inference
+
 
 # ---------------------------------------------------------------------------
 # layers
@@ -26,7 +37,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (N, OH, OW, C, kh, kw)
     n, oh, ow = windows.shape[:3]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(n * oh * ow, -1), (n, oh, ow)
+    return cols.reshape(n * oh * ow, kh * kw * x.shape[3]), (n, oh, ow)
 
 
 class Conv2D:
@@ -44,7 +55,8 @@ class Conv2D:
         if x.shape[3] != cin or x.shape[1] < kh or x.shape[2] < kw:
             raise ShapeError(f"conv {self.w.shape} cannot take input {x.shape}")
         cols, (n, oh, ow) = _im2col(x, kh, kw)
-        out = cols @ self.w.reshape(-1, cout) + self.b
+        out = cols @ self.w.reshape(-1, cout)
+        out += self.b
         if train:
             self._cols = cols
         return out.reshape(n, oh, ow, cout)
@@ -84,7 +96,8 @@ class ReLU:
 
 
 class MaxPool2:
-    """2x2 max pooling, stride 2. Gradient routes to the first max."""
+    """2x2 max pooling, stride 2. Gradient routes to the first max; only
+    training keeps the argmax indices that routing needs."""
 
     param_names = ()
 
@@ -93,18 +106,18 @@ class MaxPool2:
         oh, ow = h // 2, w // 2
         if oh < 1 or ow < 1:
             raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
-        xc = x[:, : oh * 2, : ow * 2, :]
+        blocks = x[:, : oh * 2, : ow * 2, :].reshape(n, oh, 2, ow, 2, c)
+        if not train:
+            rows = np.maximum(blocks[:, :, 0], blocks[:, :, 1])
+            return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
         quads = (
-            xc.reshape(n, oh, 2, ow, 2, c)
+            blocks
             .transpose(0, 1, 3, 5, 2, 4)
             .reshape(n, oh, ow, c, 4)
         )
-        idx = np.argmax(quads, axis=-1)
-        out = np.take_along_axis(quads, idx[..., None], axis=-1)[..., 0]
-        if train:
-            self._idx = idx
-            self._xshape = x.shape
-        return out
+        self._idx = np.argmax(quads, axis=-1)
+        self._xshape = x.shape
+        return np.take_along_axis(quads, self._idx[..., None], axis=-1)[..., 0]
 
     def backward(self, dout):
         n, h, w, c = self._xshape
@@ -128,7 +141,7 @@ class Flatten:
 
     def forward(self, x, train=False, rng=None):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, dout):
         return dout.reshape(self._shape)
@@ -209,6 +222,22 @@ _LAYER_TAGS = {"conv", "relu", "maxpool", "flatten", "dense", "dropout", "softma
 # model
 # ---------------------------------------------------------------------------
 
+def _run(layers, x, train=False, rng=None):
+    for layer in layers:
+        x = layer.forward(x, train=train, rng=rng)
+    return x
+
+
+def _pool_before_relu(layers):
+    """Inference order: each MaxPool2 that directly follows a ReLU moves
+    ahead of it; max and ReLU commute, so the values are unchanged."""
+    order = list(layers)
+    for i in range(len(order) - 1):
+        if isinstance(order[i], ReLU) and isinstance(order[i + 1], MaxPool2):
+            order[i], order[i + 1] = order[i + 1], order[i]
+    return order
+
+
 @dataclass
 class NetModel:
     layers: list
@@ -220,10 +249,15 @@ class NetModel:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != tuple(self.input_shape):
             raise ShapeError(f"expected input {self.input_shape}, got {x.shape[1:]}")
-        stop = len(self.layers) if n_layers is None else n_layers
-        for layer in self.layers[:stop]:
-            x = layer.forward(x, train=train, rng=rng)
-        return x
+        layers = self.layers[: len(self.layers) if n_layers is None else n_layers]
+        if train:
+            return _run(layers, x, train=True, rng=rng)
+        flat = next((i for i, l in enumerate(layers) if isinstance(l, Flatten)), len(layers))
+        trunk = _pool_before_relu(layers[:flat])
+        parts = [_run(trunk, x[s : s + INFER_CHUNK])
+                 for s in range(0, max(len(x), 1), INFER_CHUNK)]
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return _run(layers[flat:], x)
 
     def features(self, x):
         """Activations of the feature head (penultimate FC), inference mode."""
@@ -232,7 +266,8 @@ class NetModel:
         return self.forward(x, n_layers=self.feature_layer)
 
     def logits(self, x, train=False, rng=None):
-        assert isinstance(self.layers[-1], Softmax)
+        if not self.layers or not isinstance(self.layers[-1], Softmax):
+            raise ShapeError("model has no softmax head to strip for logits")
         return self.forward(x, train=train, rng=rng, n_layers=len(self.layers) - 1)
 
     def backward_from_logits(self, dlogits):

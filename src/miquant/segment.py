@@ -10,7 +10,7 @@ import numpy as np
 
 from . import learnlib as ll
 from . import vio
-from .errors import DegenerateHistogram, EmptyMask, NoGroundTruth
+from .errors import DataError, DegenerateHistogram, EmptyMask, NoGroundTruth
 from .volcore import (
     Histogram,
     LabeledCase,
@@ -277,8 +277,10 @@ class SegmentationResult:
     outcomes: list = field(default_factory=list)
 
     def __post_init__(self):
-        assert not (self.hyper.data & self.mvo.data).any()
-        assert np.array_equal(self.final.data, self.hyper.data | self.mvo.data)
+        if (self.hyper.data & self.mvo.data).any():
+            raise DataError(f"case {self.case_id}: hyperenhanced and MVO masks overlap")
+        if not np.array_equal(self.final.data, self.hyper.data | self.mvo.data):
+            raise DataError(f"case {self.case_id}: final mask is not hyper | mvo")
 
 
 def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,

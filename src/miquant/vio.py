@@ -109,7 +109,7 @@ def _write_grid(path: str, spacing, data: np.ndarray, etype: str) -> None:
     header = (
         "NDims = 3\n"
         f"DimSize = {nx} {ny} {nz}\n"
-        f"ElementSpacing = {spacing[0]:g} {spacing[1]:g} {spacing[2]:g}\n"
+        f"ElementSpacing = {' '.join(repr(float(v)) for v in spacing)}\n"
         f"ElementType = {etype}\n"
         f"ElementDataFile = {raw_name}\n"
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from miquant import detect
-from miquant.errors import EmptyMask, SingleClassError, Unachievable
+from miquant.errors import EmptyDenominator, EmptyMask, SingleClassError, Unachievable
 from miquant.volcore import LabeledCase, Mask, Volume
 
 import oracles
@@ -224,6 +224,12 @@ def test_permutation_all_below_gives_zero():
         n=5, auc_unpermuted=[1.0] * 5, auc_permuted=[0.4, 0.6, 0.99, 0.5, 0.0]
     )
     assert res.p_value == 0.0
+
+
+def test_permutation_p_value_without_splits_raises():
+    res = detect.PermutationResult(n=0, auc_unpermuted=[], auc_permuted=[])
+    with pytest.raises(EmptyDenominator):
+        res.p_value
 
 
 def test_permutation_test_end_to_end(mixed_cases, tiny_detect_cfg):

@@ -3,7 +3,7 @@ import pytest
 
 from miquant import learnlib as ll
 from miquant.errors import EmptyClassError, ShapeError, SingleClassError
-from miquant.learnlib.net import Conv2D, NetModel, Softmax
+from miquant.learnlib.net import Conv2D, Dense, NetModel, Softmax
 
 
 # --- forward path ---
@@ -63,6 +63,41 @@ def test_forward_shape_error():
     net = ll.build_classifier(13, seed=4, widths=(4, 6), fc=8)
     with pytest.raises(ShapeError):
         net.forward(np.zeros((1, 12, 12, 1)))
+
+
+def _train_chain(layers, x):
+    """Plain per-layer chain in training mode: argmax pooling, ReLU first."""
+    for layer in layers:
+        x = layer.forward(x, train=True)
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+def test_inference_path_bit_identical_to_training_chain(n):
+    # 49 px: conv5 -> 45, and the 45 -> 22 pool drops an odd remainder
+    net = ll.build_classifier(49, seed=36, dropout=0.0)
+    rng = np.random.default_rng(37)
+    for layer in net.layers:
+        if isinstance(layer, (Conv2D, Dense)):
+            layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
+    x = rng.normal(size=(n, 49, 49, 1))
+    np.testing.assert_array_equal(net.forward(x), _train_chain(net.layers, x))
+    np.testing.assert_array_equal(
+        net.features(x), _train_chain(net.layers[: net.feature_layer], x))
+
+
+def test_forward_empty_batch_returns_empty_rows():
+    net = ll.build_classifier(13, seed=38, widths=(4, 6), fc=8)
+    x = np.zeros((0, 13, 13, 1))
+    assert net.forward(x).shape == (0, 2)
+    assert net.features(x).shape == (0, 8)
+    assert net.forward(x, train=True, rng=np.random.default_rng(0)).shape == (0, 2)
+
+
+def test_logits_without_softmax_head_raises_shape_error():
+    net = ll.build_net((1, 3, 1), [("flatten",), ("dense", 2)], seed=0)
+    with pytest.raises(ShapeError):
+        net.logits(np.zeros((1, 1, 3, 1)))
 
 
 # --- training ---
@@ -286,11 +321,11 @@ def test_margin_close_to_grid_search_optimum():
         model = ll.margin_train(x, y, lam=lam, epochs=800, seed=2)
         ours = ll.hinge_objective(model.w, model.b, x, y, lam)
         grid = np.linspace(-6, 6, 481)
-        best = min(
-            ll.hinge_objective(np.array([w]), b, x, y, lam)
-            for w in grid
-            for b in grid
-        )
+        # hinge_objective over the whole (w, b) grid: axis 0 is w, axis 1 is b
+        margins = 1.0 - y * (grid[:, None, None] * x[:, 0] + grid[None, :, None])
+        objective = (0.5 * lam * grid[:, None] ** 2
+                     + np.maximum(margins, 0.0).mean(axis=2))
+        best = objective.min()
         assert ours <= best * 1.05 + 1e-9
 
 

@@ -37,6 +37,15 @@ def test_volume_roundtrip_bit_exact(tmp_path):
     assert back.data.astype("<f4").tobytes() == data.tobytes()
 
 
+def test_spacing_roundtrip_exact(tmp_path):
+    spacing = (1.3671875, 0.9765625, 8.0)
+    path = str(tmp_path / "s.mhd")
+    vio.write_mask(Mask(spacing, np.ones((1, 2, 2), dtype=bool)), path)
+    assert vio.read_mask(path).spacing == spacing
+    vio.write_volume(Volume(spacing, np.zeros((1, 2, 2))), path)
+    assert vio.read_volume(path).spacing == spacing
+
+
 def test_mask_roundtrip(tmp_path):
     m = Mask((1, 1, 1), np.random.default_rng(2).random((2, 3, 4)) < 0.5)
     path = str(tmp_path / "m.mhd")
