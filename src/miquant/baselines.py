@@ -189,7 +189,9 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
     """All requested methods over every slice of a preprocessed case.
 
     Slices where a method degenerates (empty myocardium, constant
-    histogram) contribute empty masks.
+    histogram) contribute empty masks. The n-SD family uses the provided
+    remote mask within the myocardium, or auto_remote_region on slices
+    where that is empty.
     """
     shape = case.volume.data.shape
     out = {m: np.zeros(shape, dtype=bool) for m in methods}
@@ -200,7 +202,7 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
         img = case.volume.data[k]
         remote_k = None
         if any(m.endswith("-sd") for m in methods):
-            if remote is not None and remote.data[k].any():
+            if remote is not None and (remote.data[k] & myo).any():
                 remote_k = RemoteRegion(mask=remote.data[k] & myo, source="provided")
             else:
                 remote_k = auto_remote_region(img, myo, case.endocardium.data[k])

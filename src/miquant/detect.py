@@ -11,7 +11,7 @@ import numpy as np
 from . import learnlib as ll
 from . import vio
 from .errors import EmptyDenominator, EmptyMask, SingleClassError, Unachievable
-from .volcore import LabeledCase
+from .volcore import LabeledCase, extract_patches
 
 DETECT_INPUT_SIZE = 89
 INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] crops for the feature net
@@ -80,15 +80,7 @@ def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_
     coords = np.argwhere(epi)
     cy, cx = (int(round(c)) for c in coords.mean(axis=0))
     masked = np.where(case.myocardium.data[k], case.volume.data[k], 0.0)
-    half = size // 2
-    out = np.zeros((size, size))
-    ny, nx = masked.shape
-    y0, y1 = cy - half, cy + half + 1
-    x0, x1 = cx - half, cx + half + 1
-    sy0, sy1 = max(0, y0), min(ny, y1)
-    sx0, sx1 = max(0, x0), min(nx, x1)
-    out[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = masked[sy0:sy1, sx0:sx1]
-    return out
+    return extract_patches(masked, [cy], [cx], size)[0]
 
 
 def collect_slice_patches(cases: list[LabeledCase], size: int = DETECT_INPUT_SIZE):

@@ -88,56 +88,53 @@ def denoise_nlm(img: np.ndarray, sigma: float, cfg: PreprocessConfig = Preproces
     return acc / wsum
 
 
+def _reslice(grid, target_spacing, sample):
+    """Resample grid in-plane to the target sx, sy with sample(data, rows,
+    cols), where rows and cols are the source coordinates of the target
+    grid, clipped to the slice. Same spacing: an unchanged copy.
+    """
+    sx, sy, sz = grid.spacing
+    tx, ty, tz = target_spacing
+    if abs(sz - tz) > 1e-9:
+        raise SpacingError(f"through-plane resampling required ({sz} mm vs {tz} mm)")
+    if abs(sx - tx) < 1e-12 and abs(sy - ty) < 1e-12:
+        return grid.copy()
+    nx, ny, _ = grid.dims
+    rows = np.arange(max(1, int(round(ny * sy / ty)))) * ty / sy
+    cols = np.arange(max(1, int(round(nx * sx / tx)))) * tx / sx
+    data = sample(grid.data, np.clip(rows, 0, ny - 1), np.clip(cols, 0, nx - 1))
+    return type(grid)(target_spacing, data)
+
+
 def reslice(volume: Volume, target_spacing=CANONICAL_SPACING) -> Volume:
     """In-plane bilinear resample to the target sx, sy; z grid untouched.
 
     Raises SpacingError when sz differs from the target (through-plane
     resampling is out of scope).
     """
-    sx, sy, sz = volume.spacing
-    tx, ty, tz = target_spacing
-    if abs(sz - tz) > 1e-9:
-        raise SpacingError(f"through-plane resampling required ({sz} mm vs {tz} mm)")
-    if abs(sx - tx) < 1e-12 and abs(sy - ty) < 1e-12:
-        return volume.copy()
-    nx, ny, nz = volume.dims
-    nx2 = max(1, int(round(nx * sx / tx)))
-    ny2 = max(1, int(round(ny * sy / ty)))
-    u = np.clip(np.arange(nx2) * tx / sx, 0, nx - 1)
-    v = np.clip(np.arange(ny2) * ty / sy, 0, ny - 1)
-    out = np.empty((nz, ny2, nx2))
-    for k in range(nz):
-        out[k] = _bilinear(volume.data[k], v, u)
-    return Volume((tx, ty, tz), out)
+    return _reslice(volume, target_spacing, _bilinear)
 
 
 def reslice_mask(mask: Mask, target_spacing=CANONICAL_SPACING) -> Mask:
     """Nearest-neighbor reslice; keeps masks binary."""
-    sx, sy, sz = mask.spacing
-    tx, ty, tz = target_spacing
-    if abs(sz - tz) > 1e-9:
-        raise SpacingError(f"through-plane resampling required ({sz} mm vs {tz} mm)")
-    if abs(sx - tx) < 1e-12 and abs(sy - ty) < 1e-12:
-        return mask.copy()
-    nx, ny, nz = mask.dims
-    nx2 = max(1, int(round(nx * sx / tx)))
-    ny2 = max(1, int(round(ny * sy / ty)))
-    ui = np.clip(np.floor(np.arange(nx2) * tx / sx + 0.5).astype(int), 0, nx - 1)
-    vi = np.clip(np.floor(np.arange(ny2) * ty / sy + 0.5).astype(int), 0, ny - 1)
-    out = mask.data[:, vi[:, None], ui[None, :]]
-    return Mask((tx, ty, tz), out)
+    return _reslice(mask, target_spacing, _nearest)
 
 
-def _bilinear(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    r0 = np.floor(rows).astype(int)
+def _bilinear(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    r0 = np.floor(rows).astype(int)[:, None]
     c0 = np.floor(cols).astype(int)
-    r1 = np.minimum(r0 + 1, img.shape[0] - 1)
-    c1 = np.minimum(c0 + 1, img.shape[1] - 1)
-    fr = (rows - r0)[:, None]
-    fc = (cols - c0)[None, :]
-    top = img[np.ix_(r0, c0)] * (1 - fc) + img[np.ix_(r0, c1)] * fc
-    bot = img[np.ix_(r1, c0)] * (1 - fc) + img[np.ix_(r1, c1)] * fc
+    r1 = np.minimum(r0 + 1, data.shape[1] - 1)
+    c1 = np.minimum(c0 + 1, data.shape[2] - 1)
+    fr = rows[:, None] - r0
+    fc = cols - c0
+    top = data[:, r0, c0] * (1 - fc) + data[:, r0, c1] * fc
+    bot = data[:, r1, c0] * (1 - fc) + data[:, r1, c1] * fc
     return top * (1 - fr) + bot * fr
+
+
+def _nearest(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    r, c = (np.floor(x + 0.5).astype(int) for x in (rows, cols))
+    return data[:, r[:, None], c]
 
 
 def normalize_slice(

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import learnlib as ll
 from . import vio
-from .errors import DataError, DegenerateHistogram, EmptyMask, NoGroundTruth
+from .errors import DataError, DegenerateHistogram, EmptyClassError, EmptyMask, NoGroundTruth
 from .volcore import (
     Histogram,
     LabeledCase,
@@ -18,6 +18,7 @@ from .volcore import (
     binary_dilate,
     binary_erode,
     binary_opening,
+    extract_patches,
     fill_holes_2d,
     intensity_levels,
     make_bar_se,
@@ -65,18 +66,6 @@ def boundary_region(mask: np.ndarray, radius: int = BOUNDARY_RADIUS) -> np.ndarr
     """Dilated mask minus eroded mask (disk structuring element)."""
     se = make_disk_se(radius)
     return binary_dilate(mask, se) & ~binary_erode(mask, se)
-
-
-def extract_patch(img: np.ndarray, cy: int, cx: int, size: int = PATCH_SIZE) -> np.ndarray:
-    """Square zero-padded crop centered on (cy, cx)."""
-    half = size // 2
-    out = np.zeros((size, size))
-    ny, nx = img.shape
-    y0, x0 = cy - half, cx - half
-    sy0, sy1 = max(0, y0), min(ny, y0 + size)
-    sx0, sx1 = max(0, x0), min(nx, x0 + size)
-    out[sy0 - y0 : sy1 - y0, sx0 - x0 : sx1 - x0] = img[sy0:sy1, sx0:sx1]
-    return out
 
 
 @dataclass
@@ -127,7 +116,8 @@ def sample_training_patches(case: LabeledCase, stride: int = PATCH_STRIDE,
 
     Healthy centers come from dilate(GT, 5) minus GT, scar centers from GT
     minus erode(GT, 5) -- or from the whole GT on slices where the erosion
-    empties it -- subsampled on a stride lattice.
+    empties it -- subsampled on a stride lattice. Raises EmptyClassError
+    when either class gets no patch.
     """
     if case.gt_scar is None or case.gt_scar.count() == 0:
         raise NoGroundTruth(f"case {case.case_id} has no scar ground truth")
@@ -144,11 +134,12 @@ def sample_training_patches(case: LabeledCase, stride: int = PATCH_STRIDE,
         for band, label in ((healthy_band, 0), (scar_band, 1)):
             ys, xs = np.nonzero(band)
             keep = (ys % stride == 0) & (xs % stride == 0)
-            for y, x in zip(ys[keep].tolist(), xs[keep].tolist()):
-                patches.append(extract_patch(img, y, x, patch_size)[..., None])
-                labels.append(label)
-    x = np.stack(patches)
-    y = np.asarray(labels, dtype=np.int64)
+            patches.append(extract_patches(img, ys[keep], xs[keep], patch_size))
+            labels.append(np.full(keep.sum(), label, dtype=np.int64))
+    y = np.concatenate(labels)
+    if len(np.unique(y)) < 2:
+        raise EmptyClassError(f"case {case.case_id}: the stride-{stride} lattice misses a class")
+    x = np.concatenate(patches)[..., None]
     return ll.balance_classes(x, y, seed=seed)
 
 
@@ -168,7 +159,8 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
 
     Members follow a k-fold strategy over the patch pool: member i trains
     on every fold but its own. All patches are zero-centered by the pooled
-    mean image.
+    mean image. Cases without scar ground truth, or whose stride lattice
+    misses a class, are skipped.
     """
     ss = np.random.SeedSequence(seed)
     case_seeds = ss.spawn(len(cases))
@@ -176,14 +168,17 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
     for case, child in zip(cases, case_seeds):
         if case.gt_scar is None or case.gt_scar.count() == 0:
             continue
-        x, y = sample_training_patches(
-            case, stride=cfg.stride, seed=int(child.generate_state(1)[0]),
-            patch_size=cfg.patch_size,
-        )
+        try:
+            x, y = sample_training_patches(
+                case, stride=cfg.stride, seed=int(child.generate_state(1)[0]),
+                patch_size=cfg.patch_size,
+            )
+        except EmptyClassError:
+            continue
         xs.append(x)
         ys.append(y)
     if not xs:
-        raise NoGroundTruth("no case provided scar ground truth")
+        raise NoGroundTruth("no case provided patches of both classes")
     x = np.concatenate(xs)
     y = np.concatenate(ys)
 
@@ -232,18 +227,11 @@ def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,
     Voxels inside the eroded coarse mask stay scar; voxels outside the
     dilated mask stay background; the output is limited to the myocardium.
     """
-    se = make_disk_se(BOUNDARY_RADIUS)
-    core = binary_erode(coarse, se) & coarse
-    band = binary_dilate(coarse, se) & ~core
-    out = core.copy()
+    band = boundary_region(coarse)
+    out = coarse & ~band  # the eroded core
     ys, xs = np.nonzero(band)
-    if len(ys):
-        patches = np.stack(
-            [extract_patch(img, y, x, ensemble.patch_size)[..., None]
-             for y, x in zip(ys.tolist(), xs.tolist())]
-        )
-        scar = ensemble.vote(patches)
-        out[ys[scar], xs[scar]] = True
+    scar = ensemble.vote(extract_patches(img, ys, xs, ensemble.patch_size)[..., None])
+    out[ys[scar], xs[scar]] = True
     return out & np.asarray(myo, dtype=bool)
 
 
@@ -261,6 +249,7 @@ def include_mvo(hyper: np.ndarray, endo: np.ndarray, myo: np.ndarray):
 class SliceOutcome:
     index: int
     gated_out: bool = False
+    empty_myocardium: bool = False
     degenerate_histogram: bool = False
     refined: bool = False
 
@@ -314,7 +303,10 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
         img = case.volume.data[k]
         try:
             coarse = coarse_segment(img, myo)
-        except (DegenerateHistogram, EmptyMask):
+        except EmptyMask:
+            outcome.empty_myocardium = True
+            continue
+        except DegenerateHistogram:
             outcome.degenerate_histogram = True
             continue
         coarse_v[k] = coarse

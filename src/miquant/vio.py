@@ -313,7 +313,6 @@ class ReportRow:
 @dataclass
 class MetricsReport:
     rows: list = field(default_factory=list)
-    study_stats: dict = field(default_factory=dict)
 
     def add(self, row: ReportRow) -> None:
         self.rows.append(row)

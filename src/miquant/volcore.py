@@ -4,16 +4,17 @@ Volumes are stored as (nz, ny, nx) float64 arrays so that the raw on-disk
 layout (x fastest) matches C order; a "slice" everywhere in the toolkit is
 a 2-D (ny, nx) array indexed [y, x].
 
-Grayscale morphology ignores out-of-bounds footprint members: the min/max
-at a pixel runs over the in-bounds samples only, which avoids artificial
-bright or dark rims at the image edge.
+Morphology ignores out-of-bounds footprint members: the min/max (AND/OR
+for masks) at a pixel runs over the in-bounds samples only, which avoids
+artificial bright or dark rims at the image edge.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage as ndi
 
 from .errors import AlignmentError, DegenerateHistogram
 
@@ -24,28 +25,22 @@ HIST_LEVELS = 256
 # grid types
 # ---------------------------------------------------------------------------
 
-def _check_grid(data: np.ndarray, spacing) -> None:
-    if data.ndim != 3:
-        raise ValueError(f"expected 3-D grid, got ndim={data.ndim}")
-    if min(data.shape) < 1:
-        raise ValueError(f"all dims must be >= 1, got shape {data.shape}")
-    if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise ValueError(f"spacing components must be finite and > 0, got {spacing}")
-
-
 @dataclass
-class Volume:
-    """3-D scalar grid with physical voxel spacing (sx, sy, sz) in mm."""
+class _Grid:
+    """3-D grid with physical voxel spacing (sx, sy, sz) in mm; data is
+    (nz, ny, nx). Subclasses cast data before calling __post_init__."""
 
     spacing: tuple[float, float, float]
-    data: np.ndarray  # (nz, ny, nx) float64
+    data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
         self.spacing = tuple(float(s) for s in self.spacing)
-        _check_grid(self.data, self.spacing)
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("volume data contains NaN or Inf")
+        if self.data.ndim != 3:
+            raise ValueError(f"expected 3-D grid, got ndim={self.data.ndim}")
+        if min(self.data.shape) < 1:
+            raise ValueError(f"all dims must be >= 1, got shape {self.data.shape}")
+        if len(self.spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in self.spacing):
+            raise ValueError(f"spacing components must be finite and > 0, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -58,40 +53,32 @@ class Volume:
         sx, sy, sz = self.spacing
         return sx * sy * sz
 
-    def copy(self) -> "Volume":
-        return Volume(self.spacing, self.data.copy())
+    def copy(self):
+        return type(self)(self.spacing, self.data.copy())
 
 
-@dataclass
-class Mask:
+class Volume(_Grid):
+    """3-D scalar grid; data is float64."""
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=np.float64)
+        super().__post_init__()
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("volume data contains NaN or Inf")
+
+
+class Mask(_Grid):
     """Binary companion grid of a Volume; same dims and spacing."""
-
-    spacing: tuple[float, float, float]
-    data: np.ndarray  # (nz, ny, nx) bool
 
     def __post_init__(self):
         self.data = np.asarray(self.data).astype(bool)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        _check_grid(self.data, self.spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.data.shape
-        return (nx, ny, nz)
-
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
+        super().__post_init__()
 
     def count(self) -> int:
         return int(self.data.sum())
 
-    def copy(self) -> "Mask":
-        return Mask(self.spacing, self.data.copy())
-
     @classmethod
-    def empty_like(cls, other: "Volume | Mask") -> "Mask":
+    def empty_like(cls, other: _Grid) -> "Mask":
         return cls(other.spacing, np.zeros(other.data.shape, dtype=bool))
 
 
@@ -162,9 +149,6 @@ class StructuringElement:
         if (0, 0) not in self.offsets:
             raise ValueError("anchor offset (0, 0) must be a footprint member")
 
-    def __len__(self) -> int:
-        return len(self.offsets)
-
     def reflected(self) -> "StructuringElement":
         return StructuringElement(
             tuple((-dx, -dy) for dx, dy in self.offsets), kind=self.kind
@@ -213,17 +197,17 @@ def make_bar_se(length: int, theta_deg: float) -> StructuringElement:
 
 
 # ---------------------------------------------------------------------------
-# grayscale morphology
+# morphology, hole filling and crops
 # ---------------------------------------------------------------------------
 
-def _shift_reduce(img: np.ndarray, offsets, ufunc, init: float) -> np.ndarray:
-    """Accumulate ufunc (minimum/maximum) of img shifted by each offset.
+def _shift_reduce(img: np.ndarray, offsets, ufunc, init) -> np.ndarray:
+    """Accumulate ufunc of img shifted by each offset, in img's dtype.
 
     Out-of-bounds samples are skipped; the anchor guarantees every pixel
     receives at least one in-bounds sample.
     """
     ny, nx = img.shape
-    out = np.full((ny, nx), init, dtype=np.float64)
+    out = np.full((ny, nx), init, dtype=img.dtype)
     for dx, dy in offsets:
         y0, y1 = max(0, -dy), min(ny, ny - dy)
         x0, x1 = max(0, -dx), min(nx, nx - dx)
@@ -244,8 +228,7 @@ def gray_erode(img: np.ndarray, se: StructuringElement) -> np.ndarray:
 def gray_dilate(img: np.ndarray, se: StructuringElement) -> np.ndarray:
     """Pointwise max with the footprint reflected through the anchor."""
     img = np.asarray(img, dtype=np.float64)
-    neg = [(-dx, -dy) for dx, dy in se.offsets]
-    return _shift_reduce(img, neg, np.maximum, -np.inf)
+    return _shift_reduce(img, se.reflected().offsets, np.maximum, -np.inf)
 
 
 def gray_opening(img: np.ndarray, se: StructuringElement) -> np.ndarray:
@@ -259,96 +242,35 @@ def white_tophat(img: np.ndarray, se: StructuringElement) -> np.ndarray:
 
 
 def binary_erode(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    ny, nx = mask.shape
-    out = np.ones((ny, nx), dtype=bool)
-    for dx, dy in se.offsets:
-        y0, y1 = max(0, -dy), min(ny, ny - dy)
-        x0, x1 = max(0, -dx), min(nx, nx - dx)
-        if y0 >= y1 or x0 >= x1:
-            continue
-        out[y0:y1, x0:x1] &= mask[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-    return out
+    """gray_erode on a bool mask: AND over the footprint."""
+    return _shift_reduce(np.asarray(mask, dtype=bool), se.offsets, np.logical_and, True)
 
 
 def binary_dilate(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    ny, nx = mask.shape
-    out = np.zeros((ny, nx), dtype=bool)
-    for dx, dy in se.offsets:
-        dx, dy = -dx, -dy
-        y0, y1 = max(0, -dy), min(ny, ny - dy)
-        x0, x1 = max(0, -dx), min(nx, nx - dx)
-        if y0 >= y1 or x0 >= x1:
-            continue
-        out[y0:y1, x0:x1] |= mask[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-    return out
+    """gray_dilate on a bool mask: OR over the reflected footprint."""
+    return _shift_reduce(np.asarray(mask, dtype=bool), se.reflected().offsets, np.logical_or, False)
 
 
 def binary_opening(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
     return binary_dilate(binary_erode(mask, se), se)
 
 
-# ---------------------------------------------------------------------------
-# components and holes
-# ---------------------------------------------------------------------------
-
-_NEIGHBORS_4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
-_NEIGHBORS_8 = _NEIGHBORS_4 + ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def connected_components(mask: np.ndarray, connectivity: int = 8):
-    """Label foreground components; returns (labels, count).
-
-    Labels are dense 1..count, assigned in raster-scan order of each
-    component's first pixel.
-    """
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
-    neigh = _NEIGHBORS_4 if connectivity == 4 else _NEIGHBORS_8
-    mask = np.asarray(mask, dtype=bool)
-    ny, nx = mask.shape
-    labels = np.zeros((ny, nx), dtype=np.int32)
-    count = 0
-    ys, xs = np.nonzero(mask)
-    for y0, x0 in zip(ys.tolist(), xs.tolist()):
-        if labels[y0, x0]:
-            continue
-        count += 1
-        labels[y0, x0] = count
-        queue = deque([(y0, x0)])
-        while queue:
-            y, x = queue.popleft()
-            for dy, dx in neigh:
-                yy, xx = y + dy, x + dx
-                if 0 <= yy < ny and 0 <= xx < nx and mask[yy, xx] and not labels[yy, xx]:
-                    labels[yy, xx] = count
-                    queue.append((yy, xx))
-    return labels, count
+_FOUR_CONNECTED = ndi.generate_binary_structure(2, 1)
 
 
 def fill_holes_2d(mask: np.ndarray) -> np.ndarray:
     """Add background regions not 4-connected to the slice border."""
-    mask = np.asarray(mask, dtype=bool)
-    ny, nx = mask.shape
-    reached = np.zeros((ny, nx), dtype=bool)
-    queue = deque()
-    for x in range(nx):
-        for y in (0, ny - 1):
-            if not mask[y, x] and not reached[y, x]:
-                reached[y, x] = True
-                queue.append((y, x))
-    for y in range(ny):
-        for x in (0, nx - 1):
-            if not mask[y, x] and not reached[y, x]:
-                reached[y, x] = True
-                queue.append((y, x))
-    while queue:
-        y, x = queue.popleft()
-        for dy, dx in _NEIGHBORS_4:
-            yy, xx = y + dy, x + dx
-            if 0 <= yy < ny and 0 <= xx < nx and not mask[yy, xx] and not reached[yy, xx]:
-                reached[yy, xx] = True
-                queue.append((yy, xx))
-    return mask | ~reached
+    return ndi.binary_fill_holes(np.asarray(mask, dtype=bool), structure=_FOUR_CONNECTED)
+
+
+def extract_patches(img: np.ndarray, ys, xs, size: int) -> np.ndarray:
+    """Zero-padded size x size crops of img, one per (ys[i], xs[i]), stacked
+    as (n, size, size). Crop i spans rows ys[i] - size // 2 up to, not
+    including, that plus size, and likewise columns: odd sizes are centred.
+    """
+    half = size // 2
+    padded = np.pad(img, ((half, size - 1 - half),) * 2)
+    return sliding_window_view(padded, (size, size))[ys, xs]
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +289,6 @@ class Histogram:
             raise ValueError(f"histogram must have {HIST_LEVELS} bins")
         if (self.bins < 0).any():
             raise ValueError("histogram counts must be >= 0")
-
-    @property
-    def total(self) -> int:
-        return int(self.bins.sum())
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "Histogram":

@@ -3,6 +3,8 @@
 Everything here is deliberately naive (per-pixel scans, pair counting,
 exhaustive sweeps) and shares no code with the package paths it checks.
 """
+from collections import deque
+
 import numpy as np
 
 
@@ -44,61 +46,29 @@ def scan_tophat(img, offsets):
     return np.asarray(img, dtype=np.float64) - scan_opening(img, offsets)
 
 
-# --- connected components: union-find over adjacent pairs ---
+# --- hole filling: breadth-first flood of the background from the border ---
 
-def unionfind_components(mask, connectivity):
+def bfs_fill_holes(mask):
+    """Mask plus every background pixel not 4-connected to the border."""
     mask = np.asarray(mask, dtype=bool)
     ny, nx = mask.shape
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for y in range(ny):
-        for x in range(nx):
-            if mask[y, x]:
-                parent[(y, x)] = (y, x)
-    if connectivity == 4:
-        neigh = [(0, 1), (1, 0)]
-    else:
-        neigh = [(0, 1), (1, 0), (1, 1), (1, -1)]
-    for y in range(ny):
-        for x in range(nx):
-            if not mask[y, x]:
-                continue
-            for dy, dx in neigh:
-                yy, xx = y + dy, x + dx
-                if 0 <= yy < ny and 0 <= xx < nx and mask[yy, xx]:
-                    union((y, x), (yy, xx))
-    roots = {}
-    labels = np.zeros((ny, nx), dtype=np.int32)
-    for y in range(ny):
-        for x in range(nx):
-            if mask[y, x]:
-                r = find((y, x))
-                if r not in roots:
-                    roots[r] = len(roots) + 1
-                labels[y, x] = roots[r]
-    return labels, len(roots)
-
-
-def same_partition(labels_a, labels_b):
-    """True if two labelings induce the same foreground partition."""
-    fa = labels_a > 0
-    if not np.array_equal(fa, labels_b > 0):
-        return False
-    pairs = set(zip(labels_a[fa].tolist(), labels_b[fa].tolist()))
-    a_side = [p[0] for p in pairs]
-    b_side = [p[1] for p in pairs]
-    return len(a_side) == len(set(a_side)) and len(b_side) == len(set(b_side))
+    reached = np.zeros((ny, nx), dtype=bool)
+    queue = deque(
+        (y, x)
+        for y in range(ny)
+        for x in range(nx)
+        if (y in (0, ny - 1) or x in (0, nx - 1)) and not mask[y, x]
+    )
+    for y, x in queue:
+        reached[y, x] = True
+    while queue:
+        y, x = queue.popleft()
+        for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            yy, xx = y + dy, x + dx
+            if 0 <= yy < ny and 0 <= xx < nx and not mask[yy, xx] and not reached[yy, xx]:
+                reached[yy, xx] = True
+                queue.append((yy, xx))
+    return mask | ~reached
 
 
 # --- Otsu: exhaustive between-class-variance sweep ---

@@ -52,6 +52,19 @@ def test_extract_pads_at_corners():
     assert patch[:10, :10].sum() == 0.0
 
 
+@pytest.mark.parametrize("size", [10, 88, 89])
+def test_extract_is_padded_crop_of_masked_slice(size):
+    case = _ring_case(center=(6, 6))
+    patch = detect.extract_detection_input(case, 0, size)
+    assert patch.shape == (size, size)
+    masked = np.where(case.myocardium.data[0], case.volume.data[0], 0.0)
+    cy, cx = (int(round(c)) for c in np.argwhere(case.epicardium.data[0]).mean(axis=0))
+    # pad by size on every side: the crop starts at (cy, cx) - size // 2
+    padded = np.pad(masked, size)
+    y0, x0 = cy + size - size // 2, cx + size - size // 2
+    np.testing.assert_array_equal(patch, padded[y0 : y0 + size, x0 : x0 + size])
+
+
 def test_extract_zero_intensities_give_zero_patch():
     case = _ring_case()
     case.volume.data[...] = 0.0

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from miquant import segment
-from miquant.errors import DataError
-from miquant.volcore import Mask
+from miquant import learnlib as ll, segment
+from miquant.errors import DataError, EmptyClassError, NoGroundTruth
+from miquant.volcore import LabeledCase, Mask, Volume
 
 
 def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemble):
@@ -17,7 +19,9 @@ def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemb
     band = segment.binary_dilate(coarse, se) & ~core
     ys, xs = np.nonzero(band)
     alone = np.array([
-        tiny_ensemble.vote(segment.extract_patch(img, y, x)[None, :, :, None])[0]
+        tiny_ensemble.vote(
+            segment.extract_patches(img, [y], [x], tiny_ensemble.patch_size)[..., None]
+        )[0]
         for y, x in zip(ys.tolist(), xs.tolist())
     ])
     assert 0 < alone.sum() < len(alone)  # the vote decides, both ways
@@ -43,3 +47,54 @@ def test_segmentation_result_rejects_overlapping_hyper_and_mvo():
     with pytest.raises(DataError):
         segment.SegmentationResult("c", coarse=on, hyper=on, mvo=on, final=on,
                                    scar_volume_cm3=0.0, pct_infarct=None)
+
+
+def _flat_ring_case():
+    """Two-slice case: slice 0 has no myocardium, slice 1 is a flat image."""
+    spacing = (1.25, 1.25, 8.0)
+    yy, xx = np.mgrid[0:48, 0:48]
+    r = np.hypot(yy - 24, xx - 24)
+    endo = np.repeat((r <= 6)[None], 2, axis=0)
+    myo = np.repeat(((r > 6) & (r <= 12))[None], 2, axis=0)
+    myo[0] = False
+    return LabeledCase("flat", Volume(spacing, np.full((2, 48, 48), 60.0)),
+                       Mask(spacing, myo), Mask(spacing, endo), Mask(spacing, myo | endo))
+
+
+def test_segment_case_flags_empty_myocardium_apart_from_degenerate_histogram():
+    result = segment.segment_case(_flat_ring_case())
+    empty, flat = result.outcomes
+    assert empty.empty_myocardium and not empty.degenerate_histogram
+    assert flat.degenerate_histogram and not flat.empty_myocardium
+    assert result.final.count() == 0
+
+
+def _with_scar(case, region):
+    scar = np.zeros(case.volume.data.shape, dtype=bool)
+    scar[region] = True
+    return replace(case, case_id="odd", gt_scar=Mask(case.volume.spacing, scar), gt_mvo=None)
+
+
+@pytest.mark.parametrize("region", [
+    (0, 31, 47),  # one voxel off the stride-3 lattice: no scar patch
+    (0,),         # whole slice: neither class has a patch
+])
+def test_sample_patches_raises_when_a_class_gets_no_patch(diseased_cases, region):
+    with pytest.raises(EmptyClassError):
+        segment.sample_training_patches(_with_scar(diseased_cases[0], region))
+
+
+def test_ensemble_training_skips_case_whose_lattice_misses_a_class(diseased_cases):
+    normal = diseased_cases[0]
+    cfg = segment.EnsembleConfig(
+        members=3, widths=(2,), fc=4,
+        train=ll.TrainConfig(batch_size=16, epochs=1, seed=0), max_patches_per_class=20,
+    )
+    speck = _with_scar(normal, (0, 31, 47))
+    no_gt = replace(normal, case_id="no-gt", gt_scar=None, gt_mvo=None)
+    out = segment.train_patch_ensemble([normal, speck], cfg, seed=3)
+    ref = segment.train_patch_ensemble([normal, no_gt], cfg, seed=3)
+    np.testing.assert_array_equal(out.mean_patch, ref.mean_patch)
+    assert [m.to_doc() for m in out.members] == [m.to_doc() for m in ref.members]
+    with pytest.raises(NoGroundTruth):
+        segment.train_patch_ensemble([speck], cfg, seed=3)

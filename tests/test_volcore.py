@@ -150,36 +150,6 @@ def test_binary_matches_gray_on_indicator():
         )
 
 
-# --- connected components ---
-
-def test_components_empty_mask():
-    labels, count = vc.connected_components(np.zeros((5, 5), dtype=bool))
-    assert count == 0
-    assert labels.sum() == 0
-
-
-def test_components_diagonal_pair_connectivity():
-    m = np.zeros((4, 4), dtype=bool)
-    m[1, 1] = m[2, 2] = True
-    _, c4 = vc.connected_components(m, connectivity=4)
-    _, c8 = vc.connected_components(m, connectivity=8)
-    assert c4 == 2
-    assert c8 == 1
-
-
-@pytest.mark.parametrize("connectivity", [4, 8])
-def test_components_match_unionfind_oracle(connectivity):
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        m = rng.random((16, 16)) < 0.35
-        labels, count = vc.connected_components(m, connectivity)
-        olabels, ocount = oracles.unionfind_components(m, connectivity)
-        assert count == ocount
-        assert oracles.same_partition(labels, olabels)
-        if count:
-            assert sorted(np.unique(labels[labels > 0])) == list(range(1, count + 1))
-
-
 # --- hole filling ---
 
 def test_fill_solid_square_unchanged():
@@ -205,6 +175,24 @@ def test_fill_open_c_shape_unchanged():
     m[3, 5] = False      # open the ring to the right border side
     m[3, 4] = False
     np.testing.assert_array_equal(vc.fill_holes_2d(m), m)
+
+
+def _fill_cases():
+    rng = np.random.default_rng(31)
+    shapes = [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (12, 12), (40, 33)]
+    for shape in shapes:
+        yield np.zeros(shape, dtype=bool)
+        yield np.ones(shape, dtype=bool)
+        for density in (0.2, 0.45, 0.6, 0.8):
+            for _ in range(4):
+                yield rng.random(shape) < density
+
+
+def test_fill_matches_bfs_oracle():
+    for m in _fill_cases():
+        out = vc.fill_holes_2d(m)
+        assert out.dtype == bool
+        np.testing.assert_array_equal(out, oracles.bfs_fill_holes(m))
 
 
 def test_fill_is_extensive_and_idempotent():
