@@ -112,7 +112,7 @@ def detect_fit_patches(x: np.ndarray, y: np.ndarray, cfg: DetectConfig, seed: in
     proj = ll.pca_project(pca, feats)
     margin = ll.margin_train(
         proj, np.where(y == 1, 1.0, -1.0),
-        lam=cfg.margin_lambda, epochs=cfg.margin_epochs, seed=seeds[0],
+        lam=cfg.margin_lambda, epochs=cfg.margin_epochs,
     )
     return DetectionModel(
         net=net, pca=pca, margin=margin, tau=0.0,

@@ -1,9 +1,8 @@
 """Segmentation evaluation: overlap and surface distances, clinical
 markers, agreement statistics, and hypothesis tests.
 
-The p-values are computed with documented series/continued-fraction
-expansions (normal CDF via erfc, Student t via the regularized incomplete
-beta) rather than an external statistics dependency.
+Ranks, the Mann-Whitney test and the Student t tail come from
+``scipy.stats`` and ``scipy.special``.
 """
 from __future__ import annotations
 
@@ -11,7 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+from scipy.ndimage import distance_transform_edt, find_objects
+from scipy.special import betainc
+from scipy.stats import mannwhitneyu, rankdata
 
 from .errors import (
     DivisionByZero,
@@ -21,8 +22,6 @@ from .errors import (
     ZeroVariance,
 )
 from .volcore import Mask, check_aligned
-
-BRUTE_FORCE_PAIR_LIMIT = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -39,34 +38,23 @@ def dice(a: Mask, b: Mask) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _directed_hausdorff_edt(src: np.ndarray, dst: np.ndarray, sampling) -> float:
-    dt = distance_transform_edt(~dst, sampling=sampling)
-    return float(dt[src].max())
-
-
 def hausdorff3d(a: Mask, b: Mask) -> float:
     """Symmetric 3-D Hausdorff distance in mm under anisotropic spacing.
 
-    Exact all-pairs computation when |A|*|B| is small; an exact Euclidean
-    distance transform above that.
+    Exact Euclidean distance transforms over the bounding box of A | B:
+    every voxel of either mask lies in the box, so its nearest voxel in
+    the other mask does too.
     """
     check_aligned(a, b)
-    na, nb = a.count(), b.count()
-    if na == 0 or nb == 0:
+    if a.count() == 0 or b.count() == 0:
         raise EmptyMask("Hausdorff distance is undefined for empty masks")
     sx, sy, sz = a.spacing
     sampling = (sz, sy, sx)  # data is (z, y, x)
-    if na * nb <= BRUTE_FORCE_PAIR_LIMIT:
-        pa = np.argwhere(a.data) * np.asarray(sampling)
-        pb = np.argwhere(b.data) * np.asarray(sampling)
-        d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-        h_ab = np.sqrt(d2.min(axis=1).max())
-        h_ba = np.sqrt(d2.min(axis=0).max())
-        return float(max(h_ab, h_ba))
-    return max(
-        _directed_hausdorff_edt(a.data, b.data, sampling),
-        _directed_hausdorff_edt(b.data, a.data, sampling),
-    )
+    box = find_objects((a.data | b.data).view(np.uint8))[0]
+    pa, pb = a.data[box], b.data[box]
+    h_ab = distance_transform_edt(~pb, sampling=sampling)[pa].max()
+    h_ba = distance_transform_edt(~pa, sampling=sampling)[pb].max()
+    return float(max(h_ab, h_ba))
 
 
 def scar_volume_cm3(mask: Mask) -> float:
@@ -96,19 +84,6 @@ def bland_altman(x, y) -> tuple[float, float]:
     return float(d.mean()), float(d.std(ddof=1))
 
 
-def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v))
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def spearman(x, y) -> float:
     """Pearson correlation of average ranks (ties share averaged ranks)."""
     x = np.asarray(x, dtype=np.float64)
@@ -117,8 +92,8 @@ def spearman(x, y) -> float:
         raise LengthMismatch("series lengths differ")
     if len(x) < 3:
         raise LengthMismatch("Spearman needs at least 3 pairs")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
+    rx = rankdata(x)
+    ry = rankdata(y)
     rx -= rx.mean()
     ry -= ry.mean()
     denom = math.sqrt(float((rx**2).sum()) * float((ry**2).sum()))
@@ -131,63 +106,9 @@ def spearman(x, y) -> float:
 # hypothesis tests
 # ---------------------------------------------------------------------------
 
-def _normal_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_sf_two_tailed(t: float, dof: int) -> float:
     """Two-tailed p for a Student t statistic."""
-    return regularized_incomplete_beta(dof / 2.0, 0.5, dof / (dof + t * t))
+    return float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
 
 
 def mann_whitney_u(x, y) -> tuple[float, float]:
@@ -195,24 +116,11 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     tie-corrected normal approximation with continuity correction."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n, m = len(x), len(y)
-    if n < 2 or m < 2:
+    if len(x) < 2 or len(y) < 2:
         raise LengthMismatch("both samples need at least 2 values")
-    pooled = np.concatenate([x, y])
-    ranks = _average_ranks(pooled)
-    r_x = float(ranks[:n].sum())
-    u = r_x - n * (n + 1) / 2.0
-
-    big_n = n + m
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_term = float(((tie_counts**3 - tie_counts).sum())) / (big_n * (big_n - 1))
-    sigma2 = n * m / 12.0 * ((big_n + 1) - tie_term)
-    mu = n * m / 2.0
-    if sigma2 <= 0.0:
-        return u, 1.0
-    z = max(abs(u - mu) - 0.5, 0.0) / math.sqrt(sigma2)
-    p = min(1.0, 2.0 * _normal_cdf(-z))
-    return u, p
+    res = mannwhitneyu(x, y, alternative="two-sided", method="asymptotic",
+                       use_continuity=True)
+    return float(res.statistic), float(res.pvalue)
 
 
 def paired_t(x, y) -> tuple[float, float]:

@@ -10,7 +10,14 @@ import numpy as np
 
 from . import learnlib as ll
 from . import vio
-from .errors import DataError, DegenerateHistogram, EmptyClassError, EmptyMask, NoGroundTruth
+from .errors import (
+    ConfigError,
+    DataError,
+    DegenerateHistogram,
+    EmptyClassError,
+    EmptyMask,
+    NoGroundTruth,
+)
 from .volcore import (
     Histogram,
     LabeledCase,
@@ -153,6 +160,10 @@ class EnsembleConfig:
     train: ll.TrainConfig = ll.TrainConfig()  # Table-style defaults
     max_patches_per_class: int | None = None
 
+    def __post_init__(self):
+        if self.members < 3 or self.members % 2 == 0:
+            raise ConfigError(f"the ensemble needs an odd member count >= 3, got {self.members}")
+
 
 def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: int) -> PatchEnsemble:
     """Train the voter ensemble on pooled boundary patches.
@@ -273,25 +284,23 @@ class SegmentationResult:
 
 
 def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
-                 detection=None, refine_on: bool = True,
+                 gate: list[str] | None = None, refine_on: bool = True,
                  mvo_on: bool = True) -> SegmentationResult:
     """Run the cascade over every slice of a preprocessed case.
 
-    Slices the detector calls healthy get empty masks; per-slice numeric
-    failures produce empty masks plus a flag rather than aborting the case.
+    ``gate`` holds one "healthy"/"diseased" label per slice (for instance
+    the labels of ``detect.detect_predict``); slices labelled healthy get
+    empty masks. Per-slice numeric failures produce empty masks plus a
+    flag rather than aborting the case.
     """
-    from .detect import detect_predict
-
     nz = case.nz
+    if gate is not None and len(gate) != nz:
+        raise DataError(f"case {case.case_id}: {len(gate)} gate labels for {nz} slices")
     shape = case.volume.data.shape
     coarse_v = np.zeros(shape, dtype=bool)
     hyper_v = np.zeros(shape, dtype=bool)
     mvo_v = np.zeros(shape, dtype=bool)
     outcomes = []
-
-    gate = None
-    if detection is not None:
-        gate = [label for _, label in detect_predict(detection, case)]
 
     for k in range(nz):
         outcome = SliceOutcome(index=k)

@@ -61,7 +61,8 @@ def _parse_header(path: str) -> dict:
     return fields
 
 
-def _read_grid(path: str):
+def _read_header(path: str):
+    """(spacing, dims, element type, payload path) from a header alone."""
     fields = _parse_header(path)
     if fields["NDims"] != "3":
         raise FormatError(f"{path}: NDims must be 3, got {fields['NDims']}")
@@ -74,6 +75,11 @@ def _read_grid(path: str):
     if etype not in _ELEMENT_DTYPES:
         raise UnsupportedElementType(f"{path}: element type {etype}")
     raw_path = os.path.join(os.path.dirname(path), fields["ElementDataFile"])
+    return (sx, sy, sz), (nx, ny, nz), etype, raw_path
+
+
+def _read_grid(path: str):
+    spacing, (nx, ny, nz), etype, raw_path = _read_header(path)
     try:
         with open(raw_path, "rb") as fh:
             payload = fh.read()
@@ -87,7 +93,7 @@ def _read_grid(path: str):
             f"expected {n * dtype.itemsize}"
         )
     data = np.frombuffer(payload, dtype=dtype, count=n).reshape(nz, ny, nx)
-    return (sx, sy, sz), data, etype
+    return spacing, data, etype
 
 
 def read_volume(path: str) -> Volume:
@@ -179,17 +185,20 @@ def read_manifest(path: str) -> CaseManifest:
 
 
 def _validate_manifest(manifest: CaseManifest, path: str) -> None:
-    volume = read_volume(manifest.volume_path)
+    """Check grid agreement from the headers; payloads are read by load_case."""
+    spacing, dims, _, _ = _read_header(manifest.volume_path)
     for role, mask_path in manifest.mask_paths.items():
-        mask = read_mask(mask_path)
-        if mask.dims != volume.dims:
-            raise ManifestError(f"{path}: mask {role!r} dims {mask.dims} != volume dims {volume.dims}")
-        if mask.spacing != volume.spacing:
+        mask_spacing, mask_dims, etype, _ = _read_header(mask_path)
+        if etype != "MET_UCHAR":
+            raise FormatError(f"{mask_path}: masks must be MET_UCHAR, got {etype}")
+        if mask_dims != dims:
+            raise ManifestError(f"{path}: mask {role!r} dims {mask_dims} != volume dims {dims}")
+        if mask_spacing != spacing:
             raise ManifestError(
-                f"{path}: mask {role!r} spacing {mask.spacing} != volume spacing {volume.spacing}"
+                f"{path}: mask {role!r} spacing {mask_spacing} != volume spacing {spacing}"
             )
     if manifest.per_slice_labels is not None:
-        nz = volume.dims[2]
+        nz = dims[2]
         if len(manifest.per_slice_labels) != nz:
             raise ManifestError(
                 f"{path}: {len(manifest.per_slice_labels)} slice labels for {nz} slices"

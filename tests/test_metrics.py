@@ -72,33 +72,47 @@ def test_hausdorff_spacing_arithmetic():
     assert h == pytest.approx(16.0)
 
 
+def _sparse_mask_pairs(rng, shape=(4, 40, 40)):
+    """Masks of a few voxels at random offsets in a larger grid, under
+    square and non-square in-plane spacing; every third pair pins voxels
+    of both masks to the first and last index of each axis."""
+    for i in range(24):
+        spacing = ((1.25, 1.25, 8.0), (1.25, 1.5, 8.0))[i % 2]
+        pair = []
+        for _ in range(2):
+            n = int(rng.integers(1, 6))
+            bits = np.zeros(shape, dtype=bool)
+            bits[tuple(rng.integers(0, dim, n) for dim in shape)] = True
+            pair.append(bits)
+        if i % 3 == 0:
+            for axis, dim in enumerate(shape):
+                for bits, edge in zip(pair, rng.permutation([0, dim - 1])):
+                    index = [int(rng.integers(0, d)) for d in shape]
+                    index[axis] = edge
+                    bits[tuple(index)] = True
+        yield Mask(spacing, pair[0]), Mask(spacing, pair[1])
+
+
 def test_hausdorff_matches_allpairs_oracle():
     rng = np.random.default_rng(3)
+    pairs = []
     for _ in range(30):
         a = _random_mask(rng, shape=(2, 7, 7), p=0.25)
         b = _random_mask(rng, shape=(2, 7, 7), p=0.25)
-        if a.count() == 0 or b.count() == 0 or a.count() > 200 or b.count() > 200:
+        pairs.append((a, b))
+    dense = np.random.default_rng(4)
+    pairs.append((_random_mask(dense, shape=(3, 12, 12), p=0.5),
+                  _random_mask(dense, shape=(3, 12, 12), p=0.5)))
+    pairs.extend(_sparse_mask_pairs(np.random.default_rng(11)))
+    checked = 0
+    for a, b in pairs:
+        if a.count() == 0 or b.count() == 0:
             continue
-        ours = mx.hausdorff3d(a, b)
-        ref = oracles.allpairs_hausdorff(
-            np.argwhere(a.data), np.argwhere(b.data), (8.0, 1.25, 1.25)
-        )
-        assert ours == pytest.approx(ref, abs=1e-12)
-
-
-def test_hausdorff_edt_path_equals_brute_force():
-    # force both paths on the same masks in the overlap regime
-    rng = np.random.default_rng(4)
-    a = _random_mask(rng, shape=(3, 12, 12), p=0.5)
-    b = _random_mask(rng, shape=(3, 12, 12), p=0.5)
-    brute = mx.hausdorff3d(a, b)
-    limit = mx.BRUTE_FORCE_PAIR_LIMIT
-    try:
-        mx.BRUTE_FORCE_PAIR_LIMIT = 0
-        fast = mx.hausdorff3d(a, b)
-    finally:
-        mx.BRUTE_FORCE_PAIR_LIMIT = limit
-    assert fast == pytest.approx(brute, abs=1e-9)
+        sx, sy, sz = a.spacing
+        ref = oracles.allpairs_hausdorff(np.argwhere(a.data), np.argwhere(b.data), (sz, sy, sx))
+        assert mx.hausdorff3d(a, b) == pytest.approx(ref, abs=1e-12)
+        checked += 1
+    assert checked >= 50
 
 
 def test_hausdorff_symmetry_and_triangle():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from miquant import learnlib as ll, segment
-from miquant.errors import DataError, EmptyClassError, NoGroundTruth
+from miquant.errors import ConfigError, DataError, EmptyClassError, NoGroundTruth
 from miquant.volcore import LabeledCase, Mask, Volume
 
 
@@ -67,6 +67,34 @@ def test_segment_case_flags_empty_myocardium_apart_from_degenerate_histogram():
     assert empty.empty_myocardium and not empty.degenerate_histogram
     assert flat.degenerate_histogram and not flat.empty_myocardium
     assert result.final.count() == 0
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_segment_case_gate_empties_only_the_healthy_slice(diseased_cases, k):
+    case = diseased_cases[0]
+    ungated = segment.segment_case(case)
+    gate = ["diseased"] * case.nz
+    gate[k] = "healthy"
+    gated = segment.segment_case(case, gate=gate)
+    assert ungated.final.data[k].any()  # the gate has something to remove
+    assert [o.gated_out for o in gated.outcomes] == [i == k for i in range(case.nz)]
+    for name in ("coarse", "hyper", "mvo", "final"):
+        got, ref = getattr(gated, name).data, getattr(ungated, name).data
+        assert not got[k].any()
+        others = np.arange(case.nz) != k
+        np.testing.assert_array_equal(got[others], ref[others])
+
+
+def test_segment_case_rejects_gate_of_wrong_length(diseased_cases):
+    case = diseased_cases[0]
+    with pytest.raises(DataError):
+        segment.segment_case(case, gate=["diseased"] * (case.nz + 1))
+
+
+@pytest.mark.parametrize("members", [1, 2, 4])
+def test_ensemble_config_needs_odd_member_count_of_three_or_more(members):
+    with pytest.raises(ConfigError):
+        segment.EnsembleConfig(members=members)
 
 
 def _with_scar(case, region):

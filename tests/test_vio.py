@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,30 @@ def test_manifest_rejects_dim_mismatch(tmp_path):
     bad = Mask(case.volume.spacing, np.zeros((2, 6, 7), dtype=bool))
     vio.write_mask(bad, str(tmp_path / "c" / "myocardium.mhd"))
     with pytest.raises(ManifestError):
+        vio.read_manifest(manifest_path)
+
+
+def test_manifest_and_load_read_each_payload_once(tmp_path, monkeypatch):
+    manifest_path = vio.write_case(_toy_case(), str(tmp_path / "c"))
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(vio, "open", counting_open, raising=False)
+    vio.load_case(vio.read_manifest(manifest_path))
+    raws = sorted(name for name in opened if name.endswith(".raw"))
+    assert raws == ["endocardium.raw", "epicardium.raw", "gt_scar.raw",
+                    "myocardium.raw", "volume.raw"]
+
+
+def test_manifest_rejects_non_uchar_mask(tmp_path):
+    case = _toy_case()
+    manifest_path = vio.write_case(case, str(tmp_path / "c"))
+    vio.write_volume(Volume(case.volume.spacing, case.myocardium.data.astype(np.float64)),
+                     str(tmp_path / "c" / "myocardium.mhd"))
+    with pytest.raises(FormatError):
         vio.read_manifest(manifest_path)
 
 
