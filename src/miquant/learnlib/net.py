@@ -14,6 +14,19 @@ over chunks of ``INFER_CHUNK`` samples so that each im2col matrix stays
 cache-sized. The dense head then runs on the whole batch at once, as it does
 in training, because a BLAS matrix product can round a row differently
 depending on how many rows share the call.
+
+Windowed inference (``NetModel.forward_windows``) classifies many
+overlapping windows of one image, each minus the same per-pixel ``offset``
+(a mean patch). Only the first convolution is shared between windows: the
+offset is subtracted pixel by pixel before it, so two windows that overlap
+see different inputs at the same image pixel, and every later layer works
+on different values. Conv1 is linear, so conv1 runs once over the whole
+image and once over the offset, and each window's map is the image map at
+the window's position minus the offset map. Pool1 reads its 2x2 maxima
+straight from that dense map; conv2 onward runs per window. The window
+``(img - mean) * s`` thus becomes ``img * s - mean * s`` after the
+convolution, so results agree with ``forward`` on the cropped windows to
+rounding (about 1e-15 on the logits), not bit for bit.
 """
 from __future__ import annotations
 
@@ -23,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import vio
-from ..errors import DivergenceError, ShapeError
+from ..errors import ConfigError, DivergenceError, ShapeError
 
 INFER_CHUNK = 32  # samples per trunk pass at inference
 
@@ -238,6 +251,18 @@ def _pool_before_relu(layers):
     return order
 
 
+def _infer(trunk_chunk, n, head):
+    """Run ``trunk_chunk(start)`` over ``INFER_CHUNK``-sample chunks of an
+    n-sample batch, then the head on the whole batch at once."""
+    parts = [trunk_chunk(s) for s in range(0, max(n, 1), INFER_CHUNK)]
+    x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return _run(head, x)
+
+
+def _flatten_index(layers):
+    return next((i for i, l in enumerate(layers) if isinstance(l, Flatten)), len(layers))
+
+
 @dataclass
 class NetModel:
     layers: list
@@ -252,12 +277,64 @@ class NetModel:
         layers = self.layers[: len(self.layers) if n_layers is None else n_layers]
         if train:
             return _run(layers, x, train=True, rng=rng)
-        flat = next((i for i, l in enumerate(layers) if isinstance(l, Flatten)), len(layers))
+        flat = _flatten_index(layers)
         trunk = _pool_before_relu(layers[:flat])
-        parts = [_run(trunk, x[s : s + INFER_CHUNK])
-                 for s in range(0, max(len(x), 1), INFER_CHUNK)]
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return _run(layers[flat:], x)
+        return _infer(lambda s: _run(trunk, x[s : s + INFER_CHUNK]), len(x), layers[flat:])
+
+    def forward_windows(self, image, oy, ox, offset):
+        """``forward`` on the input-sized windows of a 2-D ``image`` whose
+        top-left corners are ``(oy[i], ox[i])``, each minus ``offset``.
+
+        Conv1 runs once over the image and once over the offset; pool1 is
+        gathered from the dense conv1 map per chunk of windows, and the rest
+        of the trunk and the head run as in ``forward``. Agrees with
+        ``forward`` to rounding (see the module docstring).
+        """
+        image = np.asarray(image, dtype=np.float64)
+        offset = np.asarray(offset, dtype=np.float64)
+        oy = np.asarray(oy, dtype=np.intp)
+        ox = np.asarray(ox, dtype=np.intp)
+        h, w, c = self.input_shape
+        if image.ndim != 2 or c != 1:
+            raise ShapeError(f"windows need a 2-D image and a 1-channel net, got "
+                             f"image {image.shape} and input {self.input_shape}")
+        if offset.shape != (h, w):
+            raise ShapeError(f"offset {offset.shape} does not match input {self.input_shape}")
+        if oy.ndim != 1 or oy.shape != ox.shape:
+            raise ShapeError(f"window corners {oy.shape} and {ox.shape} do not pair up")
+        if len(oy) and (oy.min() < 0 or ox.min() < 0 or oy.max() + h > image.shape[0]
+                        or ox.max() + w > image.shape[1]):
+            raise ShapeError(f"a {h}x{w} window leaves the {image.shape} image")
+        layers = self.layers
+        if not (len(layers) >= 3 and isinstance(layers[0], Conv2D)
+                and isinstance(layers[1], ReLU) and isinstance(layers[2], MaxPool2)):
+            raise ShapeError("windowed inference needs a net that starts conv -> relu -> pool")
+        conv = layers[0]
+        dense = conv.forward(image[None, :, :, None])[0]
+        off = conv.forward(offset[None, :, :, None])[0] - conv.b
+        oh, ow, cout = off.shape
+        ph, pw = oh // 2, ow // 2
+        if ph < 1 or pw < 1:
+            raise ShapeError(f"conv1 map {off.shape[:2]} too small for 2x2 pooling")
+        # view[y, x, p, q] = dense[y + 2p, x + 2q]: one pooling phase of the
+        # window whose conv1 map starts at (y, x), channel-last
+        view = np.moveaxis(
+            sliding_window_view(dense, (2 * ph - 1, 2 * pw - 1), axis=(0, 1))[..., ::2, ::2],
+            2, -1)
+        phases = [(a, b, off[a : 2 * ph : 2, b : 2 * pw : 2]) for a in (0, 1) for b in (0, 1)]
+        flat = _flatten_index(layers)
+        rest = _pool_before_relu(layers[:flat])[2:]  # relu1, conv2, ...
+
+        def trunk_chunk(s):
+            y, x = oy[s : s + INFER_CHUNK], ox[s : s + INFER_CHUNK]
+            pooled = None
+            for a, b, off_ab in phases:
+                phase = view[y + a, x + b]
+                phase -= off_ab
+                pooled = phase if pooled is None else np.maximum(pooled, phase, out=pooled)
+            return _run(rest, pooled)
+
+        return _infer(trunk_chunk, len(oy), layers[flat:])
 
     def features(self, x):
         """Activations of the feature head (penultimate FC), inference mode."""
@@ -420,11 +497,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+            raise ConfigError("learning rate must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
+            raise ConfigError("momentum must be in [0, 1)")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ConfigError("batch size must be >= 1")
 
 
 def softmax_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -31,6 +31,7 @@ from .volcore import (
     make_bar_se,
     make_disk_se,
     otsu_threshold,
+    patch_region,
     white_tophat,
 )
 
@@ -83,14 +84,19 @@ class PatchEnsemble:
 
     def __post_init__(self):
         if len(self.members) % 2 == 0:
-            raise ValueError("ensemble needs an odd member count")
+            raise ConfigError(f"the ensemble needs an odd member count, got {len(self.members)}")
 
-    def vote(self, patches: np.ndarray) -> np.ndarray:
-        """Majority vote over zero-centered patches; True means scar."""
-        x = (patches - self.mean_patch[None, :, :, None]) * INPUT_SCALE
-        votes = np.zeros(len(patches), dtype=np.int64)
+    def vote(self, ys, xs, img: np.ndarray) -> np.ndarray:
+        """Majority vote on the zero-centered patch of img around each
+        (ys[i], xs[i]), zero-padded as ``extract_patches`` crops it; True
+        means scar. Each member runs windowed inference over the region
+        that holds every patch."""
+        region, oy, ox = patch_region(img, ys, xs, self.patch_size)
+        region = region * INPUT_SCALE
+        offset = self.mean_patch * INPUT_SCALE
+        votes = np.zeros(len(oy), dtype=np.int64)
         for member in self.members:
-            votes += member.forward(x).argmax(axis=1)
+            votes += member.forward_windows(region, oy, ox, offset).argmax(axis=1)
         return votes >= (len(self.members) + 1) // 2
 
     def to_doc(self) -> dict:
@@ -241,7 +247,7 @@ def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,
     band = boundary_region(coarse)
     out = coarse & ~band  # the eroded core
     ys, xs = np.nonzero(band)
-    scar = ensemble.vote(extract_patches(img, ys, xs, ensemble.patch_size)[..., None])
+    scar = ensemble.vote(ys, xs, img)
     out[ys[scar], xs[scar]] = True
     return out & np.asarray(myo, dtype=bool)
 

@@ -71,6 +71,10 @@ def _read_header(path: str):
         sx, sy, sz = (float(t) for t in fields["ElementSpacing"].split())
     except ValueError as exc:
         raise FormatError(f"{path}: bad DimSize/ElementSpacing: {exc}") from exc
+    if min(nx, ny, nz) < 1:
+        raise FormatError(f"{path}: DimSize must be >= 1 on every axis, got {nx} {ny} {nz}")
+    if not all(math.isfinite(s) and s > 0 for s in (sx, sy, sz)):
+        raise FormatError(f"{path}: ElementSpacing must be finite and > 0, got {sx} {sy} {sz}")
     etype = fields["ElementType"]
     if etype not in _ELEMENT_DTYPES:
         raise UnsupportedElementType(f"{path}: element type {etype}")

@@ -263,14 +263,26 @@ def fill_holes_2d(mask: np.ndarray) -> np.ndarray:
     return ndi.binary_fill_holes(np.asarray(mask, dtype=bool), structure=_FOUR_CONNECTED)
 
 
-def extract_patches(img: np.ndarray, ys, xs, size: int) -> np.ndarray:
-    """Zero-padded size x size crops of img, one per (ys[i], xs[i]), stacked
-    as (n, size, size). Crop i spans rows ys[i] - size // 2 up to, not
-    including, that plus size, and likewise columns: odd sizes are centred.
+def patch_region(img: np.ndarray, ys, xs, size: int):
+    """(region, oy, ox): the zero-padded part of img that holds the size x
+    size crop around every (ys[i], xs[i]), and the top-left corner of crop i
+    in it. Crop i spans rows ys[i] - size // 2 up to, not including, that
+    plus size, and likewise columns: odd sizes are centred.
     """
+    ys = np.asarray(ys, dtype=np.intp)
+    xs = np.asarray(xs, dtype=np.intp)
     half = size // 2
     padded = np.pad(img, ((half, size - 1 - half),) * 2)
-    return sliding_window_view(padded, (size, size))[ys, xs]
+    y0, x0 = (int(v.min()) if len(v) else 0 for v in (ys, xs))
+    region = padded[y0 : ys.max(initial=0) + size, x0 : xs.max(initial=0) + size]
+    return region, ys - y0, xs - x0
+
+
+def extract_patches(img: np.ndarray, ys, xs, size: int) -> np.ndarray:
+    """Zero-padded size x size crops of img, one per (ys[i], xs[i]), stacked
+    as (n, size, size); see ``patch_region``."""
+    region, oy, ox = patch_region(img, ys, xs, size)
+    return sliding_window_view(region, (size, size))[oy, ox]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from miquant import learnlib as ll
-from miquant.errors import DivergenceError, EmptyClassError, ShapeError, SingleClassError
+from miquant.errors import (
+    ConfigError,
+    DivergenceError,
+    EmptyClassError,
+    ShapeError,
+    SingleClassError,
+)
 from miquant.learnlib.net import Conv2D, Dense, NetModel, Softmax
 
 
@@ -100,6 +106,81 @@ def test_logits_without_softmax_head_raises_shape_error():
         net.logits(np.zeros((1, 1, 3, 1)))
 
 
+# --- windowed inference ---
+
+def _windows_net(size, seed):
+    """Paper-style net with random biases; the softmax is stripped, so the
+    net outputs logits."""
+    net = ll.build_classifier(size, seed=seed, dropout=0.0)
+    rng = np.random.default_rng(seed + 1)
+    for layer in net.layers:
+        if isinstance(layer, (Conv2D, Dense)):
+            layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
+    return NetModel(net.layers[:-1], net.input_shape)
+
+
+def _corners(rng, n, image_shape, size):
+    """n window corners; the first four touch the top-left, bottom-right,
+    top-right and bottom-left corners of the image, the rest are random."""
+    hy, hx = image_shape[0] - size, image_shape[1] - size
+    edges = [(0, 0), (hy, hx), (0, hx), (hy, 0)]
+    rand = [tuple(rng.integers(0, (hy + 1, hx + 1))) for _ in range(max(n - 4, 0))]
+    oy, ox = zip(*(edges + rand)[:n])
+    return np.array(oy, dtype=np.intp), np.array(ox, dtype=np.intp)
+
+
+@pytest.mark.parametrize("size", [49, 48])  # conv5 maps of 45 (odd) and 44 (even)
+@pytest.mark.parametrize("n,margin", [
+    (1, (0, 0)),  # the one window is the whole image and touches every edge
+    (1, (23, 30)),
+    (4, (23, 30)),
+    (31, (23, 30)),
+    (32, (23, 30)),
+    (33, (23, 30)),
+])
+def test_forward_windows_matches_forward_on_cropped_windows(size, n, margin):
+    net = _windows_net(size, seed=40 + size)
+    rng = np.random.default_rng(size * 100 + n)
+    image = rng.uniform(0.0, 1.0, (size + margin[0], size + margin[1]))
+    offset = rng.uniform(0.0, 1.0, (size, size))  # not constant
+    assert net.layers[0].b.std() > 0
+    oy, ox = _corners(rng, n, image.shape, size)
+    crops = np.stack([image[y : y + size, x : x + size] - offset for y, x in zip(oy, ox)])
+    expected = net.forward(crops[..., None])
+    got = net.forward_windows(image, oy, ox, offset)
+    assert got.shape == expected.shape == (n, 2)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+
+def test_forward_windows_on_no_windows_is_empty():
+    net = _windows_net(48, seed=47)
+    image = np.zeros((60, 60))
+    assert net.forward_windows(image, [], [], np.zeros((48, 48))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("image_shape,oy,ox", [
+    ((60, 60, 1), [0], [0]),   # not a 2-D image
+    ((60, 60), [12], [0]),     # leaves the bottom edge
+    ((60, 60), [0], [-1]),     # leaves the left edge
+    ((60, 60), [0, 5], [0]),   # corners do not pair up
+])
+def test_forward_windows_rejects_bad_windows(image_shape, oy, ox):
+    net = _windows_net(49, seed=48)
+    with pytest.raises(ShapeError):
+        net.forward_windows(np.zeros(image_shape), oy, ox, np.zeros((49, 49)))
+
+
+@pytest.mark.parametrize("specs", [
+    [("conv", 3, 4), ("maxpool",), ("relu",), ("flatten",), ("dense", 2)],
+    [("flatten",), ("dense", 2)],
+])
+def test_forward_windows_needs_conv_relu_pool_first(specs):
+    net = ll.build_net((13, 13, 1), specs, seed=49)
+    with pytest.raises(ShapeError):
+        net.forward_windows(np.zeros((20, 20)), [0], [0], np.zeros((13, 13)))
+
+
 # --- training ---
 
 def test_zero_learning_rate_keeps_weights():
@@ -194,6 +275,17 @@ def test_divergence_error():
     with pytest.raises(DivergenceError):
         ll.net_train(x, np.array([0, 1]), net,
                      ll.TrainConfig(learning_rate=1.0, epochs=2, seed=20))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"learning_rate": -1e-3},
+    {"momentum": -0.1},
+    {"momentum": 1.0},
+    {"batch_size": 0},
+])
+def test_train_config_rejects_bad_values_with_config_error(kwargs):
+    with pytest.raises(ConfigError):
+        ll.TrainConfig(**kwargs)
 
 
 def test_model_doc_roundtrip_bitwise():

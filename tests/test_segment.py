@@ -8,26 +8,38 @@ from miquant.errors import ConfigError, DataError, EmptyClassError, NoGroundTrut
 from miquant.volcore import LabeledCase, Mask, Volume
 
 
+def _vote_each_patch_alone(ensemble, img, ys, xs):
+    """Each member's forward on each zero-centred band patch by itself."""
+    size = ensemble.patch_size
+    padded = np.pad(img, size)  # zeros beyond the slice on every side
+    votes = np.zeros(len(ys), dtype=np.int64)
+    for i, (y, x) in enumerate(zip(ys.tolist(), xs.tolist())):
+        top, left = y + size - size // 2, x + size - size // 2
+        patch = padded[top : top + size, left : left + size]
+        centred = ((patch - ensemble.mean_patch) * segment.INPUT_SCALE)[None, :, :, None]
+        votes[i] = sum(int(m.forward(centred).argmax(axis=1)[0]) for m in ensemble.members)
+    return votes >= (len(ensemble.members) + 1) // 2
+
+
+def _refine_oracle(ensemble, img, coarse, myo):
+    se = segment.make_disk_se(segment.BOUNDARY_RADIUS)
+    core = segment.binary_erode(coarse, se) & coarse
+    band = segment.binary_dilate(coarse, se) & ~core
+    ys, xs = np.nonzero(band)
+    alone = _vote_each_patch_alone(ensemble, img, ys, xs)
+    expected = core.copy()
+    expected[ys[alone], xs[alone]] = True
+    return expected & myo, core, band, alone
+
+
 def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemble):
     # a trained ensemble: its mean patch differs from pixel to pixel
     assert tiny_ensemble.mean_patch.std() > 0
     case = diseased_cases[4]  # not among the ensemble's training cases
     img, myo = case.volume.data[0], case.myocardium.data[0]
     coarse = segment.coarse_segment(img, myo)
-    se = segment.make_disk_se(segment.BOUNDARY_RADIUS)
-    core = segment.binary_erode(coarse, se) & coarse
-    band = segment.binary_dilate(coarse, se) & ~core
-    ys, xs = np.nonzero(band)
-    alone = np.array([
-        tiny_ensemble.vote(
-            segment.extract_patches(img, [y], [x], tiny_ensemble.patch_size)[..., None]
-        )[0]
-        for y, x in zip(ys.tolist(), xs.tolist())
-    ])
+    expected, core, _, alone = _refine_oracle(tiny_ensemble, img, coarse, myo)
     assert 0 < alone.sum() < len(alone)  # the vote decides, both ways
-    expected = core.copy()
-    expected[ys[alone], xs[alone]] = True
-    expected &= myo
 
     out = segment.refine(img, coarse, tiny_ensemble, myo)
     np.testing.assert_array_equal(out, expected)
@@ -35,10 +47,32 @@ def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemb
     assert not (core & myo & ~out).any()
 
 
+def test_refine_zero_pads_a_band_that_touches_the_slice_border(diseased_cases, tiny_ensemble):
+    case = diseased_cases[4]
+    img, myo = case.volume.data[0], case.myocardium.data[0]
+    coarse = segment.coarse_segment(img, myo)
+    rows, cols = np.nonzero(coarse)
+    # cut the slice inside the coarse mask's bounding box on every side
+    window = (slice(rows.min() + 2, rows.max() - 1), slice(cols.min() + 2, cols.max() - 1))
+    img, myo, coarse = img[window], myo[window], coarse[window]
+    expected, _, band, alone = _refine_oracle(tiny_ensemble, img, coarse, myo)
+    assert band[0].any() and band[-1].any() and band[:, 0].any() and band[:, -1].any()
+    assert 0 < alone.sum() < len(alone)
+
+    np.testing.assert_array_equal(segment.refine(img, coarse, tiny_ensemble, myo), expected)
+
+
 def test_vote_on_no_patches_is_empty(tiny_ensemble):
-    votes = tiny_ensemble.vote(np.zeros((0, tiny_ensemble.patch_size, tiny_ensemble.patch_size, 1)))
+    votes = tiny_ensemble.vote([], [], np.zeros((20, 20)))
     assert votes.dtype == bool
     assert votes.shape == (0,)
+
+
+@pytest.mark.parametrize("members", [0, 2])
+def test_patch_ensemble_needs_odd_member_count(tiny_ensemble, members):
+    with pytest.raises(ConfigError):
+        segment.PatchEnsemble(members=tiny_ensemble.members[:1] * members,
+                              mean_patch=tiny_ensemble.mean_patch)
 
 
 def test_segmentation_result_rejects_overlapping_hyper_and_mvo():

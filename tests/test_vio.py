@@ -140,6 +140,30 @@ def test_manifest_rejects_non_uchar_mask(tmp_path):
         vio.read_manifest(manifest_path)
 
 
+def _rewrite_header_field(path, key, value):
+    lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ElementSpacing", "0.0 1.0 1.0"),
+    ("ElementSpacing", "-1 1.0 1.0"),
+    ("ElementSpacing", "nan 1.0 1.0"),
+    ("ElementSpacing", "1.0 inf 1.0"),
+    ("DimSize", "6 6 0"),
+    ("DimSize", "-6 6 2"),
+])
+def test_bad_grid_geometry_in_header_is_a_format_error(tmp_path, key, value):
+    manifest_path = vio.write_case(_toy_case(), str(tmp_path / "c"))
+    header = tmp_path / "c" / "myocardium.mhd"
+    _rewrite_header_field(header, key, value)
+    with pytest.raises(FormatError):
+        vio.read_mask(str(header))
+    with pytest.raises(FormatError):
+        vio.read_manifest(manifest_path)
+
+
 def test_manifest_rejects_label_length(tmp_path):
     case = _toy_case()
     case.per_slice_labels = ["healthy", "diseased"]
