@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateData, DegenerateHistogram, EmptyMask, EmptyRegion
+from .errors import ConfigError, DegenerateData, DegenerateHistogram, EmptyMask, EmptyRegion
 from .volcore import Histogram, LabeledCase, Mask, intensity_levels, otsu_threshold
 
 N_SECTORS = 6
@@ -63,7 +63,7 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray,
 def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: RemoteRegion, n: int) -> np.ndarray:
     """Threshold at mean + n * SD of the remote intensities (strict >)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError(f"n must be >= 1, got {n}")
     img = np.asarray(img, dtype=np.float64)
     values = img[remote.mask]
     if values.size == 0:
@@ -193,6 +193,9 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
     remote mask within the myocardium, or auto_remote_region on slices
     where that is empty.
     """
+    unknown = [m for m in methods if m not in BASELINE_METHODS]
+    if unknown:
+        raise ConfigError(f"unknown baseline methods {unknown}; known: {BASELINE_METHODS}")
     shape = case.volume.data.shape
     out = {m: np.zeros(shape, dtype=bool) for m in methods}
     for k in range(case.nz):
@@ -222,9 +225,6 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
                     pass
             elif method == "fwhm":
                 out[method][k] = fwhm_segment(img, myo)
-            elif method == "gmm":
-                if gmm is not None:
-                    out[method][k] = gmm_segment(img, myo, gmm)
-            else:
-                raise ValueError(f"unknown baseline method {method!r}")
+            elif gmm is not None:  # method == "gmm"
+                out[method][k] = gmm_segment(img, myo, gmm)
     return {m: Mask(case.volume.spacing, data) for m, data in out.items()}

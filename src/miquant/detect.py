@@ -10,7 +10,7 @@ import numpy as np
 
 from . import learnlib as ll
 from . import vio
-from .errors import EmptyDenominator, EmptyMask, SingleClassError, Unachievable
+from .errors import ConfigError, EmptyDenominator, EmptyMask, SingleClassError, Unachievable
 from .volcore import LabeledCase, extract_patches
 
 DETECT_INPUT_SIZE = 89
@@ -127,13 +127,23 @@ def detect_fit(cases: list[LabeledCase], cfg: DetectConfig, seed: int) -> Detect
 
 
 def detect_scores(model: DetectionModel, case: LabeledCase) -> np.ndarray:
-    x, _ = collect_slice_patches([case], model.net.input_shape[0])
+    """Per-slice margin scores. A slice with an empty epicardium has no crop
+    to classify: it scores -inf, so every finite threshold labels it
+    healthy. Its batch row holds a blank crop, so the other slices score
+    exactly as they would with its epicardium in place."""
+    size = model.net.input_shape[0]
+    empty = np.array([not case.epicardium.data[k].any() for k in range(case.nz)])
+    x = np.stack([np.zeros((size, size)) if empty[k] else extract_detection_input(case, k, size)
+                  for k in range(case.nz)])[..., None]
     feats = model.net.features(x * INPUT_SCALE)
-    return ll.margin_decide(model.margin, ll.pca_project(model.pca, feats))
+    scores = ll.margin_decide(model.margin, ll.pca_project(model.pca, feats))
+    scores[empty] = -np.inf
+    return scores
 
 
 def detect_predict(model: DetectionModel, case: LabeledCase):
-    """Per-slice (score, label); diseased iff score >= tau."""
+    """Per-slice (score, label); diseased iff score >= tau, so a slice with
+    an empty epicardium (score -inf) is healthy."""
     scores = detect_scores(model, case)
     return [(float(s), "diseased" if s >= model.tau else "healthy") for s in scores]
 
@@ -174,7 +184,7 @@ def pick_operating_point(roc: RocCurve, target_sensitivity: float):
     met in the descending sweep); returns (threshold, sensitivity,
     specificity)."""
     if not (0.0 < target_sensitivity <= 1.0):
-        raise ValueError("target sensitivity must be in (0, 1]")
+        raise ConfigError(f"target sensitivity must be in (0, 1], got {target_sensitivity}")
     for fpr, tpr, threshold in roc.points:
         if tpr >= target_sensitivity and np.isfinite(threshold):
             return threshold, tpr, 1.0 - fpr

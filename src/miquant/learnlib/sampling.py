@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyClassError
+from ..errors import EmptyClassError, ShapeError
 
 ROTATION_MAX_DEG = 20.0
 SHEAR_MAX = 0.1
@@ -72,7 +72,7 @@ def apply_augment(patch: np.ndarray, params: AugmentParams) -> np.ndarray:
 def augment(patch: np.ndarray, seed: int) -> np.ndarray:
     """One random geometric transform of a square patch."""
     if patch.shape[0] != patch.shape[1]:
-        raise ValueError("augment expects a square patch")
+        raise ShapeError(f"augment expects a square patch, got {patch.shape}")
     return apply_augment(patch, draw_augment_params(np.random.default_rng(seed)))
 
 

@@ -15,6 +15,7 @@ from scipy.special import betainc
 from scipy.stats import mannwhitneyu, rankdata
 
 from .errors import (
+    DataError,
     DivisionByZero,
     EmptyDenominator,
     EmptyMask,
@@ -153,7 +154,7 @@ class ConfusionCounts:
 
     def __post_init__(self):
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
+            raise DataError(f"confusion counts must be non-negative, got {self}")
 
     @property
     def total(self) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateRange, EmptyRegion, SpacingError
+from .errors import ConfigError, DataError, DegenerateRange, EmptyRegion, SpacingError
 from .volcore import LabeledCase, Mask, Volume
 
 CANONICAL_SPACING = (1.25, 1.25, 8.0)
@@ -26,11 +26,12 @@ class PreprocessConfig:
 
     def __post_init__(self):
         if any(s <= 0 for s in self.target_spacing):
-            raise ValueError("target spacing must be > 0")
+            raise ConfigError(f"target spacing must be > 0, got {self.target_spacing}")
         if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if not (0 <= self.p_lo < self.p_hi <= 100):
-            raise ValueError("percentiles must satisfy 0 <= p_lo < p_hi <= 100")
+            raise ConfigError(f"percentiles must satisfy 0 <= p_lo < p_hi <= 100, "
+                              f"got {self.p_lo} and {self.p_hi}")
 
 
 def estimate_noise_sigma(img: np.ndarray) -> float:
@@ -42,7 +43,7 @@ def estimate_noise_sigma(img: np.ndarray) -> float:
     """
     img = np.asarray(img, dtype=np.float64)
     if img.shape[0] < 3 or img.shape[1] < 3:
-        raise ValueError("noise estimation needs a slice of at least 3x3")
+        raise DataError(f"noise estimation needs a slice of at least 3x3, got {img.shape}")
     lap = (
         img[:-2, 1:-1] + img[2:, 1:-1] + img[1:-1, :-2] + img[1:-1, 2:]
         - 4.0 * img[1:-1, 1:-1]

@@ -1,6 +1,11 @@
 """The segmentation cascade: rotated-bar top-hat enhancement with Otsu
 thresholding (coarse stage), boundary-patch ensemble refinement, and
 microvascular-obstruction inclusion by hole filling.
+
+Refinement reclassifies each boundary-band voxel by the majority vote of an
+odd ensemble of patch classifiers. The vote short-circuits: a patch leaves
+the tally once one class holds a majority, so later members run only on the
+patches still undecided (see ``PatchEnsemble.vote``).
 """
 from __future__ import annotations
 
@@ -90,14 +95,30 @@ class PatchEnsemble:
         """Majority vote on the zero-centered patch of img around each
         (ys[i], xs[i]), zero-padded as ``extract_patches`` crops it; True
         means scar. Each member runs windowed inference over the region
-        that holds every patch."""
+        that holds every patch.
+
+        The vote stops early where it is settled: once one class holds
+        (M + 1) // 2 of the M votes on a patch, the members still to come
+        skip it. The first (M + 1) // 2 members see every patch, each later
+        one only the patches still open, and members after the last open
+        patch do not run. A settled majority cannot change, so the result
+        is the full tally's (a member's output on a patch does not depend
+        on the other patches in the call, up to the rounding noted in
+        ``learnlib.net``)."""
         region, oy, ox = patch_region(img, ys, xs, self.patch_size)
         region = region * INPUT_SCALE
         offset = self.mean_patch * INPUT_SCALE
-        votes = np.zeros(len(oy), dtype=np.int64)
-        for member in self.members:
-            votes += member.forward_windows(region, oy, ox, offset).argmax(axis=1)
-        return votes >= (len(self.members) + 1) // 2
+        need = (len(self.members) + 1) // 2
+        scar = np.zeros(len(oy), dtype=np.int64)
+        open_ = np.arange(len(oy))
+        for cast, member in enumerate(self.members, start=1):
+            if not len(open_):
+                break
+            scar[open_] += member.forward_windows(
+                region, oy[open_], ox[open_], offset).argmax(axis=1)
+            tally = scar[open_]
+            open_ = open_[(tally < need) & (cast - tally < need)]
+        return scar >= need
 
     def to_doc(self) -> dict:
         return {

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from miquant import detect
-from miquant.errors import EmptyDenominator, EmptyMask, SingleClassError, Unachievable
+from miquant.errors import ConfigError, EmptyDenominator, EmptyMask, SingleClassError, Unachievable
 from miquant.volcore import LabeledCase, Mask, Volume
 
 import oracles
@@ -151,7 +153,7 @@ def test_operating_point_sensitivity_specificity_tradeoff():
 
 def test_operating_point_bad_target():
     roc = detect.roc_curve([0.0, 1.0], [0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         detect.pick_operating_point(roc, 0.0)
 
 
@@ -205,6 +207,23 @@ def test_predict_threshold_limits(tiny_detector, mixed_cases):
         tiny_detector.net, tiny_detector.pca, tiny_detector.margin, tau=np.inf
     )
     assert all(l == "healthy" for _, l in detect.detect_predict(high, case))
+
+
+def test_empty_epicardium_slice_is_healthy_and_others_keep_their_scores(
+        tiny_detector, mixed_cases, tiny_detect_cfg):
+    case = next(c for c in mixed_cases if detect.case_label(c) == "diseased")
+    epi = case.epicardium.data.copy()
+    epi[0] = False
+    holed = replace(case, epicardium=Mask(case.epicardium.spacing, epi))
+
+    scores = detect.detect_scores(tiny_detector, holed)
+    assert scores[0] == -np.inf
+    np.testing.assert_array_equal(scores[1:], detect.detect_scores(tiny_detector, case)[1:])
+    predicted = detect.detect_predict(tiny_detector, holed)
+    assert predicted[0] == (-np.inf, "healthy")
+    assert predicted[1:] == detect.detect_predict(tiny_detector, case)[1:]
+    with pytest.raises(EmptyMask):  # training still needs every slice's crop
+        detect.detect_fit([holed] + mixed_cases[4:], tiny_detect_cfg, seed=5)
 
 
 # --- splits and permutation analysis ---

@@ -464,7 +464,7 @@ def test_augment_seeded_and_square_only():
     b = ll.augment(rng_patch, seed=5)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (7, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         ll.augment(np.zeros((3, 4)), seed=0)
 
 

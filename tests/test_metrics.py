@@ -5,6 +5,7 @@ import pytest
 
 from miquant import metrics as mx
 from miquant.errors import (
+    DataError,
     DivisionByZero,
     EmptyDenominator,
     EmptyMask,
@@ -256,6 +257,11 @@ def test_student_t_tail_reference_points():
 
 def test_sens_spec_acc_perfect():
     assert mx.sens_spec_acc(mx.ConfusionCounts(5, 0, 7, 0)) == (1.0, 1.0, 1.0)
+
+
+def test_confusion_counts_reject_negative_counts():
+    with pytest.raises(DataError):
+        mx.ConfusionCounts(1, -1, 1, 1)
 
 
 def test_sens_spec_acc_margins():

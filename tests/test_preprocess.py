@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from miquant import preprocess as pp
-from miquant.errors import DegenerateRange, EmptyRegion, SpacingError
+from miquant.errors import ConfigError, DataError, DegenerateRange, EmptyRegion, SpacingError
 from miquant.volcore import LabeledCase, Mask, Volume
 
 
@@ -10,6 +10,11 @@ from miquant.volcore import LabeledCase, Mask, Volume
 
 def test_sigma_zero_on_constant_slice():
     assert pp.estimate_noise_sigma(np.full((32, 32), 7.0)) == 0.0
+
+
+def test_sigma_needs_a_3x3_slice():
+    with pytest.raises(DataError):
+        pp.estimate_noise_sigma(np.zeros((2, 32)))
 
 
 def test_sigma_recovers_gaussian_noise_level():
@@ -221,3 +226,21 @@ def test_pipeline_volume_preserved_across_reslice():
     vol_before = case.myocardium.count() * 1.91 * 1.91 * 8.0 / 1000.0
     vol_after = out.myocardium.count() * 1.25 * 1.25 * 8.0 / 1000.0
     assert abs(vol_after - vol_before) / vol_before < 0.05
+
+
+# --- configuration ---
+
+def test_config_rejects_non_positive_spacing():
+    with pytest.raises(ConfigError):
+        pp.PreprocessConfig(target_spacing=(1.25, 0.0, 8.0))
+
+
+def test_config_rejects_non_positive_gamma():
+    with pytest.raises(ConfigError):
+        pp.PreprocessConfig(gamma=0.0)
+
+
+@pytest.mark.parametrize("p_lo, p_hi", [(50.0, 50.0), (-1.0, 99.0), (1.0, 101.0)])
+def test_config_rejects_unordered_percentiles(p_lo, p_hi):
+    with pytest.raises(ConfigError):
+        pp.PreprocessConfig(p_lo=p_lo, p_hi=p_hi)

@@ -5,6 +5,7 @@ import pytest
 
 from miquant import learnlib as ll, segment
 from miquant.errors import ConfigError, DataError, EmptyClassError, NoGroundTruth
+from miquant.learnlib.net import Dense
 from miquant.volcore import LabeledCase, Mask, Volume
 
 
@@ -62,6 +63,66 @@ def test_refine_zero_pads_a_band_that_touches_the_slice_border(diseased_cases, t
     np.testing.assert_array_equal(segment.refine(img, coarse, tiny_ensemble, myo), expected)
 
 
+def _band(case):
+    img, myo = case.volume.data[0], case.myocardium.data[0]
+    ys, xs = np.nonzero(segment.boundary_region(segment.coarse_segment(img, myo)))
+    return img, ys, xs
+
+
+def _spied_voter(member, bias=None):
+    """A copy of member whose ``seen`` lists the windows of each
+    forward_windows call; with a bias, its last dense layer votes
+    argmax(bias) on every window."""
+    voter = ll.NetModel.from_doc(member.to_doc())
+    if bias is not None:
+        dense = [layer for layer in voter.layers if isinstance(layer, Dense)][-1]
+        dense.b = np.asarray(bias, dtype=np.float64)
+    forward_windows = voter.forward_windows
+    voter.seen = []
+
+    def spy(image, oy, ox, offset):
+        voter.seen.append(len(oy))
+        return forward_windows(image, oy, ox, offset)
+
+    voter.forward_windows = spy
+    return voter
+
+
+SCAR, HEALTHY = (0.0, 1e6), (1e6, 0.0)
+
+
+def _windows_seen(ensemble):
+    return [sum(m.seen) for m in ensemble.members]
+
+
+def test_vote_skips_members_once_four_of_seven_agree(diseased_cases, tiny_ensemble):
+    img, ys, xs = _band(diseased_cases[4])
+    lead = [_spied_voter(tiny_ensemble.members[i % 3], SCAR) for i in range(4)]
+    trailing = [_spied_voter(m) for m in tiny_ensemble.members]
+    ensemble = segment.PatchEnsemble(lead + trailing, tiny_ensemble.mean_patch)
+
+    assert ensemble.vote(ys, xs, img).all()
+    assert _windows_seen(ensemble) == [len(ys)] * 4 + [0] * 3
+
+
+def test_vote_keeps_undecided_windows_open(diseased_cases, tiny_ensemble):
+    img, ys, xs = _band(diseased_cases[4])
+    lead = [_spied_voter(tiny_ensemble.members[i % 3], (SCAR, HEALTHY)[i % 2])
+            for i in range(4)]
+    trailing = [_spied_voter(m) for m in tiny_ensemble.members]
+    ensemble = segment.PatchEnsemble(lead + trailing, tiny_ensemble.mean_patch)
+
+    votes = ensemble.vote(ys, xs, img)
+    expected = tiny_ensemble.vote(ys, xs, img)
+    assert 0 < expected.sum() < len(expected)  # the trailing members decide, both ways
+    np.testing.assert_array_equal(votes, expected)
+    # the 2-2 tie keeps every window open through the sixth vote; the
+    # seventh member sees only the windows tied 3-3
+    seen = _windows_seen(ensemble)
+    assert seen[:6] == [len(ys)] * 6
+    assert 0 < seen[6] < len(ys)
+
+
 def test_vote_on_no_patches_is_empty(tiny_ensemble):
     votes = tiny_ensemble.vote([], [], np.zeros((20, 20)))
     assert votes.dtype == bool
@@ -73,6 +134,45 @@ def test_patch_ensemble_needs_odd_member_count(tiny_ensemble, members):
     with pytest.raises(ConfigError):
         segment.PatchEnsemble(members=tiny_ensemble.members[:1] * members,
                               mean_patch=tiny_ensemble.mean_patch)
+
+
+@pytest.mark.parametrize("radius", [1, segment.BOUNDARY_RADIUS, 3])
+def test_boundary_region_is_dilation_minus_erosion(radius):
+    rng = np.random.default_rng(radius)
+    se = segment.make_disk_se(radius)
+    for density in (0.1, 0.5, 0.9):
+        mask = rng.random((30, 40)) < density
+        expected = segment.binary_dilate(mask, se) & ~segment.binary_erode(mask, se)
+        np.testing.assert_array_equal(segment.boundary_region(mask, radius), expected)
+    if radius == segment.BOUNDARY_RADIUS:
+        np.testing.assert_array_equal(segment.boundary_region(mask), expected)
+
+
+def _ring(n=48):
+    """Distance and angle from the centre, endocardium and myocardium."""
+    yy, xx = np.mgrid[0:n, 0:n] - n // 2
+    r, angle = np.hypot(yy, xx), np.degrees(np.arctan2(yy, xx)) % 360
+    return r, angle, r <= 8, (r > 8) & (r <= 16)
+
+
+def test_include_mvo_turns_an_enclosed_dark_core_into_mvo():
+    r, angle, endo, myo = _ring()
+    # a dark disk in the middle of a transmural scar sector
+    core = r**2 + 12**2 - 2 * 12 * r * np.cos(np.radians(angle - 45)) <= 2**2
+    hyper = myo & (angle < 90) & ~core
+    final, mvo = segment.include_mvo(hyper, endo, myo)
+    assert core.sum() > 1
+    np.testing.assert_array_equal(mvo, core)
+    np.testing.assert_array_equal(final, hyper | mvo)
+    assert not (hyper & mvo).any()
+
+
+def test_include_mvo_leaves_a_scar_without_holes_alone():
+    r, angle, endo, myo = _ring()
+    hyper = myo & (angle < 90) & (r > 11)  # subendocardial gap open to healthy myocardium
+    final, mvo = segment.include_mvo(hyper, endo, myo)
+    assert not mvo.any()
+    np.testing.assert_array_equal(final, hyper)
 
 
 def test_segmentation_result_rejects_overlapping_hyper_and_mvo():
