@@ -32,6 +32,7 @@ class DetectConfig:
     margin_epochs: int = 400
 
 
+@vio.model_kind("detection")
 @dataclass
 class DetectionModel:
     net: ll.NetModel
@@ -40,32 +41,12 @@ class DetectionModel:
     tau: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "detection",
-            "net": self.net.to_doc(),
-            "pca": self.pca.to_doc(),
-            "margin": self.margin.to_doc(),
-            "tau": self.tau,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DetectionModel":
-        return cls(
-            net=ll.NetModel.from_doc(doc["net"]),
-            pca=ll.PcaModel.from_doc(doc["pca"]),
-            margin=ll.MarginModel.from_doc(doc["margin"]),
-            tau=float(doc["tau"]),
-            meta=doc.get("meta", {}),
-        )
-
     def save(self, path: str) -> None:
-        vio.save_model(self.to_doc(), path)
+        vio.save_model(self, path)
 
     @classmethod
     def load(cls, path: str) -> "DetectionModel":
-        return cls.from_doc(vio.load_model(path, expect_kind="detection"))
+        return vio.load_model(path, cls)
 
 
 def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_SIZE) -> np.ndarray:

@@ -11,18 +11,12 @@ from .. import vio
 from ..errors import SingleClassError
 
 
+@vio.model_kind("margin")
 @dataclass
 class MarginModel:
     w: np.ndarray
     b: float
     lam: float
-
-    def to_doc(self) -> dict:
-        return {"kind": "margin", "w": vio.encode_array(self.w), "b": self.b, "lam": self.lam}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "MarginModel":
-        return cls(w=vio.decode_array(doc["w"]), b=float(doc["b"]), lam=float(doc["lam"]))
 
 
 def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, lam: float) -> float:

@@ -228,7 +228,16 @@ class Softmax:
         return ("softmax",)
 
 
-_LAYER_TAGS = {"conv", "relu", "maxpool", "flatten", "dense", "dropout", "softmax"}
+LAYER_TYPES = {
+    "conv": Conv2D,
+    "relu": ReLU,
+    "maxpool": MaxPool2,
+    "flatten": Flatten,
+    "dense": Dense,
+    "dropout": Dropout,
+    "softmax": Softmax,
+}
+vio.register_layers(LAYER_TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +272,7 @@ def _flatten_index(layers):
     return next((i for i, l in enumerate(layers) if isinstance(l, Flatten)), len(layers))
 
 
+@vio.model_kind("net")
 @dataclass
 class NetModel:
     layers: list
@@ -270,9 +280,12 @@ class NetModel:
     feature_layer: int | None = None   # layer count defining the feature head
     train_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.input_shape = tuple(self.input_shape)
+
     def forward(self, x, train=False, rng=None, n_layers=None):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[1:] != tuple(self.input_shape):
+        if x.shape[1:] != self.input_shape:
             raise ShapeError(f"expected input {self.input_shape}, got {x.shape[1:]}")
         layers = self.layers[: len(self.layers) if n_layers is None else n_layers]
         if train:
@@ -363,49 +376,6 @@ class NetModel:
             for name in layer.param_names:
                 yield layer, name
 
-    def to_doc(self) -> dict:
-        layers = []
-        for layer in self.layers:
-            doc = {"spec": list(layer.spec())}
-            for name in layer.param_names:
-                doc[name] = vio.encode_array(getattr(layer, name))
-            layers.append(doc)
-        return {
-            "kind": "net",
-            "input_shape": list(self.input_shape),
-            "feature_layer": self.feature_layer,
-            "layers": layers,
-            "train_meta": self.train_meta,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "NetModel":
-        layers = []
-        for ldoc in doc["layers"]:
-            tag = ldoc["spec"][0]
-            if tag == "conv":
-                layers.append(Conv2D(vio.decode_array(ldoc["w"]), vio.decode_array(ldoc["b"])))
-            elif tag == "dense":
-                layers.append(Dense(vio.decode_array(ldoc["w"]), vio.decode_array(ldoc["b"])))
-            elif tag == "relu":
-                layers.append(ReLU())
-            elif tag == "maxpool":
-                layers.append(MaxPool2())
-            elif tag == "flatten":
-                layers.append(Flatten())
-            elif tag == "dropout":
-                layers.append(Dropout(ldoc["spec"][1]))
-            elif tag == "softmax":
-                layers.append(Softmax())
-            else:
-                raise ShapeError(f"unknown layer tag {tag!r}")
-        return cls(
-            layers=layers,
-            input_shape=tuple(doc["input_shape"]),
-            feature_layer=doc.get("feature_layer"),
-            train_meta=doc.get("train_meta", {}),
-        )
-
 
 def build_net(input_shape, layer_specs, seed: int, feature_layer=None) -> NetModel:
     """Instantiate a network from ("conv", k, cout)-style layer specs.
@@ -416,38 +386,31 @@ def build_net(input_shape, layer_specs, seed: int, feature_layer=None) -> NetMod
     h, w, c = input_shape
     flat = None
     layers = []
-    for spec in layer_specs:
-        tag = spec[0]
+    for tag, *args in layer_specs:
+        if tag not in LAYER_TYPES:
+            raise ShapeError(f"unknown layer tag {tag!r}")
         if tag == "conv":
-            _, k, cout = spec
+            k, cout = args
             std = np.sqrt(2.0 / (k * k * c))
             layers.append(Conv2D(rng.normal(0, std, (k, k, c, cout)), np.zeros(cout)))
             h, w, c = h - k + 1, w - k + 1, cout
             if h < 1 or w < 1:
                 raise ShapeError("conv layer does not fit its input")
-        elif tag == "relu":
-            layers.append(ReLU())
-        elif tag == "maxpool":
-            layers.append(MaxPool2())
-            h, w = h // 2, w // 2
-            if h < 1 or w < 1:
-                raise ShapeError("pool layer does not fit its input")
-        elif tag == "flatten":
-            layers.append(Flatten())
-            flat = h * w * c
         elif tag == "dense":
-            _, dout = spec
+            (dout,) = args
             din = flat if flat is not None else c
             std = np.sqrt(2.0 / din)
             layers.append(Dense(rng.normal(0, std, (din, dout)), np.zeros(dout)))
             flat = dout
-        elif tag == "dropout":
-            layers.append(Dropout(spec[1]))
-        elif tag == "softmax":
-            layers.append(Softmax())
         else:
-            raise ShapeError(f"unknown layer tag {tag!r}")
-    return NetModel(layers, tuple(input_shape), feature_layer=feature_layer)
+            layers.append(LAYER_TYPES[tag](*args))
+            if tag == "maxpool":
+                h, w = h // 2, w // 2
+                if h < 1 or w < 1:
+                    raise ShapeError("pool layer does not fit its input")
+            elif tag == "flatten":
+                flat = h * w * c
+    return NetModel(layers, input_shape, feature_layer=feature_layer)
 
 
 def classifier_specs(input_size: int, widths=(16, 32, 64), fc: int = 128,

@@ -9,30 +9,13 @@ from .. import vio
 from ..errors import DegenerateData
 
 
+@vio.model_kind("pca")
 @dataclass
 class PcaModel:
     mean: np.ndarray        # (D,)
     axes: np.ndarray        # (D, K), orthonormal columns
     variances: np.ndarray   # (K,), non-increasing
     k: int
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": "pca",
-            "mean": vio.encode_array(self.mean),
-            "axes": vio.encode_array(self.axes),
-            "variances": vio.encode_array(self.variances),
-            "k": self.k,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PcaModel":
-        return cls(
-            mean=vio.decode_array(doc["mean"]),
-            axes=vio.decode_array(doc["axes"]),
-            variances=vio.decode_array(doc["variances"]),
-            k=int(doc["k"]),
-        )
 
 
 def pca_fit(x: np.ndarray, var_frac: float = 0.95) -> PcaModel:

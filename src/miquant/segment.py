@@ -81,6 +81,7 @@ def boundary_region(mask: np.ndarray, radius: int = BOUNDARY_RADIUS) -> np.ndarr
     return binary_dilate(mask, se) & ~binary_erode(mask, se)
 
 
+@vio.model_kind("ensemble")
 @dataclass
 class PatchEnsemble:
     members: list  # odd number of NetModel voters
@@ -120,28 +121,12 @@ class PatchEnsemble:
             open_ = open_[(tally < need) & (cast - tally < need)]
         return scar >= need
 
-    def to_doc(self) -> dict:
-        return {
-            "kind": "ensemble",
-            "patch_size": self.patch_size,
-            "mean_patch": vio.encode_array(self.mean_patch),
-            "members": [m.to_doc() for m in self.members],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PatchEnsemble":
-        return cls(
-            members=[ll.NetModel.from_doc(d) for d in doc["members"]],
-            mean_patch=vio.decode_array(doc["mean_patch"]),
-            patch_size=int(doc["patch_size"]),
-        )
-
     def save(self, path: str) -> None:
-        vio.save_model(self.to_doc(), path)
+        vio.save_model(self, path)
 
     @classmethod
     def load(cls, path: str) -> "PatchEnsemble":
-        return cls.from_doc(vio.load_model(path, expect_kind="ensemble"))
+        return vio.load_model(path, cls)
 
 
 def sample_training_patches(case: LabeledCase, stride: int = PATCH_STRIDE,
@@ -311,14 +296,15 @@ class SegmentationResult:
 
 
 def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
-                 gate: list[str] | None = None, refine_on: bool = True,
-                 mvo_on: bool = True) -> SegmentationResult:
+                 gate: list[str] | None = None) -> SegmentationResult:
     """Run the cascade over every slice of a preprocessed case.
 
     ``gate`` holds one "healthy"/"diseased" label per slice (for instance
     the labels of ``detect.detect_predict``); slices labelled healthy get
-    empty masks. Per-slice numeric failures produce empty masks plus a
-    flag rather than aborting the case.
+    empty masks. Without an ``ensemble`` the coarse mask is not refined.
+    The result keeps each stage: ``coarse``, ``hyper`` (refined, before MVO
+    inclusion) and ``final``. Per-slice numeric failures produce empty
+    masks plus a flag rather than aborting the case.
     """
     nz = case.nz
     if gate is not None and len(gate) != nz:
@@ -346,15 +332,12 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
             outcome.degenerate_histogram = True
             continue
         coarse_v[k] = coarse
-        if ensemble is not None and refine_on:
+        if ensemble is not None:
             hyper = refine(img, coarse, ensemble, myo)
             outcome.refined = True
         else:
             hyper = coarse
-        if mvo_on:
-            final, mvo = include_mvo(hyper, case.endocardium.data[k], myo)
-        else:
-            final, mvo = hyper, np.zeros_like(hyper)
+        _, mvo = include_mvo(hyper, case.endocardium.data[k], myo)
         hyper_v[k] = hyper
         mvo_v[k] = mvo
 

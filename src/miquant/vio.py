@@ -3,8 +3,12 @@ and the metrics report CSV.
 
 Volumes are a text header (``Key = Value`` lines) next to a raw
 little-endian payload, x-fastest. Scalar volumes are written as MET_FLOAT
-(32-bit), masks as MET_UCHAR with values {0, 1}. Model files are UTF-8
-JSON with float64 weights embedded as base64.
+(32-bit), masks as MET_UCHAR with values {0, 1}.
+
+Model files are UTF-8 JSON with float64 weights embedded as base64. One
+codec (``encode_model``/``decode_model``) owns that format for every model
+type: model classes register a kind with ``@model_kind`` and network layers
+register their spec tags, and neither writes nor parses documents itself.
 """
 from __future__ import annotations
 
@@ -13,11 +17,18 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import FormatError, IoError, ManifestError, UnsupportedElementType
+from .errors import (
+    DataError,
+    FormatError,
+    IoError,
+    ManifestError,
+    ShapeError,
+    UnsupportedElementType,
+)
 from .volcore import LabeledCase, Mask, Volume
 
 _ELEMENT_DTYPES = {
@@ -102,7 +113,10 @@ def _read_grid(path: str):
 
 def read_volume(path: str) -> Volume:
     spacing, data, etype = _read_grid(path)
-    return Volume(spacing, data.astype(np.float64))
+    try:
+        return Volume(spacing, data.astype(np.float64))
+    except DataError as exc:  # a NaN or Inf in the payload
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_mask(path: str) -> Mask:
@@ -294,17 +308,87 @@ def decode_array(doc: dict) -> np.ndarray:
     return arr.reshape(doc["shape"])
 
 
-def save_model(doc: dict, path: str) -> None:
-    write_json(doc, path)
+# One codec owns the model-file format. A registered model dataclass is
+# written as its fields plus its "kind", a network layer as its spec plus its
+# parameters, an array as ``encode_array``'s dict; lists and dicts are
+# converted item by item. The decoder reverses this by structure, so those
+# three markers are reserved keys inside a model file.
+
+_KINDS: dict[str, type] = {}    # model kind -> dataclass
+_LAYERS: dict[str, type] = {}   # layer tag -> layer class
 
 
-def load_model(path: str, expect_kind: str | None = None) -> dict:
+def model_kind(kind: str):
+    """Class decorator registering a model dataclass under ``kind``."""
+    def register(cls):
+        cls.model_kind = kind
+        _KINDS[kind] = cls
+        return cls
+    return register
+
+
+def register_layers(table: dict) -> None:
+    """Register layer classes by spec tag. A layer has ``spec()`` (tag
+    first) and ``param_names``; it is rebuilt from its parameters, or, if it
+    has none, from the spec's arguments."""
+    _LAYERS.update(table)
+
+
+def encode_model(obj):
+    """A model (or any value inside one) -> JSON-safe document."""
+    if isinstance(obj, np.ndarray):
+        return encode_array(obj)
+    if type(obj) in _KINDS.values():
+        doc = {f.name: encode_model(getattr(obj, f.name)) for f in fields(obj)}
+        return {"kind": obj.model_kind, **doc}
+    if type(obj) in _LAYERS.values():
+        doc = {name: encode_array(getattr(obj, name)) for name in obj.param_names}
+        return {"spec": list(obj.spec()), **doc}
+    if isinstance(obj, dict):
+        return {key: encode_model(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode_model(value) for value in obj]
+    return obj
+
+
+def decode_model(doc):
+    """Inverse of ``encode_model``."""
+    if isinstance(doc, list):
+        return [decode_model(value) for value in doc]
+    if not isinstance(doc, dict):
+        return doc
+    if "data_b64" in doc:
+        return decode_array(doc)
+    if "spec" in doc:
+        tag, *args = doc["spec"]
+        if tag not in _LAYERS:
+            raise ShapeError(f"unknown layer tag {tag!r}")
+        cls = _LAYERS[tag]
+        params = [decode_array(doc[name]) for name in cls.param_names]
+        return cls(*(params or args))
+    if "kind" in doc:
+        kind = doc["kind"]
+        if kind not in _KINDS:
+            raise FormatError(f"unknown model kind {kind!r}")
+        values = {key: decode_model(value) for key, value in doc.items() if key != "kind"}
+        try:
+            return _KINDS[kind](**values)
+        except TypeError as exc:
+            raise FormatError(f"bad {kind!r} model: {exc}") from exc
+    return {key: decode_model(value) for key, value in doc.items()}
+
+
+def save_model(model, path: str) -> None:
+    write_json(encode_model(model), path)
+
+
+def load_model(path: str, cls: type):
+    """Read a model file that must hold a ``cls`` model."""
     doc = read_json(path)
-    if expect_kind is not None and doc.get("kind") != expect_kind:
-        raise FormatError(
-            f"{path}: expected model kind {expect_kind!r}, got {doc.get('kind')!r}"
-        )
-    return doc
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind != cls.model_kind:
+        raise FormatError(f"{path}: expected model kind {cls.model_kind!r}, got {kind!r}")
+    return decode_model(doc)
 
 
 # ---------------------------------------------------------------------------

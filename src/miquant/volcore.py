@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage as ndi
 
-from .errors import AlignmentError, DegenerateHistogram
+from .errors import AlignmentError, ConfigError, DataError, DegenerateHistogram
 
 HIST_LEVELS = 256
 
@@ -36,11 +36,11 @@ class _Grid:
     def __post_init__(self):
         self.spacing = tuple(float(s) for s in self.spacing)
         if self.data.ndim != 3:
-            raise ValueError(f"expected 3-D grid, got ndim={self.data.ndim}")
+            raise DataError(f"expected 3-D grid, got ndim={self.data.ndim}")
         if min(self.data.shape) < 1:
-            raise ValueError(f"all dims must be >= 1, got shape {self.data.shape}")
+            raise DataError(f"all dims must be >= 1, got shape {self.data.shape}")
         if len(self.spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing components must be finite and > 0, got {self.spacing}")
+            raise DataError(f"spacing components must be finite and > 0, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -64,7 +64,7 @@ class Volume(_Grid):
         self.data = np.asarray(self.data, dtype=np.float64)
         super().__post_init__()
         if not np.all(np.isfinite(self.data)):
-            raise ValueError("volume data contains NaN or Inf")
+            raise DataError("volume data contains NaN or Inf")
 
 
 class Mask(_Grid):
@@ -117,7 +117,7 @@ class LabeledCase:
         check_aligned(*grids)
         nz = self.volume.data.shape[0]
         if self.per_slice_labels is not None and len(self.per_slice_labels) != nz:
-            raise ValueError(
+            raise DataError(
                 f"per_slice_labels has {len(self.per_slice_labels)} entries, expected {nz}"
             )
 
@@ -147,7 +147,7 @@ class StructuringElement:
 
     def __post_init__(self):
         if (0, 0) not in self.offsets:
-            raise ValueError("anchor offset (0, 0) must be a footprint member")
+            raise ConfigError("anchor offset (0, 0) must be a footprint member")
 
     def reflected(self) -> "StructuringElement":
         return StructuringElement(
@@ -158,7 +158,7 @@ class StructuringElement:
 def make_disk_se(r: int) -> StructuringElement:
     """Disk footprint: all offsets with Euclidean norm <= r."""
     if r < 0:
-        raise ValueError("disk radius must be >= 0")
+        raise ConfigError("disk radius must be >= 0")
     offs = [
         (dx, dy)
         for dy in range(-r, r + 1)
@@ -176,7 +176,7 @@ def make_bar_se(length: int, theta_deg: float) -> StructuringElement:
     lengths the extra pixel sits on the positive direction.
     """
     if length < 1:
-        raise ValueError("bar length must be >= 1")
+        raise ConfigError("bar length must be >= 1")
     theta = np.deg2rad(theta_deg)
     ux, uy = np.cos(theta), -np.sin(theta)
     offs = []
@@ -298,9 +298,9 @@ class Histogram:
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=np.int64)
         if self.bins.shape != (HIST_LEVELS,):
-            raise ValueError(f"histogram must have {HIST_LEVELS} bins")
+            raise DataError(f"histogram must have {HIST_LEVELS} bins")
         if (self.bins < 0).any():
-            raise ValueError("histogram counts must be >= 0")
+            raise DataError("histogram counts must be >= 0")
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "Histogram":

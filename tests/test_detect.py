@@ -1,9 +1,10 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from miquant import detect
+from miquant import detect, learnlib as ll, vio
 from miquant.errors import ConfigError, EmptyDenominator, EmptyMask, SingleClassError, Unachievable
 from miquant.volcore import LabeledCase, Mask, Volume
 
@@ -184,7 +185,7 @@ def test_detect_fit_deterministic(mixed_cases, tiny_detect_cfg):
     both = mixed_cases[2:6]  # spans the diseased/healthy boundary of the corpus
     a = detect.detect_fit(both, tiny_detect_cfg, seed=9)
     b = detect.detect_fit(both, tiny_detect_cfg, seed=9)
-    assert a.to_doc() == b.to_doc()
+    assert vio.encode_model(a) == vio.encode_model(b)
 
 
 def test_detect_model_roundtrip(tmp_path, tiny_detector, mixed_cases):
@@ -195,6 +196,43 @@ def test_detect_model_roundtrip(tmp_path, tiny_detector, mixed_cases):
     np.testing.assert_array_equal(
         detect.detect_scores(back, case), detect.detect_scores(tiny_detector, case)
     )
+
+
+PINNED_MODEL = os.path.join(os.path.dirname(__file__), "data", "detection_model.json")
+
+
+def test_model_file_format_is_pinned(tmp_path):
+    """``data/detection_model.json`` was written by the per-class model
+    codecs that ``vio.encode_model`` replaced, with::
+
+        net = ll.build_net((1, 2, 1), [("flatten",), ("dense", 2), ("dropout", 0.5),
+                                       ("dense", 2), ("softmax",)], seed=0, feature_layer=2)
+        pca = ll.PcaModel(mean=np.array([0.5, -0.25]), axes=np.array([[0.6], [0.8]]),
+                          variances=np.array([2.0]), k=1)
+        margin = ll.MarginModel(w=np.array([1.5]), b=-0.125, lam=1e-3)
+        detect.DetectionModel(net=net, pca=pca, margin=margin, tau=0.25,
+                              meta={"seed": 0}).save(path)
+
+    It must load, re-encode to the same document, and be written again
+    byte for byte, both from the loaded model and from the snippet.
+    """
+    model = detect.DetectionModel.load(PINNED_MODEL)
+    assert vio.encode_model(model) == vio.read_json(PINNED_MODEL)
+    assert model.net.input_shape == (1, 2, 1) and model.net.layers[2].rate == 0.5
+    assert model.pca.k == 1 and model.margin.b == -0.125 and model.tau == 0.25
+    assert model.net.features(np.ones((1, 1, 2, 1))).shape == (1, 2)
+    with open(PINNED_MODEL, "rb") as fh:
+        pinned = fh.read()
+    model.save(str(tmp_path / "again.json"))
+    net = ll.build_net((1, 2, 1), [("flatten",), ("dense", 2), ("dropout", 0.5),
+                                   ("dense", 2), ("softmax",)], seed=0, feature_layer=2)
+    pca = ll.PcaModel(mean=np.array([0.5, -0.25]), axes=np.array([[0.6], [0.8]]),
+                      variances=np.array([2.0]), k=1)
+    margin = ll.MarginModel(w=np.array([1.5]), b=-0.125, lam=1e-3)
+    detect.DetectionModel(net=net, pca=pca, margin=margin, tau=0.25,
+                          meta={"seed": 0}).save(str(tmp_path / "fresh.json"))
+    for name in ("again.json", "fresh.json"):
+        assert (tmp_path / name).read_bytes() == pinned
 
 
 def test_predict_threshold_limits(tiny_detector, mixed_cases):

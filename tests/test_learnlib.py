@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from miquant import learnlib as ll
+from miquant import learnlib as ll, vio
 from miquant.errors import (
     ConfigError,
     DivergenceError,
@@ -262,7 +262,7 @@ def test_training_is_seed_deterministic():
     for _ in range(2):
         net = ll.build_classifier(13, seed=17, widths=(4, 6), fc=8, dropout=0.5)
         ll.net_train(x, y, net, ll.TrainConfig(epochs=3, batch_size=8, seed=18))
-        docs.append(net.to_doc())
+        docs.append(vio.encode_model(net))
     a = [l.get("w", {}).get("data_b64") for l in docs[0]["layers"]]
     b = [l.get("w", {}).get("data_b64") for l in docs[1]["layers"]]
     assert a == b
@@ -290,9 +290,10 @@ def test_train_config_rejects_bad_values_with_config_error(kwargs):
 
 def test_model_doc_roundtrip_bitwise():
     net = ll.build_classifier(13, seed=21, widths=(4, 6), fc=8)
-    doc = net.to_doc()
-    back = NetModel.from_doc(doc)
-    assert back.to_doc() == doc
+    doc = vio.encode_model(net)
+    back = vio.decode_model(doc)
+    assert isinstance(back, NetModel) and back.input_shape == (13, 13, 1)
+    assert vio.encode_model(back) == doc
     x = np.random.default_rng(22).normal(size=(3, 13, 13, 1))
     np.testing.assert_array_equal(net.forward(x), back.forward(x))
 

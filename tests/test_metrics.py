@@ -283,6 +283,29 @@ def test_mvo_sensitivity_cases():
 
 # --- report assembly ---
 
+def test_case_row_identical_empty_and_mvo():
+    gt = np.zeros((2, 6, 6), dtype=bool)
+    gt[0, 2:4, 1:5] = True
+    mvo = np.zeros_like(gt)
+    mvo[0, 2, 2] = True
+    myo = _mask(np.ones_like(gt))
+    same = mx.case_row("c1", "paper", _mask(gt), _mask(gt), myo, None)
+    assert (same.case_id, same.slice, same.method) == ("c1", "all", "paper")
+    assert same.dice_pct == 100.0 and same.hausdorff_mm == 0.0
+    assert same.scar_volume_cm3 == pytest.approx(8e-3)
+    assert same.pct_infarct == pytest.approx(100.0 * 8 / 72)
+    assert same.mvo_sensitivity is None
+
+    empty = mx.case_row("c1", "otsu", _mask(np.zeros_like(gt)), _mask(gt), myo, _mask(mvo))
+    assert empty.dice_pct == 0.0 and empty.hausdorff_mm is None
+    assert empty.scar_volume_cm3 == 0.0 and empty.pct_infarct == 0.0
+    assert empty.mvo_sensitivity == 0.0
+
+    assert mx.case_row("c1", "paper", _mask(gt), _mask(gt), myo, _mask(mvo)).mvo_sensitivity == 1.0
+    no_mvo = mx.case_row("c1", "paper", _mask(gt), _mask(gt), myo, _mask(np.zeros_like(gt)))
+    assert no_mvo.mvo_sensitivity is None
+
+
 def test_summarize_agreement_block():
     from miquant.vio import MetricsReport, ReportRow
 

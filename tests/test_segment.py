@@ -1,10 +1,18 @@
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from miquant import learnlib as ll, segment
-from miquant.errors import ConfigError, DataError, EmptyClassError, NoGroundTruth
+from miquant import learnlib as ll, segment, vio
+from miquant.errors import (
+    ConfigError,
+    DataError,
+    EmptyClassError,
+    FormatError,
+    NoGroundTruth,
+    ShapeError,
+)
 from miquant.learnlib.net import Dense
 from miquant.volcore import LabeledCase, Mask, Volume
 
@@ -73,7 +81,7 @@ def _spied_voter(member, bias=None):
     """A copy of member whose ``seen`` lists the windows of each
     forward_windows call; with a bias, its last dense layer votes
     argmax(bias) on every window."""
-    voter = ll.NetModel.from_doc(member.to_doc())
+    voter = vio.decode_model(vio.encode_model(member))
     if bias is not None:
         dense = [layer for layer in voter.layers if isinstance(layer, Dense)][-1]
         dense.b = np.asarray(bias, dtype=np.float64)
@@ -257,6 +265,50 @@ def test_ensemble_training_skips_case_whose_lattice_misses_a_class(diseased_case
     out = segment.train_patch_ensemble([normal, speck], cfg, seed=3)
     ref = segment.train_patch_ensemble([normal, no_gt], cfg, seed=3)
     np.testing.assert_array_equal(out.mean_patch, ref.mean_patch)
-    assert [m.to_doc() for m in out.members] == [m.to_doc() for m in ref.members]
+    assert vio.encode_model(out.members) == vio.encode_model(ref.members)
     with pytest.raises(NoGroundTruth):
         segment.train_patch_ensemble([speck], cfg, seed=3)
+
+
+# --- model files ---
+
+def test_ensemble_file_roundtrip_votes_bit_identically(tmp_path, tiny_ensemble, diseased_cases):
+    path = str(tmp_path / "ens.json")
+    tiny_ensemble.save(path)
+    back = segment.PatchEnsemble.load(path)
+    assert vio.encode_model(back) == vio.encode_model(tiny_ensemble)
+    img, ys, xs = _band(diseased_cases[4])
+    vote = tiny_ensemble.vote(ys, xs, img)
+    assert 0 < vote.sum() < len(vote)
+    np.testing.assert_array_equal(back.vote(ys, xs, img), vote)
+
+
+def test_ensemble_load_rejects_a_detection_file():
+    path = os.path.join(os.path.dirname(__file__), "data", "detection_model.json")
+    with pytest.raises(FormatError):
+        segment.PatchEnsemble.load(path)
+
+
+def _save_edited(tmp_path, ensemble, edit):
+    doc = vio.encode_model(ensemble)
+    edit(doc)
+    path = str(tmp_path / "edited.json")
+    vio.write_json(doc, path)
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(kind="mystery"),
+    lambda doc: doc["members"][0].update(kind="mystery"),
+], ids=["top level", "member"])
+def test_ensemble_load_rejects_an_unknown_kind(tmp_path, tiny_ensemble, edit):
+    with pytest.raises(FormatError):
+        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+
+
+def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
+    def edit(doc):
+        doc["members"][1]["layers"][1]["spec"][0] = "mystery"
+
+    with pytest.raises(ShapeError):
+        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))

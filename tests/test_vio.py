@@ -164,6 +164,18 @@ def test_bad_grid_geometry_in_header_is_a_format_error(tmp_path, key, value):
         vio.read_manifest(manifest_path)
 
 
+def test_nan_in_volume_payload_is_a_format_error(tmp_path):
+    manifest_path = vio.write_case(_toy_case(), str(tmp_path / "c"))
+    raw = tmp_path / "c" / "volume.raw"
+    payload = bytearray(raw.read_bytes())
+    payload[:4] = np.array([np.nan], dtype="<f4").tobytes()
+    raw.write_bytes(bytes(payload))
+    with pytest.raises(FormatError):
+        vio.read_volume(str(tmp_path / "c" / "volume.mhd"))
+    with pytest.raises(FormatError):
+        vio.load_case(vio.read_manifest(manifest_path))
+
+
 def test_manifest_rejects_label_length(tmp_path):
     case = _toy_case()
     case.per_slice_labels = ["healthy", "diseased"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from miquant import volcore as vc
-from miquant.errors import DegenerateHistogram
+from miquant.errors import ConfigError, DataError, DegenerateHistogram
 
 import oracles
 
@@ -242,8 +242,37 @@ def test_otsu_degenerate_single_level():
 def test_volume_rejects_nan():
     data = np.zeros((1, 2, 2))
     data[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         vc.Volume((1, 1, 1), data)
+
+
+_GRID = vc.Mask((1, 1, 1), np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: vc.Volume((1, 1, 1), np.zeros((2, 2))),
+    lambda: vc.Mask((1, 1, 1), np.zeros((0, 2, 2))),
+    lambda: vc.Volume((1, 0, 1), np.zeros((1, 2, 2))),
+    lambda: vc.Volume((1, 1), np.zeros((1, 2, 2))),
+    lambda: vc.LabeledCase("c", vc.Volume((1, 1, 1), np.zeros((2, 2, 2))),
+                           _GRID, _GRID, _GRID, per_slice_labels=["healthy"]),
+    lambda: vc.Histogram(np.zeros(255, dtype=np.int64)),
+    lambda: vc.Histogram(np.full(256, -1)),
+], ids=["2-d grid", "empty axis", "zero spacing", "two spacings", "label count",
+        "bin count", "negative count"])
+def test_bad_grid_labels_or_histogram_is_a_data_error(make):
+    with pytest.raises(DataError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: vc.make_disk_se(-1),
+    lambda: vc.make_bar_se(0, 30.0),
+    lambda: vc.StructuringElement(((1, 0), (0, 1))),
+], ids=["disk radius", "bar length", "no anchor"])
+def test_bad_structuring_element_is_a_config_error(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_volume_dims_order():
