@@ -20,7 +20,6 @@ class RemoteRegion:
     """Healthy reference myocardium for the n-SD family."""
 
     mask: np.ndarray  # 2-D bool
-    source: str       # "provided" | "auto"
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -57,7 +56,7 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray,
         mean = float(img[members].mean())
         if mean < best_mean:
             best_idx, best_mean = s, mean
-    return RemoteRegion(mask=myo & (sectors == best_idx), source="auto")
+    return RemoteRegion(mask=myo & (sectors == best_idx))
 
 
 def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: RemoteRegion, n: int) -> np.ndarray:
@@ -206,7 +205,7 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
         remote_k = None
         if any(m.endswith("-sd") for m in methods):
             if remote is not None and (remote.data[k] & myo).any():
-                remote_k = RemoteRegion(mask=remote.data[k] & myo, source="provided")
+                remote_k = RemoteRegion(mask=remote.data[k] & myo)
             else:
                 remote_k = auto_remote_region(img, myo, case.endocardium.data[k])
         gmm = None

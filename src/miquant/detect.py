@@ -19,7 +19,6 @@ INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] crops for the feature net
 
 @dataclass(frozen=True)
 class DetectConfig:
-    input_size: int = DETECT_INPUT_SIZE
     widths: tuple[int, ...] = (16, 32, 64)
     fc: int = 128
     train: ll.TrainConfig = ll.TrainConfig(
@@ -27,9 +26,6 @@ class DetectConfig:
         dropout=0.5, seed=0,
     )
     augment_copies: int = 1
-    var_frac: float = 0.95
-    margin_lambda: float = 1e-3
-    margin_epochs: int = 400
 
 
 @vio.model_kind("detection")
@@ -64,12 +60,12 @@ def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_
     return extract_patches(masked, [cy], [cx], size)[0]
 
 
-def collect_slice_patches(cases: list[LabeledCase], size: int = DETECT_INPUT_SIZE):
+def collect_slice_patches(cases: list[LabeledCase]):
     """All per-slice inputs and 0/1 labels across the given cases."""
     patches, labels = [], []
     for case in cases:
         for k in range(case.nz):
-            patches.append(extract_detection_input(case, k, size)[..., None])
+            patches.append(extract_detection_input(case, k)[..., None])
             labels.append(1 if case.slice_label(k) == "diseased" else 0)
     return np.stack(patches), np.asarray(labels, dtype=np.int64)
 
@@ -83,18 +79,14 @@ def detect_fit_patches(x: np.ndarray, y: np.ndarray, cfg: DetectConfig, seed: in
     xb, yb = ll.balance_classes(x, y, seed=seeds[0])
     xa, ya = ll.augment_dataset(xb, yb, cfg.augment_copies, seed=seeds[1])
     net = ll.build_classifier(
-        cfg.input_size, seed=seeds[2], widths=cfg.widths, fc=cfg.fc,
+        DETECT_INPUT_SIZE, seed=seeds[2], widths=cfg.widths, fc=cfg.fc,
         dropout=cfg.train.dropout,
     )
     ll.net_train(xa * INPUT_SCALE, ya, net, replace(cfg.train, seed=seeds[3]))
     # re-feed the full (unbalanced) training set through the fitted network
     feats = net.features(x * INPUT_SCALE)
-    pca = ll.pca_fit(feats, var_frac=cfg.var_frac)
-    proj = ll.pca_project(pca, feats)
-    margin = ll.margin_train(
-        proj, np.where(y == 1, 1.0, -1.0),
-        lam=cfg.margin_lambda, epochs=cfg.margin_epochs,
-    )
+    pca = ll.pca_fit(feats)
+    margin = ll.margin_train(ll.pca_project(pca, feats), np.where(y == 1, 1.0, -1.0))
     return DetectionModel(
         net=net, pca=pca, margin=margin, tau=0.0,
         meta={"seed": seed, "n_slices": int(len(y)), "n_train": int(len(ya)),
@@ -103,7 +95,7 @@ def detect_fit_patches(x: np.ndarray, y: np.ndarray, cfg: DetectConfig, seed: in
 
 
 def detect_fit(cases: list[LabeledCase], cfg: DetectConfig, seed: int) -> DetectionModel:
-    x, y = collect_slice_patches(cases, cfg.input_size)
+    x, y = collect_slice_patches(cases)
     return detect_fit_patches(x, y, cfg, seed)
 
 
@@ -235,7 +227,7 @@ def permutation_test(cases: list[LabeledCase], n_splits: int, cfg: DetectConfig,
         s_split, s_fit, s_perm = (int(c.generate_state(1)[0]) for c in child.spawn(3))
         train, val, test = stratified_split(cases, s_split)
         pool = [cases[i] for i in train + val]
-        x, y = collect_slice_patches(pool, cfg.input_size)
+        x, y = collect_slice_patches(pool)
         test_cases = [cases[i] for i in test]
 
         model = detect_fit_patches(x, y, cfg, s_fit)

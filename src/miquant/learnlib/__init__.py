@@ -7,7 +7,6 @@ from .net import (
     TrainConfig,
     build_classifier,
     build_net,
-    classifier_specs,
     grad_check,
     net_loss,
     net_train,
@@ -35,7 +34,6 @@ __all__ = [
     "balance_classes",
     "build_classifier",
     "build_net",
-    "classifier_specs",
     "draw_augment_params",
     "grad_check",
     "hinge_objective",

@@ -25,7 +25,7 @@ def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, lam: 
 
 
 def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
-                 epochs: int = 300) -> MarginModel:
+                 epochs: int = 400) -> MarginModel:
     """Full-batch subgradient descent with decaying steps and iterate
     averaging; the returned model is the averaged iterate.
 

@@ -413,9 +413,10 @@ def build_net(input_shape, layer_specs, seed: int, feature_layer=None) -> NetMod
     return NetModel(layers, input_shape, feature_layer=feature_layer)
 
 
-def classifier_specs(input_size: int, widths=(16, 32, 64), fc: int = 128,
-                     dropout: float = 0.5, classes: int = 2):
-    """Conv/pool trunk sized to the input, then FC + dropout + softmax.
+def build_classifier(input_size: int, seed: int, widths=(16, 32, 64), fc: int = 128,
+                     dropout: float = 0.5) -> NetModel:
+    """Two-class net: a conv/pool trunk sized to the input, then FC +
+    dropout + softmax.
 
     Trailing conv/pool stages that no longer fit small inputs are dropped,
     so the same stack scales from full-size patches down to toy grids.
@@ -434,13 +435,7 @@ def classifier_specs(input_size: int, widths=(16, 32, 64), fc: int = 128,
     feature_layer = len(specs)
     if dropout > 0:
         specs.append(("dropout", dropout))
-    specs += [("dense", classes), ("softmax",)]
-    return specs, feature_layer
-
-
-def build_classifier(input_size: int, seed: int, widths=(16, 32, 64), fc: int = 128,
-                     dropout: float = 0.5) -> NetModel:
-    specs, feature_layer = classifier_specs(input_size, widths, fc, dropout)
+    specs += [("dense", 2), ("softmax",)]
     return build_net((input_size, input_size, 1), specs, seed, feature_layer=feature_layer)
 
 

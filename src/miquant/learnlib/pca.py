@@ -42,7 +42,8 @@ def pca_fit(x: np.ndarray, var_frac: float = 0.95) -> PcaModel:
     k = int(np.searchsorted(cum, var_frac - 1e-12) + 1)
     axes = evecs[:, :k]
     flip = axes[np.abs(axes).argmax(axis=0), np.arange(k)] < 0
-    axes = axes * np.where(flip, -1.0, 1.0)
+    # C order, as a loaded model has it: BLAS rounds the projection by layout
+    axes = np.ascontiguousarray(axes * np.where(flip, -1.0, 1.0))
     return PcaModel(mean=mean, axes=axes, variances=evals[:k], k=k)
 
 

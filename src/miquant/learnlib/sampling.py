@@ -90,9 +90,10 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, copies: int, seed: int):
     return np.concatenate([x, np.stack(extra)]), np.concatenate([y, np.asarray(labels)])
 
 
-def balance_classes(x: np.ndarray, y: np.ndarray, seed: int):
-    """Subsample the majority class to the minority count, keeping all
-    minority samples and the original ordering; deterministic under seed.
+def balance_classes(x: np.ndarray, y: np.ndarray, seed: int, cap: int | None = None):
+    """Subsample both classes to the minority count, or to ``cap`` when
+    that is smaller, keeping the original ordering; deterministic under
+    seed.
     """
     y = np.asarray(y)
     classes = np.unique(y)
@@ -104,6 +105,8 @@ def balance_classes(x: np.ndarray, y: np.ndarray, seed: int):
         raise EmptyClassError("one class is empty")
     rng = np.random.default_rng(seed)
     target = min(len(idx_a), len(idx_b))
+    if cap is not None:
+        target = min(target, cap)
     keep = []
     for idx in (idx_a, idx_b):
         if len(idx) > target:

@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatch,
     ZeroVariance,
 )
+from .vio import ReportRow
 from .volcore import Mask, check_aligned
 
 
@@ -185,8 +186,6 @@ def mvo_sensitivity(pred: Mask, gt_mvo: Mask) -> float:
 def case_row(case_id: str, method: str, pred_final: Mask, gt_total: Mask,
              myo: Mask, gt_mvo: Mask | None):
     """Volume-level report row for one (case, method) prediction."""
-    from .vio import ReportRow
-
     try:
         hd = hausdorff3d(pred_final, gt_total)
     except EmptyMask:

@@ -3,7 +3,7 @@ intensity normalization inside the epicardium, and gamma enhancement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,18 +11,17 @@ from .errors import ConfigError, DataError, DegenerateRange, EmptyRegion, Spacin
 from .volcore import LabeledCase, Mask, Volume
 
 CANONICAL_SPACING = (1.25, 1.25, 8.0)
+NLM_PATCH_RADIUS = 1
+NLM_SEARCH_RADIUS = 3
+NLM_H_FACTOR = 0.6  # h = factor * sigma
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
     target_spacing: tuple[float, float, float] = CANONICAL_SPACING
     gamma: float = 1.5
-    nlm_patch_radius: int = 1
-    nlm_search_radius: int = 3
-    nlm_h_factor: float = 0.6  # h = factor * sigma
     p_lo: float = 1.0   # percentile of myocardial intensities mapped to 0
     p_hi: float = 99.0  # percentile of blood-pool intensities mapped to 255
-    denoise: bool = True
 
     def __post_init__(self):
         if any(s <= 0 for s in self.target_spacing):
@@ -52,7 +51,7 @@ def estimate_noise_sigma(img: np.ndarray) -> float:
     return mad / 0.6745 / np.sqrt(20.0)
 
 
-def denoise_nlm(img: np.ndarray, sigma: float, cfg: PreprocessConfig = PreprocessConfig()) -> np.ndarray:
+def denoise_nlm(img: np.ndarray, sigma: float) -> np.ndarray:
     """Non-local means with Gaussian patch-distance weights, h = k * sigma.
 
     Each output pixel is a convex combination of the pixels in its search
@@ -61,8 +60,8 @@ def denoise_nlm(img: np.ndarray, sigma: float, cfg: PreprocessConfig = Preproces
     img = np.asarray(img, dtype=np.float64)
     if sigma <= 0:
         return img.copy()
-    pr, sr = cfg.nlm_patch_radius, cfg.nlm_search_radius
-    h2 = (cfg.nlm_h_factor * sigma) ** 2
+    pr, sr = NLM_PATCH_RADIUS, NLM_SEARCH_RADIUS
+    h2 = (NLM_H_FACTOR * sigma) ** 2
     pad = pr + sr
     padded = np.pad(img, pad, mode="reflect")
     ny, nx = img.shape
@@ -178,13 +177,9 @@ def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig(
     Masks are resliced nearest-neighbor. Slices whose reference regions are
     empty (no contoured heart) are zeroed rather than failing the case.
     """
-    data = case.volume.data
-    if cfg.denoise:
-        denoised = np.empty_like(data)
-        for k in range(data.shape[0]):
-            sigma = estimate_noise_sigma(data[k])
-            denoised[k] = denoise_nlm(data[k], sigma, cfg)
-        data = denoised
+    data = np.empty_like(case.volume.data)
+    for k, img in enumerate(case.volume.data):
+        data[k] = denoise_nlm(img, estimate_noise_sigma(img))
     vol = reslice(Volume(case.volume.spacing, data), cfg.target_spacing)
 
     def rs(mask):

@@ -129,8 +129,7 @@ class PatchEnsemble:
         return vio.load_model(path, cls)
 
 
-def sample_training_patches(case: LabeledCase, stride: int = PATCH_STRIDE,
-                            seed: int = 0, patch_size: int = PATCH_SIZE):
+def sample_training_patches(case: LabeledCase, seed: int = 0):
     """Class-balanced boundary patches around the ground-truth scar.
 
     Healthy centers come from dilate(GT, 5) minus GT, scar centers from GT
@@ -152,12 +151,13 @@ def sample_training_patches(case: LabeledCase, stride: int = PATCH_STRIDE,
         img = case.volume.data[k]
         for band, label in ((healthy_band, 0), (scar_band, 1)):
             ys, xs = np.nonzero(band)
-            keep = (ys % stride == 0) & (xs % stride == 0)
-            patches.append(extract_patches(img, ys[keep], xs[keep], patch_size))
+            keep = (ys % PATCH_STRIDE == 0) & (xs % PATCH_STRIDE == 0)
+            patches.append(extract_patches(img, ys[keep], xs[keep], PATCH_SIZE))
             labels.append(np.full(keep.sum(), label, dtype=np.int64))
     y = np.concatenate(labels)
     if len(np.unique(y)) < 2:
-        raise EmptyClassError(f"case {case.case_id}: the stride-{stride} lattice misses a class")
+        raise EmptyClassError(
+            f"case {case.case_id}: the stride-{PATCH_STRIDE} lattice misses a class")
     x = np.concatenate(patches)[..., None]
     return ll.balance_classes(x, y, seed=seed)
 
@@ -165,8 +165,6 @@ def sample_training_patches(case: LabeledCase, stride: int = PATCH_STRIDE,
 @dataclass(frozen=True)
 class EnsembleConfig:
     members: int = ENSEMBLE_MEMBERS
-    patch_size: int = PATCH_SIZE
-    stride: int = PATCH_STRIDE
     widths: tuple[int, ...] = (16, 32, 64)
     fc: int = 128
     train: ll.TrainConfig = ll.TrainConfig()  # Table-style defaults
@@ -192,10 +190,7 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
         if case.gt_scar is None or case.gt_scar.count() == 0:
             continue
         try:
-            x, y = sample_training_patches(
-                case, stride=cfg.stride, seed=int(child.generate_state(1)[0]),
-                patch_size=cfg.patch_size,
-            )
+            x, y = sample_training_patches(case, seed=int(child.generate_state(1)[0]))
         except EmptyClassError:
             continue
         xs.append(x)
@@ -208,7 +203,7 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
     pool_seed, cap_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     x, y = ll.balance_classes(x, y, seed=pool_seed)
     if cfg.max_patches_per_class is not None:
-        x, y = _cap_per_class(x, y, cfg.max_patches_per_class, cap_seed)
+        x, y = ll.balance_classes(x, y, seed=cap_seed, cap=cfg.max_patches_per_class)
 
     mean_patch = x.mean(axis=0)[:, :, 0]
     xc = (x - mean_patch[None, :, :, None]) * INPUT_SCALE
@@ -221,26 +216,13 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
         train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
         member_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         net = ll.build_classifier(
-            cfg.patch_size, seed=member_seed, widths=cfg.widths, fc=cfg.fc,
+            PATCH_SIZE, seed=member_seed, widths=cfg.widths, fc=cfg.fc,
             dropout=cfg.train.dropout,
         )
         ll.net_train(xc[train_idx], y[train_idx], net,
                      replace(cfg.train, seed=member_seed))
         members.append(net)
-    return PatchEnsemble(members=members, mean_patch=mean_patch,
-                         patch_size=cfg.patch_size)
-
-
-def _cap_per_class(x, y, cap, seed):
-    rng = np.random.default_rng(seed)
-    keep = []
-    for label in np.unique(y):
-        idx = np.flatnonzero(y == label)
-        if len(idx) > cap:
-            idx = rng.choice(idx, size=cap, replace=False)
-        keep.append(idx)
-    order = np.sort(np.concatenate(keep))
-    return x[order], y[order]
+    return PatchEnsemble(members=members, mean_patch=mean_patch)
 
 
 def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,

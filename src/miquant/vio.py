@@ -428,18 +428,8 @@ def write_report(report: MetricsReport, path: str) -> None:
             writer = csv.writer(fh)
             writer.writerow(REPORT_COLUMNS)
             for row in report.rows:
-                writer.writerow(
-                    [
-                        row.case_id,
-                        row.slice,
-                        row.method,
-                        _fmt(row.dice_pct),
-                        _fmt(row.hausdorff_mm),
-                        _fmt(row.scar_volume_cm3),
-                        _fmt(row.pct_infarct),
-                        _fmt(row.mvo_sensitivity),
-                    ]
-                )
+                values = [getattr(row, column) for column in REPORT_COLUMNS]
+                writer.writerow(values[:3] + [_fmt(v) for v in values[3:]])
     except OSError as exc:
         raise IoError(f"cannot write report {path}: {exc}") from exc
 

@@ -143,16 +143,13 @@ class StructuringElement:
     """2-D footprint as (dx, dy) integer offsets around the (0, 0) anchor."""
 
     offsets: tuple[tuple[int, int], ...]
-    kind: str = "custom"
 
     def __post_init__(self):
         if (0, 0) not in self.offsets:
             raise ConfigError("anchor offset (0, 0) must be a footprint member")
 
     def reflected(self) -> "StructuringElement":
-        return StructuringElement(
-            tuple((-dx, -dy) for dx, dy in self.offsets), kind=self.kind
-        )
+        return StructuringElement(tuple((-dx, -dy) for dx, dy in self.offsets))
 
 
 def make_disk_se(r: int) -> StructuringElement:
@@ -165,7 +162,7 @@ def make_disk_se(r: int) -> StructuringElement:
         for dx in range(-r, r + 1)
         if dx * dx + dy * dy <= r * r
     ]
-    return StructuringElement(tuple(offs), kind=f"disk({r})")
+    return StructuringElement(tuple(offs))
 
 
 def make_bar_se(length: int, theta_deg: float) -> StructuringElement:
@@ -193,7 +190,7 @@ def make_bar_se(length: int, theta_deg: float) -> StructuringElement:
         for s in steps:
             dy = sign * s
             offs.append((int(np.floor(dy * ratio + 0.5)), dy))
-    return StructuringElement(tuple(offs), kind=f"bar({length},{theta_deg})")
+    return StructuringElement(tuple(offs))
 
 
 # ---------------------------------------------------------------------------

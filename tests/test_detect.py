@@ -192,10 +192,10 @@ def test_detect_model_roundtrip(tmp_path, tiny_detector, mixed_cases):
     path = str(tmp_path / "det.json")
     tiny_detector.save(path)
     back = detect.DetectionModel.load(path)
-    case = mixed_cases[0]
-    np.testing.assert_array_equal(
-        detect.detect_scores(back, case), detect.detect_scores(tiny_detector, case)
-    )
+    for case in mixed_cases:
+        np.testing.assert_array_equal(
+            detect.detect_scores(back, case), detect.detect_scores(tiny_detector, case)
+        )
 
 
 PINNED_MODEL = os.path.join(os.path.dirname(__file__), "data", "detection_model.json")

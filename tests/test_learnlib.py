@@ -380,6 +380,19 @@ def test_pca_degenerate_identical_rows():
         ll.pca_fit(np.ones((10, 4)))
 
 
+def test_pca_file_roundtrip_projects_bit_identically():
+    # a decoded model is C-ordered; the fitted one must be too, or BLAS
+    # rounds the projection differently for the two layouts
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(40, 16)) * rng.uniform(0.1, 10.0, size=16) + 5.0
+        model = ll.pca_fit(feats)
+        back = vio.decode_model(vio.encode_model(model))
+        query = rng.normal(size=(30, 16))
+        np.testing.assert_array_equal(ll.pca_project(back, query),
+                                      ll.pca_project(model, query))
+
+
 # --- margin classifier ---
 
 def test_margin_separable_1d():
@@ -487,6 +500,12 @@ def test_balance_subsamples_majority():
     assert (yb == 1).sum() == 10
     # minority fully retained
     assert set(xb[yb == 1, 0]) == set(range(100, 110))
+    # a cap below the minority count subsamples both classes, in order;
+    # one above it is plain balancing
+    xc, yc = ll.balance_classes(x, y, seed=7, cap=4)
+    assert (yc == 0).sum() == (yc == 1).sum() == 4
+    assert np.all(np.diff(xc[:, 0]) > 0)
+    np.testing.assert_array_equal(ll.balance_classes(x, y, seed=7, cap=50)[0], xb)
 
 
 def test_balance_seed_contract():
