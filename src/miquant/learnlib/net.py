@@ -1,5 +1,7 @@
 """Small convolutional networks with from-scratch backpropagation and
-SGD-with-momentum training, in 64-bit floats throughout.
+SGD-with-momentum training. Training, ``forward`` and ``features`` run in
+64-bit floats; windowed inference runs its trunk after conv1 in 32-bit
+floats (see below).
 
 Conventions: batches are (N, H, W, C); convolutions are valid-padding,
 stride 1; pooling is 2x2 stride 2 (odd remainders dropped); the terminal
@@ -23,10 +25,15 @@ see different inputs at the same image pixel, and every later layer works
 on different values. Conv1 is linear, so conv1 runs once over the whole
 image and once over the offset, and each window's map is the image map at
 the window's position minus the offset map. Pool1 reads its 2x2 maxima
-straight from that dense map; conv2 onward runs per window. The window
-``(img - mean) * s`` thus becomes ``img * s - mean * s`` after the
-convolution, so results agree with ``forward`` on the cropped windows to
-rounding (about 1e-15 on the logits), not bit for bit.
+straight from that dense map; conv2 onward runs per window.
+
+Conv1 runs in 64-bit floats; its two maps are then rounded to 32 bits, and
+pool1, conv2 onward and their im2col copies work in 32-bit floats, which
+halves the bytes those copies move and lets conv2/conv3 run as single-
+precision matrix products. The dense head runs in 64-bit floats on the
+whole batch, as in ``forward``. Results agree with ``forward`` on the
+cropped windows to single-precision rounding (about 1e-6 on the logits),
+not bit for bit.
 """
 from __future__ import annotations
 
@@ -64,12 +71,14 @@ class Conv2D:
         self._cols = None
 
     def forward(self, x, train=False, rng=None):
+        """Valid convolution in the dtype of ``x`` (the weights are cast to
+        it; a no-op for 64-bit input)."""
         kh, kw, cin, cout = self.w.shape
         if x.shape[3] != cin or x.shape[1] < kh or x.shape[2] < kw:
             raise ShapeError(f"conv {self.w.shape} cannot take input {x.shape}")
         cols, (n, oh, ow) = _im2col(x, kh, kw)
-        out = cols @ self.w.reshape(-1, cout)
-        out += self.b
+        out = cols @ self.w.reshape(-1, cout).astype(x.dtype, copy=False)
+        out += self.b.astype(x.dtype, copy=False)
         if train:
             self._cols = cols
         return out.reshape(n, oh, ow, cout)
@@ -299,9 +308,10 @@ class NetModel:
         top-left corners are ``(oy[i], ox[i])``, each minus ``offset``.
 
         Conv1 runs once over the image and once over the offset; pool1 is
-        gathered from the dense conv1 map per chunk of windows, and the rest
-        of the trunk and the head run as in ``forward``. Agrees with
-        ``forward`` to rounding (see the module docstring).
+        gathered from the dense conv1 map per chunk of windows, the rest of
+        the trunk runs in 32-bit floats, and the head runs as in
+        ``forward``. Agrees with ``forward`` to single-precision rounding
+        (see the module docstring).
         """
         image = np.asarray(image, dtype=np.float64)
         offset = np.asarray(offset, dtype=np.float64)
@@ -323,8 +333,8 @@ class NetModel:
                 and isinstance(layers[1], ReLU) and isinstance(layers[2], MaxPool2)):
             raise ShapeError("windowed inference needs a net that starts conv -> relu -> pool")
         conv = layers[0]
-        dense = conv.forward(image[None, :, :, None])[0]
-        off = conv.forward(offset[None, :, :, None])[0] - conv.b
+        dense = conv.forward(image[None, :, :, None])[0].astype(np.float32)
+        off = (conv.forward(offset[None, :, :, None])[0] - conv.b).astype(np.float32)
         oh, ow, cout = off.shape
         ph, pw = oh // 2, ow // 2
         if ph < 1 or pw < 1:
@@ -345,7 +355,7 @@ class NetModel:
                 phase = view[y + a, x + b]
                 phase -= off_ab
                 pooled = phase if pooled is None else np.maximum(pooled, phase, out=pooled)
-            return _run(rest, pooled)
+            return _run(rest, pooled).astype(np.float64)
 
         return _infer(trunk_chunk, len(oy), layers[flat:])
 

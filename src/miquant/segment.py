@@ -91,6 +91,14 @@ class PatchEnsemble:
     def __post_init__(self):
         if len(self.members) % 2 == 0:
             raise ConfigError(f"the ensemble needs an odd member count, got {len(self.members)}")
+        size = self.patch_size
+        if np.shape(self.mean_patch) != (size, size):
+            raise ConfigError(f"mean patch {np.shape(self.mean_patch)} does not match "
+                              f"the {size}-px patch size")
+        for i, member in enumerate(self.members):
+            if member.input_shape != (size, size, 1):
+                raise ConfigError(f"member {i} takes input {member.input_shape}, "
+                                  f"not a {size}-px patch")
 
     def vote(self, ys, xs, img: np.ndarray) -> np.ndarray:
         """Majority vote on the zero-centered patch of img around each
@@ -173,6 +181,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.members < 3 or self.members % 2 == 0:
             raise ConfigError(f"the ensemble needs an odd member count >= 3, got {self.members}")
+        if self.max_patches_per_class is not None and self.max_patches_per_class < 1:
+            raise ConfigError("max_patches_per_class must be >= 1 (or None for no cap), "
+                              f"got {self.max_patches_per_class}")
 
 
 def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: int) -> PatchEnsemble:

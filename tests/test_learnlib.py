@@ -149,7 +149,9 @@ def test_forward_windows_matches_forward_on_cropped_windows(size, n, margin):
     expected = net.forward(crops[..., None])
     got = net.forward_windows(image, oy, ox, offset)
     assert got.shape == expected.shape == (n, 2)
-    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    # the trunk after conv1 runs in float32: the worst of these 12 inputs
+    # differs by about 1.6e-6
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-5)
     np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
 
 

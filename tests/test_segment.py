@@ -14,7 +14,7 @@ from miquant.errors import (
     ShapeError,
 )
 from miquant.learnlib.net import Dense
-from miquant.volcore import LabeledCase, Mask, Volume
+from miquant.volcore import LabeledCase, Mask, Volume, extract_patches, patch_region
 
 
 def _vote_each_patch_alone(ensemble, img, ys, xs):
@@ -69,6 +69,29 @@ def test_refine_zero_pads_a_band_that_touches_the_slice_border(diseased_cases, t
     assert 0 < alone.sum() < len(alone)
 
     np.testing.assert_array_equal(segment.refine(img, coarse, tiny_ensemble, myo), expected)
+
+
+@pytest.mark.parametrize("index", [4, 5])  # not among the ensemble's training cases
+def test_each_member_votes_like_its_float64_forward_on_every_band_window(
+        diseased_cases, tiny_ensemble, index):
+    # a majority vote can hide one member's flip, so compare members, not votes
+    case = diseased_cases[index]
+    size = tiny_ensemble.patch_size
+    offset = tiny_ensemble.mean_patch * segment.INPUT_SCALE
+    labels = []
+    for k in range(case.nz):
+        img, myo = case.volume.data[k], case.myocardium.data[k]
+        ys, xs = np.nonzero(segment.boundary_region(segment.coarse_segment(img, myo)))
+        region, oy, ox = patch_region(img, ys, xs, size)
+        crops = (extract_patches(img, ys, xs, size) - tiny_ensemble.mean_patch) * segment.INPUT_SCALE
+        for member in tiny_ensemble.members:
+            expected = member.forward(crops[..., None])
+            got = member.forward_windows(region * segment.INPUT_SCALE, oy, ox, offset)
+            np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-5)
+            labels.append(expected.argmax(axis=1))
+    labels = np.concatenate(labels)
+    assert 0 < labels.sum() < len(labels)  # the members vote both ways
 
 
 def _band(case):
@@ -142,6 +165,24 @@ def test_patch_ensemble_needs_odd_member_count(tiny_ensemble, members):
     with pytest.raises(ConfigError):
         segment.PatchEnsemble(members=tiny_ensemble.members[:1] * members,
                               mean_patch=tiny_ensemble.mean_patch)
+
+
+def test_patch_ensemble_rejects_a_mean_patch_of_another_size(tiny_ensemble):
+    with pytest.raises(ConfigError):
+        segment.PatchEnsemble(tiny_ensemble.members, tiny_ensemble.mean_patch[:-1, :-1])
+
+
+def test_patch_ensemble_rejects_a_member_of_another_input_size(tiny_ensemble):
+    small = ll.build_classifier(segment.PATCH_SIZE - 1, seed=0, widths=(4, 8), fc=16)
+    with pytest.raises(ConfigError):
+        segment.PatchEnsemble(tiny_ensemble.members[:2] + [small], tiny_ensemble.mean_patch)
+
+
+@pytest.mark.parametrize("max_patches_per_class", [0, -1])
+def test_ensemble_config_needs_a_patch_cap_of_one_or_more(max_patches_per_class):
+    with pytest.raises(ConfigError):
+        segment.EnsembleConfig(max_patches_per_class=max_patches_per_class)
+    assert segment.EnsembleConfig(max_patches_per_class=None).max_patches_per_class is None
 
 
 @pytest.mark.parametrize("radius", [1, segment.BOUNDARY_RADIUS, 3])
@@ -311,4 +352,13 @@ def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
         doc["members"][1]["layers"][1]["spec"][0] = "mystery"
 
     with pytest.raises(ShapeError):
+        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(mean_patch=vio.encode_array(np.zeros((48, 48)))),
+    lambda doc: doc.update(patch_size=48, mean_patch=vio.encode_array(np.zeros((48, 48)))),
+], ids=["mean patch", "members"])
+def test_ensemble_load_rejects_a_mis_shaped_ensemble(tmp_path, tiny_ensemble, edit):
+    with pytest.raises(ConfigError):
         segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
