@@ -7,7 +7,6 @@ from .net import (
     TrainConfig,
     build_classifier,
     build_net,
-    grad_check,
     net_loss,
     net_train,
     softmax_cross_entropy,
@@ -16,7 +15,6 @@ from .pca import PcaModel, pca_fit, pca_project
 from .sampling import (
     AugmentParams,
     apply_augment,
-    augment,
     augment_dataset,
     balance_classes,
     draw_augment_params,
@@ -29,13 +27,11 @@ __all__ = [
     "PcaModel",
     "TrainConfig",
     "apply_augment",
-    "augment",
     "augment_dataset",
     "balance_classes",
     "build_classifier",
     "build_net",
     "draw_augment_params",
-    "grad_check",
     "hinge_objective",
     "margin_decide",
     "margin_train",

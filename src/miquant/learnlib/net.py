@@ -8,14 +8,17 @@ stride 1; pooling is 2x2 stride 2 (odd remainders dropped); the terminal
 layer is a softmax over two classes. L2 regularization acts on connection
 weights, not biases.
 
-Inference (``forward(train=False)``) computes the same outputs as the
-training chain by a cheaper route: max pooling keeps no argmax indices, a
-pool that follows a ReLU runs before it (ReLU is monotone, so both orders
-give the same values on a map 4x smaller), and the convolutional trunk runs
-over chunks of ``INFER_CHUNK`` samples so that each im2col matrix stays
-cache-sized. The dense head then runs on the whole batch at once, as it does
-in training, because a BLAS matrix product can round a row differently
-depending on how many rows share the call.
+Both training and inference run a pool that follows a ReLU before it
+(ReLU is monotone, so both orders give the same values, and the same
+gradients, on a map 4x smaller); the stored layer order, and so the model
+file, keeps the ReLU first. Training pools by comparing the four stride-2
+phases of its input with their maximum and keeps a first-max mask per
+phase, so the backward pass writes each phase of the input gradient with
+one product. Inference (``forward(train=False)``) keeps no masks, and runs
+the convolutional trunk over chunks of ``INFER_CHUNK`` samples so that each
+im2col matrix stays cache-sized. The dense head then runs on the whole
+batch at once, as it does in training, because a BLAS matrix product can
+round a row differently depending on how many rows share the call.
 
 Windowed inference (``NetModel.forward_windows``) classifies many
 overlapping windows of one image, each minus the same per-pixel ``offset``
@@ -117,9 +120,13 @@ class ReLU:
         return ("relu",)
 
 
+_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))  # a 2x2 block in row-major order
+
+
 class MaxPool2:
-    """2x2 max pooling, stride 2. Gradient routes to the first max; only
-    training keeps the argmax indices that routing needs."""
+    """2x2 max pooling, stride 2. Gradient routes to the first max of each
+    block in row-major order; only training keeps the four first-max masks
+    that routing needs."""
 
     param_names = ()
 
@@ -128,30 +135,30 @@ class MaxPool2:
         oh, ow = h // 2, w // 2
         if oh < 1 or ow < 1:
             raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
-        blocks = x[:, : oh * 2, : ow * 2, :].reshape(n, oh, 2, ow, 2, c)
         if not train:
+            blocks = x[:, : oh * 2, : ow * 2, :].reshape(n, oh, 2, ow, 2, c)
             rows = np.maximum(blocks[:, :, 0], blocks[:, :, 1])
             return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
-        quads = (
-            blocks
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(n, oh, ow, c, 4)
-        )
-        self._idx = np.argmax(quads, axis=-1)
+        phases = [x[:, a : 2 * oh : 2, b : 2 * ow : 2] for a, b in _PHASES]
+        out = np.maximum(np.maximum(phases[0], phases[1]), np.maximum(phases[2], phases[3]))
+        seen = phases[0] == out
+        self._masks = [seen]
+        for phase in phases[1:]:
+            first = phase == out
+            first &= ~seen
+            seen = seen | first
+            self._masks.append(first)
         self._xshape = x.shape
-        return np.take_along_axis(quads, self._idx[..., None], axis=-1)[..., 0]
+        return out
 
     def backward(self, dout):
-        n, h, w, c = self._xshape
-        oh, ow = h // 2, w // 2
-        grads = np.zeros((n, oh, ow, c, 4))
-        np.put_along_axis(grads, self._idx[..., None], dout[..., None], axis=-1)
-        dx = np.zeros((n, h, w, c))
-        dx[:, : oh * 2, : ow * 2, :] = (
-            grads.reshape(n, oh, ow, c, 2, 2)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(n, oh * 2, ow * 2, c)
-        )
+        oh, ow = self._xshape[1] // 2, self._xshape[2] // 2
+        dx = np.empty(self._xshape)
+        dx[:, 2 * oh :] = 0.0  # odd remainders take no gradient
+        dx[:, :, 2 * ow :] = 0.0
+        for (a, b), mask in zip(_PHASES, self._masks):
+            np.multiply(dout, mask, out=dx[:, a : 2 * oh : 2, b : 2 * ow : 2])
+        self._masks = None
         return dx
 
     def spec(self):
@@ -260,8 +267,11 @@ def _run(layers, x, train=False, rng=None):
 
 
 def _pool_before_relu(layers):
-    """Inference order: each MaxPool2 that directly follows a ReLU moves
-    ahead of it; max and ReLU commute, so the values are unchanged."""
+    """Run order, for training and inference alike: each MaxPool2 that
+    directly follows a ReLU moves ahead of it. Max and ReLU commute, so the
+    values are unchanged; so are the gradients, because where a block's max
+    is > 0 its first max in x is its first max in ReLU(x), and where the max
+    is <= 0 both orders send the block a zero gradient."""
     order = list(layers)
     for i in range(len(order) - 1):
         if isinstance(order[i], ReLU) and isinstance(order[i + 1], MaxPool2):
@@ -298,7 +308,7 @@ class NetModel:
             raise ShapeError(f"expected input {self.input_shape}, got {x.shape[1:]}")
         layers = self.layers[: len(self.layers) if n_layers is None else n_layers]
         if train:
-            return _run(layers, x, train=True, rng=rng)
+            return _run(_pool_before_relu(layers), x, train=True, rng=rng)
         flat = _flatten_index(layers)
         trunk = _pool_before_relu(layers[:flat])
         return _infer(lambda s: _run(trunk, x[s : s + INFER_CHUNK]), len(x), layers[flat:])
@@ -372,8 +382,9 @@ class NetModel:
 
     def backward_from_logits(self, dlogits):
         d = dlogits
-        for i in range(len(self.layers) - 2, -1, -1):
-            layer = self.layers[i]
+        chain = _pool_before_relu(self.layers[:-1])  # as logits(train=True) ran it
+        for i in range(len(chain) - 1, -1, -1):
+            layer = chain[i]
             if i == 0 and isinstance(layer, (Conv2D, Dense)):
                 # the input gradient of the bottom layer is never consumed
                 layer.backward(d, need_dx=False)
@@ -470,6 +481,12 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if self.l2 < 0:
+            raise ConfigError("l2 must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ConfigError("dropout must be in [0, 1)")
 
 
 def softmax_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -537,31 +554,3 @@ def net_train(x: np.ndarray, y: np.ndarray, model: NetModel, cfg: TrainConfig) -
     )
     return model
 
-
-def grad_check(model: NetModel, x: np.ndarray, labels: np.ndarray, epsilon: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    Dropout must be inactive (inference path is used for both sides).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _, dlogits = net_loss(model, x, labels, train=True)
-    model.backward_from_logits(dlogits)
-    worst = 0.0
-    for layer, name in model.parameters():
-        param = getattr(layer, name)
-        analytic = getattr(layer, "d" + name)
-        it = np.nditer(param, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = param[idx]
-            param[idx] = orig + epsilon
-            hi, _ = net_loss(model, x, labels)
-            param[idx] = orig - epsilon
-            lo, _ = net_loss(model, x, labels)
-            param[idx] = orig
-            numeric = (hi - lo) / (2 * epsilon)
-            a = analytic[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
-            worst = max(worst, err)
-            it.iternext()
-    return worst

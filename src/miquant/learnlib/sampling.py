@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyClassError, ShapeError
+from ..errors import EmptyClassError
 
 ROTATION_MAX_DEG = 20.0
 SHEAR_MAX = 0.1
@@ -67,13 +67,6 @@ def apply_augment(patch: np.ndarray, params: AugmentParams) -> np.ndarray:
             inside = (xs >= 0) & (xs < nx) & (ys >= 0) & (ys < ny) & (wgt > 0)
             out[inside] += wgt[inside] * patch[ys[inside], xs[inside]]
     return out
-
-
-def augment(patch: np.ndarray, seed: int) -> np.ndarray:
-    """One random geometric transform of a square patch."""
-    if patch.shape[0] != patch.shape[1]:
-        raise ShapeError(f"augment expects a square patch, got {patch.shape}")
-    return apply_augment(patch, draw_augment_params(np.random.default_rng(seed)))
 
 
 def augment_dataset(x: np.ndarray, y: np.ndarray, copies: int, seed: int):

@@ -1,11 +1,16 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately naive (per-pixel scans, pair counting,
-exhaustive sweeps) and shares no code with the package paths it checks.
+exhaustive sweeps, central differences, argmax pooling) and shares no code
+with the package paths it checks; ``grad_check`` differentiates the
+package's own loss, since that is the function whose gradient it checks.
 """
 from collections import deque
 
 import numpy as np
+
+from miquant.errors import ShapeError
+from miquant.learnlib import net_loss
 
 
 # --- morphology: direct footprint scans ---
@@ -154,3 +159,73 @@ def allpairs_hausdorff(a_coords, b_coords, spacing_zyx):
         return worst
 
     return max(directed(a, b), directed(b, a))
+
+
+# --- conv nets: argmax pooling and central-difference gradients ---
+
+class ArgmaxPool2:
+    """2x2 stride-2 max pooling that routes the gradient to each block's
+    first argmax through index arrays. It is not a ``MaxPool2``, so a net
+    that holds it runs it after its ReLU, in stored order."""
+
+    param_names = ()
+
+    def forward(self, x, train=False, rng=None):
+        n, h, w, c = x.shape
+        oh, ow = h // 2, w // 2
+        if oh < 1 or ow < 1:
+            raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
+        quads = (
+            x[:, : oh * 2, : ow * 2, :]
+            .reshape(n, oh, 2, ow, 2, c)
+            .transpose(0, 1, 3, 5, 2, 4)
+            .reshape(n, oh, ow, c, 4)
+        )
+        self._idx = np.argmax(quads, axis=-1)
+        self._xshape = x.shape
+        return np.take_along_axis(quads, self._idx[..., None], axis=-1)[..., 0]
+
+    def backward(self, dout):
+        n, h, w, c = self._xshape
+        oh, ow = h // 2, w // 2
+        grads = np.zeros((n, oh, ow, c, 4))
+        np.put_along_axis(grads, self._idx[..., None], dout[..., None], axis=-1)
+        dx = np.zeros((n, h, w, c))
+        dx[:, : oh * 2, : ow * 2, :] = (
+            grads.reshape(n, oh, ow, c, 2, 2)
+            .transpose(0, 1, 4, 2, 5, 3)
+            .reshape(n, oh * 2, ow * 2, c)
+        )
+        return dx
+
+    def spec(self):
+        return ("maxpool",)
+
+
+def grad_check(model, x, labels, epsilon=1e-5):
+    """Max relative error of analytic vs central-difference gradients.
+
+    Dropout must be inactive (inference path is used for both sides).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _, dlogits = net_loss(model, x, labels, train=True)
+    model.backward_from_logits(dlogits)
+    worst = 0.0
+    for layer, name in model.parameters():
+        param = getattr(layer, name)
+        analytic = getattr(layer, "d" + name)
+        it = np.nditer(param, flags=["multi_index"])
+        while not it.finished:
+            idx = it.multi_index
+            orig = param[idx]
+            param[idx] = orig + epsilon
+            hi, _ = net_loss(model, x, labels)
+            param[idx] = orig - epsilon
+            lo, _ = net_loss(model, x, labels)
+            param[idx] = orig
+            numeric = (hi - lo) / (2 * epsilon)
+            a = analytic[idx]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
+            worst = max(worst, err)
+            it.iternext()
+    return worst

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from miquant import learnlib as ll, vio
 from miquant.errors import (
     ConfigError,
@@ -9,7 +10,7 @@ from miquant.errors import (
     ShapeError,
     SingleClassError,
 )
-from miquant.learnlib.net import Conv2D, Dense, NetModel, Softmax
+from miquant.learnlib.net import Conv2D, Dense, MaxPool2, NetModel, Softmax
 
 
 # --- forward path ---
@@ -72,7 +73,8 @@ def test_forward_shape_error():
 
 
 def _train_chain(layers, x):
-    """Plain per-layer chain in training mode: argmax pooling, ReLU first."""
+    """The layers in stored order (each ReLU before its pool), one by one in
+    training mode, so that each pool takes its first-max-mask path."""
     for layer in layers:
         x = layer.forward(x, train=True)
     return x
@@ -270,6 +272,7 @@ def test_training_is_seed_deterministic():
     assert a == b
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_divergence_error():
     net = ll.build_net((1, 2, 1), [("flatten",), ("dense", 2), ("softmax",)], seed=19)
     net.layers[1].w[...] = 1e308
@@ -284,6 +287,10 @@ def test_divergence_error():
     {"momentum": -0.1},
     {"momentum": 1.0},
     {"batch_size": 0},
+    {"l2": -1.0},
+    {"epochs": 0},
+    {"dropout": 1.0},
+    {"dropout": -0.5},
 ])
 def test_train_config_rejects_bad_values_with_config_error(kwargs):
     with pytest.raises(ConfigError):
@@ -311,7 +318,7 @@ def test_gradcheck_fc_only_tight():
     )
     x = rng.normal(size=(3, 1, 4, 1))
     y = np.array([0, 1, 1])
-    assert ll.grad_check(net, x, y, 1e-5) < 1e-6
+    assert oracles.grad_check(net, x, y, 1e-5) < 1e-6
 
 
 def test_gradcheck_conv_pool_net():
@@ -319,7 +326,7 @@ def test_gradcheck_conv_pool_net():
     net = ll.build_classifier(13, seed=26, widths=(3, 4), fc=8, dropout=0.0)
     x = rng.normal(size=(2, 13, 13, 1))
     y = np.array([1, 0])
-    assert ll.grad_check(net, x, y, 1e-5) < 1e-4
+    assert oracles.grad_check(net, x, y, 1e-5) < 1e-4
 
 
 def test_gradcheck_zero_input_first_layer_grad_vanishes():
@@ -329,6 +336,55 @@ def test_gradcheck_zero_input_first_layer_grad_vanishes():
     _, dlogits = ll.net_loss(net, x, y, train=True)
     net.backward_from_logits(dlogits)
     np.testing.assert_array_equal(net.layers[0].dw, 0.0)
+
+
+# --- pooling against the argmax oracle ---
+
+def _tied_integer_batch(rng, shape):
+    """Integer-valued maps, so 2x2 blocks tie; channel 0 is <= 0 everywhere."""
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    x[..., 0] = -np.abs(x[..., 0])
+    return x
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 9, 2), (2, 8, 6, 3), (4, 3, 2, 1)])
+def test_pool_backward_matches_argmax_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = _tied_integer_batch(rng, shape)
+    pool, oracle = MaxPool2(), oracles.ArgmaxPool2()
+    out = pool.forward(x, train=True)
+    np.testing.assert_array_equal(out, oracle.forward(x, train=True))
+    quads = np.stack([x[:, a : out.shape[1] * 2 : 2, b : out.shape[2] * 2 : 2]
+                      for a in (0, 1) for b in (0, 1)])
+    assert ((quads == out).sum(axis=0) > 1).any()  # the test inputs tie
+    dout = rng.normal(size=out.shape)
+    np.testing.assert_array_equal(pool.backward(dout), oracle.backward(dout))
+
+
+def test_training_with_pool_before_relu_matches_argmax_chain():
+    # 13 px: conv5 -> 9, an odd map, so pool1 drops a remainder
+    rng = np.random.default_rng(50)
+    x = rng.integers(-3, 4, size=(24, 13, 13, 1)).astype(np.float64)
+    x[::2, :8, :8] = x[::2, :1, :1]  # flat corners tie whole conv1 blocks
+    y = rng.integers(0, 2, 24)
+    nets = [ll.build_classifier(13, seed=51, widths=(3, 4), fc=8, dropout=0.5)
+            for _ in range(2)]
+    for net in nets:
+        net.layers[0].b[0] = -100.0  # conv1 channel 0: every block <= 0
+    oracle_net = nets[1]
+    oracle_net.layers = [oracles.ArgmaxPool2() if isinstance(l, MaxPool2) else l
+                         for l in oracle_net.layers]
+    conv1 = nets[0].layers[0].forward(x)
+    assert (conv1[..., 0] < 0).all()
+    block = conv1[::2, :2, :2]  # pool1's first block over each flat corner
+    assert (block == block[:, :1, :1]).all() and (block > 0).any()
+
+    cfg = ll.TrainConfig(epochs=2, batch_size=8, seed=52)
+    for net in nets:
+        ll.net_train(x, y, net, cfg)
+    assert nets[0].train_meta["loss_trace"] == oracle_net.train_meta["loss_trace"]
+    for (layer, name), (ref, _) in zip(nets[0].parameters(), oracle_net.parameters()):
+        np.testing.assert_array_equal(getattr(layer, name), getattr(ref, name))
 
 
 # --- PCA ---
@@ -474,14 +530,16 @@ def test_rotation_90_matches_index_permutation_oracle():
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
-def test_augment_seeded_and_square_only():
-    rng_patch = np.random.default_rng(36).normal(size=(7, 7))
-    a = ll.augment(rng_patch, seed=5)
-    b = ll.augment(rng_patch, seed=5)
-    np.testing.assert_array_equal(a, b)
-    assert a.shape == (7, 7)
-    with pytest.raises(ShapeError):
-        ll.augment(np.zeros((3, 4)), seed=0)
+def test_augment_dataset_is_seeded_and_appends_copies():
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(3, 7, 7, 1))
+    y = np.array([0, 1, 1])
+    xa, ya = ll.augment_dataset(x, y, copies=2, seed=5)
+    xb, yb = ll.augment_dataset(x, y, copies=2, seed=5)
+    np.testing.assert_array_equal(xa, xb)
+    assert xa.shape == (9, 7, 7, 1)
+    np.testing.assert_array_equal(xa[:3], x)
+    np.testing.assert_array_equal(ya, np.tile(y, 3))
 
 
 # --- class balancing ---
