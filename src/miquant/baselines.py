@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, DegenerateHistogram, EmptyMask, EmptyRegion
-from .volcore import Histogram, LabeledCase, Mask, intensity_levels, otsu_threshold
+from .volcore import LabeledCase, Mask, intensity_levels, otsu_threshold
 
 N_SECTORS = 6
 BASELINE_METHODS = ("1-sd", "2-sd", "3-sd", "4-sd", "5-sd", "6-sd", "otsu", "fwhm", "gmm")
@@ -87,7 +87,7 @@ def otsu_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
     if not myo.any():
         raise EmptyMask("Otsu needs a non-empty myocardium")
     img = np.asarray(img, dtype=np.float64)
-    t = otsu_threshold(Histogram.from_values(img[myo]))
+    t = otsu_threshold(img[myo])
     return (intensity_levels(img) > t) & myo
 
 
@@ -131,7 +131,7 @@ def gmm_fit(values: np.ndarray) -> Gmm2:
     if x.size < 10 or float(x.std()) == 0.0:
         raise DegenerateData("GMM needs >= 10 samples with nonzero variance")
     try:
-        t = otsu_threshold(Histogram.from_values(x))
+        t = otsu_threshold(x)
     except DegenerateHistogram as exc:
         raise DegenerateData(f"degenerate intensity histogram: {exc}") from exc
     lo = x[intensity_levels(x) <= t]

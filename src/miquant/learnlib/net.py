@@ -11,14 +11,15 @@ weights, not biases.
 Both training and inference run a pool that follows a ReLU before it
 (ReLU is monotone, so both orders give the same values, and the same
 gradients, on a map 4x smaller); the stored layer order, and so the model
-file, keeps the ReLU first. Training pools by comparing the four stride-2
-phases of its input with their maximum and keeps a first-max mask per
-phase, so the backward pass writes each phase of the input gradient with
-one product. Inference (``forward(train=False)``) keeps no masks, and runs
-the convolutional trunk over chunks of ``INFER_CHUNK`` samples so that each
-im2col matrix stays cache-sized. The dense head then runs on the whole
-batch at once, as it does in training, because a BLAS matrix product can
-round a row differently depending on how many rows share the call.
+file, keeps the ReLU first. Pooling takes pairwise maxima over a 2x2 block
+view of its input; training also compares the four phases of that view
+with the maximum and keeps a first-max mask per phase, so the backward
+pass writes each phase of the input gradient with one product. Inference
+(``forward(train=False)``) keeps no masks, and runs the convolutional trunk
+over chunks of ``INFER_CHUNK`` samples so that each im2col matrix stays
+cache-sized. The dense head then runs on the whole batch at once, as it
+does in training, because a BLAS matrix product can round a row
+differently depending on how many rows share the call.
 
 Windowed inference (``NetModel.forward_windows``) classifies many
 overlapping windows of one image, each minus the same per-pixel ``offset``
@@ -40,7 +41,7 @@ not bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,12 +136,12 @@ class MaxPool2:
         oh, ow = h // 2, w // 2
         if oh < 1 or ow < 1:
             raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
+        blocks = x[:, : oh * 2, : ow * 2, :].reshape(n, oh, 2, ow, 2, c)
+        rows = np.maximum(blocks[:, :, 0], blocks[:, :, 1])
+        out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
         if not train:
-            blocks = x[:, : oh * 2, : ow * 2, :].reshape(n, oh, 2, ow, 2, c)
-            rows = np.maximum(blocks[:, :, 0], blocks[:, :, 1])
-            return np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
-        phases = [x[:, a : 2 * oh : 2, b : 2 * ow : 2] for a, b in _PHASES]
-        out = np.maximum(np.maximum(phases[0], phases[1]), np.maximum(phases[2], phases[3]))
+            return out
+        phases = [blocks[:, :, a, :, b] for a, b in _PHASES]
         seen = phases[0] == out
         self._masks = [seen]
         for phase in phases[1:]:
@@ -541,15 +542,7 @@ def net_train(x: np.ndarray, y: np.ndarray, model: NetModel, cfg: TrainConfig) -
     model.train_meta.update(
         {
             "loss_trace": trace,
-            "config": {
-                "learning_rate": cfg.learning_rate,
-                "momentum": cfg.momentum,
-                "batch_size": cfg.batch_size,
-                "l2": cfg.l2,
-                "epochs": cfg.epochs,
-                "dropout": cfg.dropout,
-                "seed": cfg.seed,
-            },
+            "config": asdict(cfg),
         }
     )
     return model

@@ -190,6 +190,10 @@ def case_row(case_id: str, method: str, pred_final: Mask, gt_total: Mask,
         hd = hausdorff3d(pred_final, gt_total)
     except EmptyMask:
         hd = None
+    try:
+        pct = percent_infarct(pred_final, myo)
+    except DivisionByZero:
+        pct = None
     row = ReportRow(
         case_id=case_id,
         slice="all",
@@ -197,7 +201,7 @@ def case_row(case_id: str, method: str, pred_final: Mask, gt_total: Mask,
         dice_pct=100.0 * dice(pred_final, gt_total),
         hausdorff_mm=hd,
         scar_volume_cm3=scar_volume_cm3(pred_final),
-        pct_infarct=percent_infarct(pred_final, myo),
+        pct_infarct=pct,
     )
     if gt_mvo is not None and gt_mvo.count() > 0:
         row.mvo_sensitivity = mvo_sensitivity(pred_final, gt_mvo)

@@ -24,7 +24,6 @@ from .errors import (
     NoGroundTruth,
 )
 from .volcore import (
-    Histogram,
     LabeledCase,
     Mask,
     binary_dilate,
@@ -70,7 +69,7 @@ def coarse_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
     if not myo.any():
         raise EmptyMask("coarse segmentation needs a non-empty myocardium")
     enhanced = tophat_enhance(img)
-    t = otsu_threshold(Histogram.from_values(enhanced[myo]))
+    t = otsu_threshold(enhanced[myo])
     fg = (intensity_levels(enhanced) > t) & myo
     return binary_opening(fg, make_disk_se(OPENING_RADIUS)) & myo
 
@@ -140,25 +139,24 @@ class PatchEnsemble:
 def sample_training_patches(case: LabeledCase, seed: int = 0):
     """Class-balanced boundary patches around the ground-truth scar.
 
-    Healthy centers come from dilate(GT, 5) minus GT, scar centers from GT
-    minus erode(GT, 5) -- or from the whole GT on slices where the erosion
-    empties it -- subsampled on a stride lattice. Raises EmptyClassError
-    when either class gets no patch.
+    The band is ``boundary_region(GT, TRAINING_BAND_RADIUS)``, the rule
+    refine votes on, split by GT: healthy centers come from the band
+    outside GT, scar centers from the band inside it (all of GT on slices
+    where the erosion empties it), subsampled on a stride lattice. Raises
+    NoGroundTruth without scar ground truth and EmptyClassError when either
+    class gets no patch.
     """
     if case.gt_scar is None or case.gt_scar.count() == 0:
         raise NoGroundTruth(f"case {case.case_id} has no scar ground truth")
-    se = make_disk_se(TRAINING_BAND_RADIUS)
     patches, labels = [], []
     for k in range(case.nz):
         gt = case.gt_scar.data[k]
         if not gt.any():
             continue
-        healthy_band = binary_dilate(gt, se) & ~gt
-        eroded = binary_erode(gt, se)
-        scar_band = gt & ~eroded if eroded.any() else gt
+        band = boundary_region(gt, TRAINING_BAND_RADIUS)
         img = case.volume.data[k]
-        for band, label in ((healthy_band, 0), (scar_band, 1)):
-            ys, xs = np.nonzero(band)
+        for centers, label in ((band & ~gt, 0), (band & gt, 1)):
+            ys, xs = np.nonzero(centers)
             keep = (ys % PATCH_STRIDE == 0) & (xs % PATCH_STRIDE == 0)
             patches.append(extract_patches(img, ys[keep], xs[keep], PATCH_SIZE))
             labels.append(np.full(keep.sum(), label, dtype=np.int64))
@@ -190,19 +188,18 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
     """Train the voter ensemble on pooled boundary patches.
 
     Members follow a k-fold strategy over the patch pool: member i trains
-    on every fold but its own. All patches are zero-centered by the pooled
-    mean image. Cases without scar ground truth, or whose stride lattice
-    misses a class, are skipped.
+    on every fold but its own. Each case's sample is class-balanced, so the
+    pool is too. All patches are zero-centered by the pooled mean image.
+    Cases without scar ground truth, or whose stride lattice misses a
+    class, are skipped.
     """
     ss = np.random.SeedSequence(seed)
     case_seeds = ss.spawn(len(cases))
     xs, ys = [], []
     for case, child in zip(cases, case_seeds):
-        if case.gt_scar is None or case.gt_scar.count() == 0:
-            continue
         try:
             x, y = sample_training_patches(case, seed=int(child.generate_state(1)[0]))
-        except EmptyClassError:
+        except (NoGroundTruth, EmptyClassError):
             continue
         xs.append(x)
         ys.append(y)
@@ -211,8 +208,9 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
     x = np.concatenate(xs)
     y = np.concatenate(ys)
 
-    pool_seed, cap_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
-    x, y = ll.balance_classes(x, y, seed=pool_seed)
+    # Child 0 is unused; spawning it keeps the member-order seed below, which
+    # comes from the next spawn, and so the trained models, stable.
+    cap_seed = int(ss.spawn(2)[1].generate_state(1)[0])
     if cfg.max_patches_per_class is not None:
         x, y = ll.balance_classes(x, y, seed=cap_seed, cap=cfg.max_patches_per_class)
 

@@ -10,7 +10,7 @@ artificial bright or dark rims at the image edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -286,38 +286,19 @@ def extract_patches(img: np.ndarray, ys, xs, size: int) -> np.ndarray:
 # histogram and Otsu threshold
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Histogram:
-    """256-bin count histogram over intensity levels 0..255."""
-
-    bins: np.ndarray = field(default_factory=lambda: np.zeros(HIST_LEVELS, dtype=np.int64))
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.int64)
-        if self.bins.shape != (HIST_LEVELS,):
-            raise DataError(f"histogram must have {HIST_LEVELS} bins")
-        if (self.bins < 0).any():
-            raise DataError("histogram counts must be >= 0")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "Histogram":
-        """Tally normalized intensities; values are rounded to levels 0..255."""
-        levels = intensity_levels(values)
-        return cls(np.bincount(levels.ravel(), minlength=HIST_LEVELS))
-
-
 def intensity_levels(values: np.ndarray) -> np.ndarray:
     """Map [0, 255] float intensities to integer levels (round half up)."""
     v = np.floor(np.asarray(values, dtype=np.float64) + 0.5)
     return np.clip(v, 0, HIST_LEVELS - 1).astype(np.int64)
 
 
-def otsu_threshold(hist: Histogram) -> int:
-    """Level t maximizing between-class variance of the {<=t, >t} split.
+def otsu_threshold(values: np.ndarray) -> int:
+    """Level t maximizing between-class variance of the {<=t, >t} split of
+    the 256-bin histogram of ``intensity_levels(values)``.
 
     Ties break toward the smaller t; foreground is levels strictly above t.
     """
-    counts = hist.bins.astype(np.float64)
+    counts = np.bincount(intensity_levels(values).ravel(), minlength=HIST_LEVELS).astype(float)
     total = counts.sum()
     if total < 2 or np.count_nonzero(counts) < 2:
         raise DegenerateHistogram("histogram needs >= 2 samples in >= 2 levels")

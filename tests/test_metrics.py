@@ -306,6 +306,27 @@ def test_case_row_identical_empty_and_mvo():
     assert no_mvo.mvo_sensitivity is None
 
 
+def test_case_row_with_empty_myocardium_leaves_percent_blank_through_the_csv(tmp_path):
+    from miquant import vio
+
+    gt = np.zeros((2, 6, 6), dtype=bool)
+    gt[0, 2:4, 1:5] = True
+    myo = _mask(np.zeros_like(gt))
+    row = mx.case_row("c1", "paper", _mask(gt), _mask(gt), myo, None)
+    assert row.pct_infarct is None
+    assert row.dice_pct == 100.0 and row.scar_volume_cm3 == pytest.approx(8e-3)
+
+    report = vio.MetricsReport()
+    report.add(row)
+    path = str(tmp_path / "report.csv")
+    vio.write_report(report, path)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read().splitlines()[1].split(",")[6] == ""
+    (back,) = vio.read_report(path).rows
+    assert back == vio.ReportRow("c1", "all", "paper", dice_pct=100.0, hausdorff_mm=0.0,
+                                 scar_volume_cm3=0.008, pct_infarct=None)
+
+
 def test_summarize_agreement_block():
     from miquant.vio import MetricsReport, ReportRow
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 
 from miquant import learnlib as ll, segment, vio
 from miquant.errors import (
@@ -293,6 +294,37 @@ def _with_scar(case, region):
 def test_sample_patches_raises_when_a_class_gets_no_patch(diseased_cases, region):
     with pytest.raises(EmptyClassError):
         segment.sample_training_patches(_with_scar(diseased_cases[0], region))
+
+
+def test_training_centres_match_the_distance_transform_oracle(monkeypatch):
+    # Every voxel holds its own flat index, so a patch's centre pixel says
+    # where it was cut. Slice 0 holds a 7-px arc, which the radius-5 erosion
+    # empties; slice 1 a disk whose core survives it.
+    n = 96
+    yy, xx = np.mgrid[:n, :n]
+    r = np.hypot(yy - 48, xx - 48)
+    gt = np.stack([(r >= 20) & (r < 27) & (yy < 48), r <= 14])
+    vol = Volume((1.0, 1.0, 1.0), np.arange(gt.size, dtype=np.float64).reshape(gt.shape))
+    empty = Mask.empty_like(vol)
+    case = LabeledCase("ids", vol, empty, empty, empty, gt_scar=Mask(vol.spacing, gt))
+    monkeypatch.setattr(ll, "balance_classes", lambda x, y, seed: (x, y))
+    x, y = segment.sample_training_patches(case)
+
+    radius = segment.TRAINING_BAND_RADIUS
+    lattice = (yy % segment.PATCH_STRIDE == 0) & (xx % segment.PATCH_STRIDE == 0)
+    want_ids, want_labels = [], []
+    for k, g in enumerate(gt):
+        depth = ndi.distance_transform_edt(g)
+        assert (depth > radius).any() == (k == 1)
+        healthy = ~g & (ndi.distance_transform_edt(~g) <= radius)
+        scar = g & (depth <= radius) if (depth > radius).any() else g
+        for centres, label in ((healthy, 0), (scar, 1)):
+            ids = k * n * n + np.flatnonzero(centres & lattice)
+            want_ids.append(ids)
+            want_labels.append(np.full(len(ids), label))
+    half = segment.PATCH_SIZE // 2
+    np.testing.assert_array_equal(x[:, half, half, 0], np.concatenate(want_ids))
+    np.testing.assert_array_equal(y, np.concatenate(want_labels))
 
 
 def test_ensemble_training_skips_case_whose_lattice_misses_a_class(diseased_cases):
