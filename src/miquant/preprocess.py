@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateRange, EmptyRegion, SpacingError
-from .volcore import LabeledCase, Mask, Volume
+from .volcore import LabeledCase, Mask, Volume, bounding_box
 
 CANONICAL_SPACING = (1.25, 1.25, 8.0)
 NLM_PATCH_RADIUS = 1
@@ -51,41 +51,58 @@ def estimate_noise_sigma(img: np.ndarray) -> float:
     return mad / 0.6745 / np.sqrt(20.0)
 
 
-def denoise_nlm(img: np.ndarray, sigma: float) -> np.ndarray:
+def denoise_nlm(img: np.ndarray, sigma: float, box=None) -> np.ndarray:
     """Non-local means with Gaussian patch-distance weights, h = k * sigma.
 
     Each output pixel is a convex combination of the pixels in its search
     window; sigma = 0 degenerates to the identity.
+
+    Only the pixels of ``box = (y0, y1, x0, x1)`` (half-open) are denoised;
+    the rest of the output is the input. ``None`` denoises the whole slice.
+    Inside the box the output is the whole-slice result bit for bit: the
+    reflect padding is the whole slice's, and the patch distances come from
+    integral images that start at the slice corner, taken over the prefix
+    of rows and columns that the box's patches reach. A crop of the slice
+    would move both and so change the rounding. Raises DataError for a box
+    that is inverted or leaves the slice.
     """
     img = np.asarray(img, dtype=np.float64)
-    if sigma <= 0:
-        return img.copy()
+    ny, nx = img.shape
+    y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else (int(v) for v in box)
+    if not (0 <= y0 <= y1 <= ny and 0 <= x0 <= x1 <= nx):
+        raise DataError(f"denoising box {box} is inverted or leaves the {ny}x{nx} slice")
+    out = img.copy()
+    if sigma <= 0 or y0 == y1 or x0 == x1:
+        return out
     pr, sr = NLM_PATCH_RADIUS, NLM_SEARCH_RADIUS
     h2 = (NLM_H_FACTOR * sigma) ** 2
     pad = pr + sr
     padded = np.pad(img, pad, mode="reflect")
-    ny, nx = img.shape
+    k = 2 * pr + 1
+    patch_n = k * k
+    # patch rows and columns that the box's patches cover, from the corner
+    py, px = y1 + 2 * pr, x1 + 2 * pr
+    a = padded[pad - pr : pad - pr + py, pad - pr : pad - pr + px]
+    ii = np.zeros((py + 1, px + 1))  # integral image with a zero first row and column
 
-    acc = np.zeros((ny, nx))
-    wsum = np.zeros((ny, nx))
-    patch_n = (2 * pr + 1) ** 2
+    acc = np.zeros((y1 - y0, x1 - x0))
+    wsum = np.zeros((y1 - y0, x1 - x0))
     for dy in range(-sr, sr + 1):
         for dx in range(-sr, sr + 1):
             # squared difference of the two patch stacks, box-summed
-            a = padded[pad - pr : pad + pr + ny, pad - pr : pad + pr + nx]
-            b = padded[pad - pr + dy : pad + pr + ny + dy, pad - pr + dx : pad + pr + nx + dx]
+            b = padded[pad - pr + dy : pad - pr + dy + py, pad - pr + dx : pad - pr + dx + px]
             diff2 = (a - b) ** 2
-            # integral image for the (2pr+1)^2 box sum
-            ii = np.cumsum(np.cumsum(diff2, axis=0), axis=1)
-            ii = np.pad(ii, ((1, 0), (1, 0)))
-            k = 2 * pr + 1
-            box = ii[k:, k:] - ii[:-k, k:] - ii[k:, :-k] + ii[:-k, :-k]
-            d2 = box / patch_n
+            np.cumsum(diff2, axis=0, out=diff2)
+            np.cumsum(diff2, axis=1, out=ii[1:, 1:])
+            box_sum = (ii[y0 + k : y1 + k, x0 + k : x1 + k] - ii[y0:y1, x0 + k : x1 + k]
+                       - ii[y0 + k : y1 + k, x0:x1] + ii[y0:y1, x0:x1])
+            d2 = box_sum / patch_n
             w = np.exp(-d2 / h2)
-            values = padded[pad + dy : pad + dy + ny, pad + dx : pad + dx + nx]
+            values = padded[pad + dy + y0 : pad + dy + y1, pad + dx + x0 : pad + dx + x1]
             acc += w * values
             wsum += w
-    return acc / wsum
+    out[y0:y1, x0:x1] = acc / wsum
+    return out
 
 
 def _reslice(grid, target_spacing, sample):
@@ -176,10 +193,18 @@ def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig(
 
     Masks are resliced nearest-neighbor. Slices whose reference regions are
     empty (no contoured heart) are zeroed rather than failing the case.
+
+    Each slice is denoised only inside the bounding box of its myocardium
+    and endocardium grown by 1 px (the noise level is still estimated on
+    the whole slice). The output is the same as with whole-slice denoising:
+    normalization zeroes every resliced pixel outside those two masks, and
+    one inside them takes its nearest source pixel from inside them, so its
+    bilinear taps lie within 1 px of the masks.
     """
     data = np.empty_like(case.volume.data)
+    heart = case.myocardium.data | case.endocardium.data
     for k, img in enumerate(case.volume.data):
-        data[k] = denoise_nlm(img, estimate_noise_sigma(img))
+        data[k] = denoise_nlm(img, estimate_noise_sigma(img), bounding_box(heart[k], 1))
     vol = reslice(Volume(case.volume.spacing, data), cfg.target_spacing)
 
     def rs(mask):

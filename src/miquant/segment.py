@@ -16,6 +16,7 @@ import numpy as np
 from . import learnlib as ll
 from . import vio
 from .errors import (
+    AlignmentError,
     ConfigError,
     DataError,
     DegenerateHistogram,
@@ -29,6 +30,7 @@ from .volcore import (
     binary_dilate,
     binary_erode,
     binary_opening,
+    bounding_box,
     extract_patches,
     fill_holes_2d,
     intensity_levels,
@@ -50,6 +52,10 @@ ENSEMBLE_MEMBERS = 7
 INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] patches for the nets
 
 _BAR_SES = tuple(make_bar_se(BAR_LENGTH, theta) for theta in BAR_ANGLES_DEG)
+# Farthest a bar opening reads along either axis: its output at p reads the
+# input at p - o1 + o2 for footprint offsets o1 (dilation) and o2 (erosion),
+# so it reaches max(o) - min(o) = 17 + 16 = 33 px for the 34-px bars.
+_TOPHAT_REACH = max(max(o) - min(o) for se in _BAR_SES for o in zip(*se.offsets))
 
 
 def tophat_enhance(img: np.ndarray) -> np.ndarray:
@@ -62,16 +68,36 @@ def tophat_enhance(img: np.ndarray) -> np.ndarray:
     return np.clip(acc, 0.0, 255.0)
 
 
+def _check_shapes(**slices) -> None:
+    """Raise AlignmentError unless the named 2-D slices share one shape."""
+    shapes = {name: np.shape(a) for name, a in slices.items()}
+    if len(set(shapes.values())) > 1:
+        raise AlignmentError(f"slice shapes differ: {shapes}")
+
+
 def coarse_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
     """Otsu threshold of the enhanced myocardial intensities, then a binary
-    opening (disk radius 1) to drop isolated speckles."""
+    opening (disk radius 1) to drop isolated speckles.
+
+    Only myocardial pixels of the enhanced image are read, so the top-hat
+    runs on the myocardium's bounding box grown by the bar opening's reach
+    and clipped to the slice. Each edge of that crop is the slice border or
+    lies beyond the reach of every myocardial pixel, so the mask is the
+    whole-slice one. Raises AlignmentError when img and myo differ in shape.
+    """
+    _check_shapes(img=img, myo=myo)
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("coarse segmentation needs a non-empty myocardium")
-    enhanced = tophat_enhance(img)
-    t = otsu_threshold(enhanced[myo])
-    fg = (intensity_levels(enhanced) > t) & myo
-    return binary_opening(fg, make_disk_se(OPENING_RADIUS)) & myo
+    y0, y1, x0, x1 = bounding_box(myo, _TOPHAT_REACH)
+    crop = (slice(y0, y1), slice(x0, x1))
+    enhanced = tophat_enhance(np.asarray(img)[crop])
+    myo_crop = myo[crop]
+    t = otsu_threshold(enhanced[myo_crop])
+    fg = (intensity_levels(enhanced) > t) & myo_crop
+    out = np.zeros(myo.shape, dtype=bool)
+    out[crop] = binary_opening(fg, make_disk_se(OPENING_RADIUS)) & myo_crop
+    return out
 
 
 def boundary_region(mask: np.ndarray, radius: int = BOUNDARY_RADIUS) -> np.ndarray:
@@ -240,7 +266,9 @@ def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,
 
     Voxels inside the eroded coarse mask stay scar; voxels outside the
     dilated mask stay background; the output is limited to the myocardium.
+    Raises AlignmentError when img, coarse and myo differ in shape.
     """
+    _check_shapes(img=img, coarse=coarse, myo=myo)
     band = boundary_region(coarse)
     out = coarse & ~band  # the eroded core
     ys, xs = np.nonzero(band)

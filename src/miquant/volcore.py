@@ -260,6 +260,20 @@ def fill_holes_2d(mask: np.ndarray) -> np.ndarray:
     return ndi.binary_fill_holes(np.asarray(mask, dtype=bool), structure=_FOUR_CONNECTED)
 
 
+def bounding_box(mask: np.ndarray, margin: int) -> tuple[int, int, int, int]:
+    """(y0, y1, x0, x1): the half-open bounding box of a 2-D mask grown by
+    margin pixels on every side and clipped to the slice; (0, 0, 0, 0) for
+    an empty mask."""
+    mask = np.asarray(mask, dtype=bool)
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    if not len(rows):
+        return (0, 0, 0, 0)
+    ny, nx = mask.shape
+    return (max(int(rows[0]) - margin, 0), min(int(rows[-1]) + 1 + margin, ny),
+            max(int(cols[0]) - margin, 0), min(int(cols[-1]) + 1 + margin, nx))
+
+
 def patch_region(img: np.ndarray, ys, xs, size: int):
     """(region, oy, ox): the zero-padded part of img that holds the size x
     size crop around every (ys[i], xs[i]), and the top-left corner of crop i

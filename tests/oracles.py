@@ -4,13 +4,25 @@ Everything here is deliberately naive (per-pixel scans, pair counting,
 exhaustive sweeps, central differences, argmax pooling) and shares no code
 with the package paths it checks; ``grad_check`` differentiates the
 package's own loss, since that is the function whose gradient it checks.
+The whole-slice oracles are the preprocessing and coarse stages as they
+were before those stages learnt to compute only the pixels they read: they
+call the package's reslicing, normalization and top-hat on whole slices.
 """
 from collections import deque
 
 import numpy as np
 
-from miquant.errors import ShapeError
+from miquant import preprocess, segment
+from miquant.errors import DegenerateRange, EmptyRegion, ShapeError
 from miquant.learnlib import net_loss
+from miquant.volcore import (
+    LabeledCase,
+    Volume,
+    binary_opening,
+    intensity_levels,
+    make_disk_se,
+    otsu_threshold,
+)
 
 
 # --- morphology: direct footprint scans ---
@@ -49,6 +61,74 @@ def scan_opening(img, offsets):
 
 def scan_tophat(img, offsets):
     return np.asarray(img, dtype=np.float64) - scan_opening(img, offsets)
+
+
+# --- whole-slice preprocessing and coarse stage, as written before cropping ---
+
+def whole_slice_nlm(img, sigma):
+    """Non-local means over the whole slice, one padded integral image per
+    offset."""
+    img = np.asarray(img, dtype=np.float64)
+    if sigma <= 0:
+        return img.copy()
+    pr, sr = preprocess.NLM_PATCH_RADIUS, preprocess.NLM_SEARCH_RADIUS
+    h2 = (preprocess.NLM_H_FACTOR * sigma) ** 2
+    pad = pr + sr
+    padded = np.pad(img, pad, mode="reflect")
+    ny, nx = img.shape
+
+    acc = np.zeros((ny, nx))
+    wsum = np.zeros((ny, nx))
+    patch_n = (2 * pr + 1) ** 2
+    for dy in range(-sr, sr + 1):
+        for dx in range(-sr, sr + 1):
+            a = padded[pad - pr : pad + pr + ny, pad - pr : pad + pr + nx]
+            b = padded[pad - pr + dy : pad + pr + ny + dy, pad - pr + dx : pad + pr + nx + dx]
+            diff2 = (a - b) ** 2
+            ii = np.cumsum(np.cumsum(diff2, axis=0), axis=1)
+            ii = np.pad(ii, ((1, 0), (1, 0)))
+            k = 2 * pr + 1
+            box = ii[k:, k:] - ii[:-k, k:] - ii[k:, :-k] + ii[:-k, :-k]
+            d2 = box / patch_n
+            w = np.exp(-d2 / h2)
+            values = padded[pad + dy : pad + dy + ny, pad + dx : pad + dx + nx]
+            acc += w * values
+            wsum += w
+    return acc / wsum
+
+
+def whole_slice_preprocess(case, cfg=preprocess.PreprocessConfig()):
+    """``preprocess_case`` with every slice denoised whole."""
+    data = np.empty_like(case.volume.data)
+    for k, img in enumerate(case.volume.data):
+        data[k] = whole_slice_nlm(img, preprocess.estimate_noise_sigma(img))
+    vol = preprocess.reslice(Volume(case.volume.spacing, data), cfg.target_spacing)
+
+    def rs(mask):
+        return None if mask is None else preprocess.reslice_mask(mask, cfg.target_spacing)
+
+    myo = rs(case.myocardium)
+    endo = rs(case.endocardium)
+    out = np.empty_like(vol.data)
+    for k in range(vol.data.shape[0]):
+        try:
+            normalized = preprocess.normalize_slice(vol.data[k], myo.data[k], endo.data[k], cfg)
+        except (EmptyRegion, DegenerateRange):
+            out[k] = 0.0
+            continue
+        out[k] = preprocess.gamma_enhance(normalized, cfg.gamma)
+    return LabeledCase(case.case_id, Volume(cfg.target_spacing, out), myo, endo,
+                       rs(case.epicardium), rs(case.gt_scar), rs(case.gt_mvo),
+                       case.per_slice_labels)
+
+
+def whole_slice_coarse(img, myo):
+    """``coarse_segment`` with the top-hat run on the whole slice."""
+    myo = np.asarray(myo, dtype=bool)
+    enhanced = segment.tophat_enhance(img)
+    t = otsu_threshold(enhanced[myo])
+    fg = (intensity_levels(enhanced) > t) & myo
+    return binary_opening(fg, make_disk_se(segment.OPENING_RADIUS)) & myo
 
 
 # --- hole filling: breadth-first flood of the background from the border ---

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from miquant import preprocess as pp
+import oracles
+from miquant import phantom, preprocess as pp
 from miquant.errors import ConfigError, DataError, DegenerateRange, EmptyRegion, SpacingError
 from miquant.volcore import LabeledCase, Mask, Volume
 
@@ -70,6 +73,77 @@ def test_nlm_never_widens_range():
     out = pp.denoise_nlm(img, 20.0)
     assert out.min() >= img.min() - 1e-9
     assert out.max() <= img.max() + 1e-9
+
+
+# --- non-local means on a box ---
+
+def _assert_box_result(img, sigma, box):
+    """denoise_nlm on box is the whole-slice result inside it, bit for bit,
+    and the input outside it."""
+    y0, y1, x0, x1 = box
+    whole = oracles.whole_slice_nlm(img, sigma)
+    np.testing.assert_array_equal(pp.denoise_nlm(img, sigma), whole)
+    got = pp.denoise_nlm(img, sigma, box)
+    inside = np.zeros(img.shape, dtype=bool)
+    inside[y0:y1, x0:x1] = True
+    np.testing.assert_array_equal(got[inside], whole[inside])
+    np.testing.assert_array_equal(got[~inside], img[~inside])
+
+
+def test_nlm_box_equals_the_whole_slice_call_on_random_slices_and_boxes():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        ny, nx = (int(v) for v in rng.integers(1, 48, 2))
+        img = rng.uniform(0, 255, (ny, nx))
+        y0, y1 = sorted(int(v) for v in rng.integers(0, ny + 1, 2))
+        x0, x1 = sorted(int(v) for v in rng.integers(0, nx + 1, 2))
+        _assert_box_result(img, float(rng.uniform(5, 40)), (y0, y1, x0, x1))
+
+
+@pytest.mark.parametrize("box", [
+    (0, 9, 12, 30),     # top border
+    (31, 40, 5, 20),    # bottom border
+    (10, 25, 0, 7),     # left border
+    (3, 30, 29, 36),    # right border
+    (0, 6, 30, 36),     # top-right corner
+    (0, 40, 0, 36),     # the whole slice
+    (17, 18, 20, 21),   # one pixel
+    (12, 12, 3, 30),    # no rows
+], ids=["top", "bottom", "left", "right", "corner", "whole", "pixel", "no-rows"])
+def test_nlm_box_touching_each_border_equals_the_whole_slice_call(box):
+    img = np.random.default_rng(12).uniform(0, 255, (40, 36))
+    _assert_box_result(img, 25.0, box)
+
+
+@pytest.mark.parametrize("shape, box", [
+    ((1, 1), (0, 1, 0, 1)),
+    ((2, 3), (0, 2, 1, 3)),
+    ((3, 2), (1, 2, 0, 2)),
+    ((1, 9), (0, 1, 2, 6)),
+    ((4, 4), (1, 3, 1, 3)),
+])
+def test_nlm_box_on_slices_smaller_than_the_search_reach(shape, box):
+    # the search and patch radii reach 4 px, past the far border of these
+    img = np.random.default_rng(13).uniform(0, 255, shape)
+    _assert_box_result(img, 30.0, box)
+
+
+def test_nlm_box_sums_patch_distances_from_the_slice_corner():
+    # Integral images over large values at the top left carry rounding into
+    # every box sum further down and right; sums taken from the box's own
+    # corner would round differently.
+    rng = np.random.default_rng(14)
+    img = rng.uniform(0, 255, (48, 48))
+    img[:24, :24] = rng.uniform(0, 1e7, (24, 24))
+    _assert_box_result(img, 30.0, (30, 44, 28, 46))
+
+
+@pytest.mark.parametrize("box", [(5, 4, 0, 8), (0, 8, 6, 2), (-1, 4, 0, 4), (0, 9, 0, 4),
+                                 (0, 4, 2, 9)],
+                         ids=["rows-inverted", "cols-inverted", "above", "below", "right"])
+def test_nlm_rejects_an_inverted_box_or_one_outside_the_slice(box):
+    with pytest.raises(DataError):
+        pp.denoise_nlm(np.zeros((8, 8)), 1.0, box)
 
 
 # --- reslicing ---
@@ -226,6 +300,23 @@ def test_pipeline_volume_preserved_across_reslice():
     vol_before = case.myocardium.count() * 1.91 * 1.91 * 8.0 / 1000.0
     vol_after = out.myocardium.count() * 1.25 * 1.25 * 8.0 / 1000.0
     assert abs(vol_after - vol_before) / vol_before < 0.05
+
+
+@pytest.mark.parametrize("spacing", [1.25, 1.5625, 1.0, 2.0])
+def test_preprocess_case_equals_the_whole_slice_oracle(spacing):
+    # 48 x 44 px of 1.0 mm cannot hold the 52-mm heart: it meets the borders
+    spec = replace(phantom.PhantomSpec(), dims=(48, 44, 3), spacing=(spacing, spacing, 8.0),
+                   center_jitter_mm=4.0, scar=True, mvo=True)
+    case = phantom.generate_case(spec, seed=15)
+    for mask in (case.myocardium, case.endocardium, case.epicardium, case.gt_scar, case.gt_mvo):
+        mask.data[1] = False  # a slice without a contoured heart
+    expected = oracles.whole_slice_preprocess(case)
+    out = pp.preprocess_case(case)
+    assert out.volume.data[0].any() and not out.volume.data[1].any()
+    assert out.volume.spacing == expected.volume.spacing
+    np.testing.assert_array_equal(out.volume.data, expected.volume.data)
+    for name in ("myocardium", "endocardium", "epicardium", "gt_scar", "gt_mvo"):
+        np.testing.assert_array_equal(getattr(out, name).data, getattr(expected, name).data)
 
 
 # --- configuration ---

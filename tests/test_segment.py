@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import ndimage as ndi
 
+import oracles
 from miquant import learnlib as ll, segment, vio
 from miquant.errors import (
+    AlignmentError,
     ConfigError,
     DataError,
     EmptyClassError,
@@ -40,6 +42,79 @@ def _refine_oracle(ensemble, img, coarse, myo):
     expected = core.copy()
     expected[ys[alone], xs[alone]] = True
     return expected & myo, core, band, alone
+
+
+def _annulus(shape, cy, cx, r_in=8.0, r_out=15.0):
+    yy, xx = np.mgrid[: shape[0], : shape[1]]
+    r = np.hypot(yy - cy, xx - cx)
+    return (r >= r_in) & (r <= r_out)
+
+
+@pytest.mark.parametrize("centre", [(3, 60), (116, 70), (60, 2), (55, 127), (60, 65)],
+                         ids=["top", "bottom", "left", "right", "central"])
+def test_coarse_segment_equals_the_whole_slice_oracle(centre):
+    rng = np.random.default_rng(sum(centre))
+    shape = (120, 130)
+    myo = _annulus(shape, *centre)
+    # a bright sector of the annulus, and thin diagonal ridges all over
+    img = ndi.gaussian_filter(rng.uniform(0, 160, shape), 1.0)
+    img[myo & (np.arange(shape[1]) > centre[1] + 3)] += 80.0
+    ridges = ndi.binary_dilation(rng.random(shape) < 0.01, structure=np.eye(7, dtype=bool))
+    img[ridges] = 200.0
+    expected = oracles.whole_slice_coarse(img, myo)
+    assert 0 < expected.sum() < myo.sum()
+    np.testing.assert_array_equal(segment.coarse_segment(img, myo), expected)
+
+
+def test_coarse_segment_equals_the_whole_slice_oracle_on_phantom_slices(
+        diseased_cases, mixed_cases):
+    for case in diseased_cases + mixed_cases:
+        for img, myo in zip(case.volume.data, case.myocardium.data):
+            np.testing.assert_array_equal(segment.coarse_segment(img, myo),
+                                          oracles.whole_slice_coarse(img, myo))
+
+
+def _band_between_slabs(far):
+    """An 8-row myocardial band, next to a darker block, whose top and
+    bottom rows border bright slabs that end 32 px past the band; rows of
+    value far lie 33 px past it. Every 34-px vertical window through an
+    edge row that misses the band's darker middle rows ends on a far row,
+    so the far rows set the edges' top-hat."""
+    img = np.zeros((110, 150))
+    myo = np.zeros(img.shape, dtype=bool)
+    top, bottom = 36, 43
+    myo[top : bottom + 1, 50:130] = True
+    myo[top : bottom + 1, 5:35] = True
+    img[top : bottom + 1, 5:35] = 20.0
+    img[top + 1 : bottom, 50:130] = 80.0
+    img[[top, bottom], 50:130] = 130.0
+    img[top - 32 : top, 40:140] = 255.0
+    img[bottom + 1 : bottom + 33, 40:140] = 255.0
+    img[[top - 33, bottom + 33], 40:140] = far
+    return img, myo
+
+
+def test_coarse_segment_reads_pixels_one_opening_reach_away():
+    img, myo = _band_between_slabs(far=0.0)
+    lit, _ = _band_between_slabs(far=255.0)
+    # the rows 33 px from the myocardium decide the Otsu split
+    expected = oracles.whole_slice_coarse(img, myo)
+    assert expected.sum() != oracles.whole_slice_coarse(lit, myo).sum()
+    np.testing.assert_array_equal(segment.coarse_segment(img, myo), expected)
+    np.testing.assert_array_equal(segment.coarse_segment(lit, myo),
+                                  oracles.whole_slice_coarse(lit, myo))
+
+
+def test_coarse_segment_and_refine_reject_slices_of_different_shapes(tiny_ensemble):
+    img = np.zeros((20, 20))
+    square = np.ones((20, 20), dtype=bool)
+    wide = np.ones((20, 21), dtype=bool)
+    with pytest.raises(AlignmentError):
+        segment.coarse_segment(img, wide)
+    with pytest.raises(AlignmentError):
+        segment.refine(img, square, tiny_ensemble, wide)
+    with pytest.raises(AlignmentError):
+        segment.refine(img, wide, tiny_ensemble, square)
 
 
 def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemble):
