@@ -9,7 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, DegenerateHistogram, EmptyMask, EmptyRegion
-from .volcore import LabeledCase, Mask, intensity_levels, otsu_threshold
+from .volcore import (
+    LabeledCase,
+    Mask,
+    bounding_box,
+    check_aligned,
+    intensity_levels,
+    otsu_threshold,
+)
 
 N_SECTORS = 6
 BASELINE_METHODS = ("1-sd", "2-sd", "3-sd", "4-sd", "5-sd", "6-sd", "otsu", "fwhm", "gmm")
@@ -27,8 +34,11 @@ class RemoteRegion:
             raise EmptyRegion("remote region is empty")
 
 
-def sector_index(myo: np.ndarray, cy: float, cx: float) -> np.ndarray:
-    yy, xx = np.mgrid[0 : myo.shape[0], 0 : myo.shape[1]]
+def sector_index(myo: np.ndarray, cy: float, cx: float, origin) -> np.ndarray:
+    """Sector of each pixel of myo about (cy, cx); myo's top-left pixel sits
+    at ``origin = (y, x)`` of the slice."""
+    y0, x0 = origin
+    yy, xx = np.mgrid[y0 : y0 + myo.shape[0], x0 : x0 + myo.shape[1]]
     angle = np.degrees(np.arctan2(yy - cy, xx - cx)) % 360.0
     return np.minimum((angle / (360.0 / N_SECTORS)).astype(int), N_SECTORS - 1)
 
@@ -38,7 +48,10 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray,
     """Darkest of six angular sectors about the (endocardial) centroid.
 
     Ties break toward the lowest sector index; sectors partition the
-    myocardium exactly.
+    myocardium exactly. The centroid comes from the whole reference mask;
+    the sectors are built on ``bounding_box(myo, 0)`` only, in slice
+    coordinates, so each myocardial pixel gets its whole-slice angle and
+    each sector's intensities keep their order.
     """
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
@@ -46,17 +59,22 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray,
     ref = endo if endo is not None and np.asarray(endo).any() else myo
     coords = np.argwhere(ref)
     cy, cx = coords.mean(axis=0)
-    sectors = sector_index(myo, cy, cx)
-    img = np.asarray(img, dtype=np.float64)
+    y0, y1, x0, x1 = bounding_box(myo, 0)
+    crop = (slice(y0, y1), slice(x0, x1))
+    myo_crop = myo[crop]
+    sectors = sector_index(myo_crop, cy, cx, (y0, x0))
+    img = np.asarray(img, dtype=np.float64)[crop]
     best_idx, best_mean = None, np.inf
     for s in range(N_SECTORS):
-        members = myo & (sectors == s)
+        members = myo_crop & (sectors == s)
         if not members.any():
             continue
         mean = float(img[members].mean())
         if mean < best_mean:
             best_idx, best_mean = s, mean
-    return RemoteRegion(mask=myo & (sectors == best_idx))
+    mask = np.zeros(myo.shape, dtype=bool)
+    mask[crop] = myo_crop & (sectors == best_idx)
+    return RemoteRegion(mask=mask)
 
 
 def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: RemoteRegion, n: int) -> np.ndarray:
@@ -190,24 +208,36 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
     Slices where a method degenerates (empty myocardium, constant
     histogram) contribute empty masks. The n-SD family uses the provided
     remote mask within the myocardium, or auto_remote_region on slices
-    where that is empty.
+    where that is empty. Raises AlignmentError when remote is not on the
+    case's grid.
+
+    Every method's mask lies inside the myocardium and reads only
+    myocardial intensities, so each method runs on ``bounding_box(myo, 0)``
+    of the slice. The myocardial intensities keep their order there, so the
+    means, SDs, histograms and mixture fits are the whole-slice ones.
     """
     unknown = [m for m in methods if m not in BASELINE_METHODS]
     if unknown:
         raise ConfigError(f"unknown baseline methods {unknown}; known: {BASELINE_METHODS}")
+    if remote is not None:
+        check_aligned(case.volume, remote)
     shape = case.volume.data.shape
     out = {m: np.zeros(shape, dtype=bool) for m in methods}
     for k in range(case.nz):
-        myo = case.myocardium.data[k]
-        if not myo.any():
+        y0, y1, x0, x1 = bounding_box(case.myocardium.data[k], 0)
+        if y1 == y0:
             continue
-        img = case.volume.data[k]
+        rows, cols = slice(y0, y1), slice(x0, x1)
+        myo = case.myocardium.data[k, rows, cols]
+        img = case.volume.data[k, rows, cols]
         remote_k = None
         if any(m.endswith("-sd") for m in methods):
-            if remote is not None and (remote.data[k] & myo).any():
-                remote_k = RemoteRegion(mask=remote.data[k] & myo)
+            if remote is not None and (remote.data[k, rows, cols] & myo).any():
+                remote_k = RemoteRegion(mask=remote.data[k, rows, cols] & myo)
             else:
-                remote_k = auto_remote_region(img, myo, case.endocardium.data[k])
+                auto = auto_remote_region(case.volume.data[k], case.myocardium.data[k],
+                                          case.endocardium.data[k])
+                remote_k = RemoteRegion(mask=auto.mask[rows, cols])
         gmm = None
         if "gmm" in methods:
             try:
@@ -215,15 +245,16 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
             except DegenerateData:
                 gmm = None
         for method in methods:
+            dst = out[method][k, rows, cols]
             if method.endswith("-sd"):
-                out[method][k] = nsd_segment(img, myo, remote_k, int(method[0]))
+                dst[...] = nsd_segment(img, myo, remote_k, int(method[0]))
             elif method == "otsu":
                 try:
-                    out[method][k] = otsu_segment(img, myo)
+                    dst[...] = otsu_segment(img, myo)
                 except DegenerateHistogram:
                     pass
             elif method == "fwhm":
-                out[method][k] = fwhm_segment(img, myo)
+                dst[...] = fwhm_segment(img, myo)
             elif gmm is not None:  # method == "gmm"
-                out[method][k] = gmm_segment(img, myo, gmm)
+                dst[...] = gmm_segment(img, myo, gmm)
     return {m: Mask(case.volume.spacing, data) for m, data in out.items()}

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt, find_objects
+from scipy.ndimage import distance_transform_edt
 from scipy.special import betainc
 from scipy.stats import mannwhitneyu, rankdata
 
@@ -36,7 +36,7 @@ def dice(a: Mask, b: Mask) -> float:
     na, nb = a.count(), b.count()
     if na == 0 and nb == 0:
         return 1.0
-    inter = int((a.data & b.data).sum())
+    inter = int(np.count_nonzero(a.data & b.data))
     return 2.0 * inter / (na + nb)
 
 
@@ -52,7 +52,9 @@ def hausdorff3d(a: Mask, b: Mask) -> float:
         raise EmptyMask("Hausdorff distance is undefined for empty masks")
     sx, sy, sz = a.spacing
     sampling = (sz, sy, sx)  # data is (z, y, x)
-    box = find_objects((a.data | b.data).view(np.uint8))[0]
+    union = a.data | b.data
+    box = tuple(slice(idx[0], idx[-1] + 1) for idx in (
+        np.flatnonzero(union.any(axis=axes)) for axes in ((1, 2), (0, 2), (0, 1))))
     pa, pb = a.data[box], b.data[box]
     h_ab = distance_transform_edt(~pb, sampling=sampling)[pa].max()
     h_ba = distance_transform_edt(~pa, sampling=sampling)[pb].max()
@@ -176,7 +178,7 @@ def mvo_sensitivity(pred: Mask, gt_mvo: Mask) -> float:
     denom = gt_mvo.count()
     if denom == 0:
         raise EmptyDenominator("MVO sensitivity needs a non-empty GT region")
-    return int((pred.data & gt_mvo.data).sum()) / denom
+    return int(np.count_nonzero(pred.data & gt_mvo.data)) / denom
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ def denoise_nlm(img: np.ndarray, sigma: float, box=None) -> np.ndarray:
     py, px = y1 + 2 * pr, x1 + 2 * pr
     a = padded[pad - pr : pad - pr + py, pad - pr : pad - pr + px]
     ii = np.zeros((py + 1, px + 1))  # integral image with a zero first row and column
+    # one buffer for every offset: a fresh prefix-sized temporary can cost a
+    # page-faulting mmap and munmap per offset
+    diff2 = np.empty((py, px))
 
     acc = np.zeros((y1 - y0, x1 - x0))
     wsum = np.zeros((y1 - y0, x1 - x0))
@@ -91,7 +94,7 @@ def denoise_nlm(img: np.ndarray, sigma: float, box=None) -> np.ndarray:
         for dx in range(-sr, sr + 1):
             # squared difference of the two patch stacks, box-summed
             b = padded[pad - pr + dy : pad - pr + dy + py, pad - pr + dx : pad - pr + dx + px]
-            diff2 = (a - b) ** 2
+            np.square(np.subtract(a, b, out=diff2), out=diff2)
             np.cumsum(diff2, axis=0, out=diff2)
             np.cumsum(diff2, axis=1, out=ii[1:, 1:])
             box_sum = (ii[y0 + k : y1 + k, x0 + k : x1 + k] - ii[y0:y1, x0 + k : x1 + k]

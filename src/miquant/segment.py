@@ -52,19 +52,19 @@ ENSEMBLE_MEMBERS = 7
 INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] patches for the nets
 
 _BAR_SES = tuple(make_bar_se(BAR_LENGTH, theta) for theta in BAR_ANGLES_DEG)
-# Farthest a bar opening reads along either axis: its output at p reads the
-# input at p - o1 + o2 for footprint offsets o1 (dilation) and o2 (erosion),
-# so it reaches max(o) - min(o) = 17 + 16 = 33 px for the 34-px bars.
-_TOPHAT_REACH = max(max(o) - min(o) for se in _BAR_SES for o in zip(*se.offsets))
 
 
-def tophat_enhance(img: np.ndarray) -> np.ndarray:
+def tophat_enhance(img: np.ndarray, box=None) -> np.ndarray:
     """Image plus the sum of white top-hats over six bar orientations
-    (30-degree steps); clamped to [0, 255] after summation."""
+    (30-degree steps); clamped to [0, 255] after summation. Returns
+    ``box = (y0, y1, x0, x1)`` of the enhanced slice only (None is the whole
+    slice); see ``white_tophat``."""
     img = np.asarray(img, dtype=np.float64)
-    acc = img.copy()
+    ny, nx = img.shape
+    y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
+    acc = img[y0:y1, x0:x1].copy()
     for se in _BAR_SES:
-        acc += white_tophat(img, se)
+        acc += white_tophat(img, se, box)
     return np.clip(acc, 0.0, 255.0)
 
 
@@ -80,18 +80,20 @@ def coarse_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
     opening (disk radius 1) to drop isolated speckles.
 
     Only myocardial pixels of the enhanced image are read, so the top-hat
-    runs on the myocardium's bounding box grown by the bar opening's reach
-    and clipped to the slice. Each edge of that crop is the slice border or
-    lies beyond the reach of every myocardial pixel, so the mask is the
+    runs on ``box = bounding_box(myo, OPENING_RADIUS)`` only (see
+    ``white_tophat``), and the threshold and the opening on that crop. The
+    thresholded mask is False off the myocardium. The 1-px ring gives the
+    opening the False neighbours it sees on the whole slice, and where the
+    ring is clipped the crop's border is the slice's, so the mask is the
     whole-slice one. Raises AlignmentError when img and myo differ in shape.
     """
     _check_shapes(img=img, myo=myo)
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("coarse segmentation needs a non-empty myocardium")
-    y0, y1, x0, x1 = bounding_box(myo, _TOPHAT_REACH)
-    crop = (slice(y0, y1), slice(x0, x1))
-    enhanced = tophat_enhance(np.asarray(img)[crop])
+    box = bounding_box(myo, OPENING_RADIUS)
+    crop = (slice(box[0], box[1]), slice(box[2], box[3]))
+    enhanced = tophat_enhance(img, box)
     myo_crop = myo[crop]
     t = otsu_threshold(enhanced[myo_crop])
     fg = (intensity_levels(enhanced) > t) & myo_crop
@@ -279,11 +281,25 @@ def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,
 
 def include_mvo(hyper: np.ndarray, endo: np.ndarray, myo: np.ndarray):
     """Fill holes of (endocardium | hyper); enclosed dark clusters inside the
-    myocardium become the MVO mask. Returns (final, mvo), disjoint."""
+    myocardium become the MVO mask. Returns (final, mvo), disjoint.
+
+    Holes are filled on ``bounding_box(endo | hyper, 1)`` only. Beyond the
+    union's box the background is one frame that touches the slice border,
+    and the 1-px ring belongs to it, so a background pixel of the crop
+    reaches the crop's border exactly when it reaches the slice's: the
+    filled crop is the whole-slice one, and nothing outside it is a hole.
+    An empty union gives no MVO. Raises AlignmentError when hyper, endo
+    and myo differ in shape.
+    """
+    _check_shapes(hyper=hyper, endo=endo, myo=myo)
     hyper = np.asarray(hyper, dtype=bool)
     union = np.asarray(endo, dtype=bool) | hyper
-    filled = fill_holes_2d(union)
-    mvo = filled & ~union & np.asarray(myo, dtype=bool)
+    mvo = np.zeros(union.shape, dtype=bool)
+    y0, y1, x0, x1 = bounding_box(union, 1)
+    if y1 > y0:
+        crop = (slice(y0, y1), slice(x0, x1))
+        part = union[crop]
+        mvo[crop] = fill_holes_2d(part) & ~part & np.asarray(myo, dtype=bool)[crop]
     return hyper | mvo, mvo
 
 

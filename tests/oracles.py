@@ -1,18 +1,20 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here is deliberately naive (per-pixel scans, pair counting,
-exhaustive sweeps, central differences, argmax pooling) and shares no code
-with the package paths it checks; ``grad_check`` differentiates the
-package's own loss, since that is the function whose gradient it checks.
-The whole-slice oracles are the preprocessing and coarse stages as they
-were before those stages learnt to compute only the pixels they read: they
-call the package's reslicing, normalization and top-hat on whole slices.
+Everything here is deliberately naive (footprint scans over a padded
+slice, pair counting, exhaustive sweeps, central differences, argmax
+pooling) and shares no code with the package paths it checks;
+``grad_check`` differentiates the package's own loss, since that is the
+function whose gradient it checks. The whole-slice oracles are the
+pipeline's per-slice stages as they were before those stages learnt to
+compute only the pixels they read. The preprocessing oracle calls the
+package's reslicing and normalization on whole slices; the coarse oracle
+scans its top-hat here.
 """
 from collections import deque
 
 import numpy as np
 
-from miquant import preprocess, segment
+from miquant import baselines, preprocess, segment
 from miquant.errors import DegenerateRange, EmptyRegion, ShapeError
 from miquant.learnlib import net_loss
 from miquant.volcore import (
@@ -25,34 +27,27 @@ from miquant.volcore import (
 )
 
 
-# --- morphology: direct footprint scans ---
+# --- morphology: footprint scans over a slice padded with the identity ---
+
+def _footprint_stack(img, offsets, fill, sign):
+    """img at p + sign * o for every footprint offset o = (dx, dy), one
+    layer per offset, with fill beyond the slice border."""
+    img = np.asarray(img, dtype=np.float64)
+    ny, nx = img.shape
+    r = max(abs(c) for offset in offsets for c in offset)
+    padded = np.pad(img, r, constant_values=fill)
+    return np.stack([padded[r + sign * dy : r + sign * dy + ny, r + sign * dx : r + sign * dx + nx]
+                     for dx, dy in offsets])
+
 
 def scan_erode(img, offsets):
-    ny, nx = img.shape
-    out = np.empty_like(img, dtype=np.float64)
-    for y in range(ny):
-        for x in range(nx):
-            vals = [
-                img[y + dy, x + dx]
-                for dx, dy in offsets
-                if 0 <= y + dy < ny and 0 <= x + dx < nx
-            ]
-            out[y, x] = min(vals)
-    return out
+    """Min over the footprint; +inf beyond the border never wins."""
+    return _footprint_stack(img, offsets, np.inf, 1).min(axis=0)
 
 
 def scan_dilate(img, offsets):
-    ny, nx = img.shape
-    out = np.empty_like(img, dtype=np.float64)
-    for y in range(ny):
-        for x in range(nx):
-            vals = [
-                img[y - dy, x - dx]
-                for dx, dy in offsets
-                if 0 <= y - dy < ny and 0 <= x - dx < nx
-            ]
-            out[y, x] = max(vals)
-    return out
+    """Max over the reflected footprint; -inf beyond the border never wins."""
+    return _footprint_stack(img, offsets, -np.inf, -1).max(axis=0)
 
 
 def scan_opening(img, offsets):
@@ -123,12 +118,39 @@ def whole_slice_preprocess(case, cfg=preprocess.PreprocessConfig()):
 
 
 def whole_slice_coarse(img, myo):
-    """``coarse_segment`` with the top-hat run on the whole slice."""
+    """``coarse_segment`` with the six bar top-hats scanned over the whole
+    slice."""
     myo = np.asarray(myo, dtype=bool)
-    enhanced = segment.tophat_enhance(img)
+    img = np.asarray(img, dtype=np.float64)
+    enhanced = img.copy()
+    for se in segment._BAR_SES:
+        enhanced += scan_tophat(img, se.offsets)
+    enhanced = np.clip(enhanced, 0.0, 255.0)
     t = otsu_threshold(enhanced[myo])
     fg = (intensity_levels(enhanced) > t) & myo
     return binary_opening(fg, make_disk_se(segment.OPENING_RADIUS)) & myo
+
+
+def whole_slice_remote(img, myo, endo):
+    """``auto_remote_region``'s mask with the sectors built over the whole
+    slice."""
+    myo = np.asarray(myo, dtype=bool)
+    ref = endo if endo is not None and np.asarray(endo).any() else myo
+    cy, cx = np.argwhere(ref).mean(axis=0)
+    yy, xx = np.mgrid[0 : myo.shape[0], 0 : myo.shape[1]]
+    angle = np.degrees(np.arctan2(yy - cy, xx - cx)) % 360.0
+    n = baselines.N_SECTORS
+    sectors = np.minimum((angle / (360.0 / n)).astype(int), n - 1)
+    means = [np.asarray(img, dtype=np.float64)[myo & (sectors == s)].mean()
+             if (myo & (sectors == s)).any() else np.inf for s in range(n)]
+    return myo & (sectors == int(np.argmin(means)))
+
+
+def whole_slice_mvo(hyper, endo, myo):
+    """``include_mvo``'s (final, mvo), filling holes over the whole slice."""
+    union = np.asarray(endo, dtype=bool) | np.asarray(hyper, dtype=bool)
+    mvo = bfs_fill_holes(union) & ~union & np.asarray(myo, dtype=bool)
+    return np.asarray(hyper, dtype=bool) | mvo, mvo
 
 
 # --- hole filling: breadth-first flood of the background from the border ---

@@ -300,6 +300,52 @@ def test_include_mvo_leaves_a_scar_without_holes_alone():
     np.testing.assert_array_equal(final, hyper)
 
 
+def _mvo_slices():
+    """(hyper, endo, myo) slices: random scar on rings centred inside the
+    slice and on or near each border; a hole one pixel inside the union's
+    box next to a bay open at the box edge; an empty union; and a hole in
+    the endocardium far from the scar."""
+    rng = np.random.default_rng(17)
+    yy, xx = np.mgrid[0:40, 0:44]
+    for cy, cx in ((20, 22), (3, 22), (38, 22), (20, 1), (20, 42), (0, 0)):
+        r = np.hypot(yy - cy, xx - cx)
+        endo, myo = r <= 6, (r > 6) & (r <= 13)
+        for density in (0.5, 0.7, 0.9):
+            yield myo & (rng.random(myo.shape) < density), endo, myo
+    square = np.zeros((12, 14), dtype=bool)
+    square[2:9, 3:11] = True
+    square[3, 5] = False  # a hole
+    square[2, 8] = False  # a bay
+    yield square, np.zeros_like(square), np.ones_like(square)
+    yield np.zeros_like(square), np.zeros_like(square), np.ones_like(square)
+    ring = np.zeros_like(square)  # a hole held by the endocardium alone
+    ring[1:6, 1:6] = True
+    ring[3, 3] = False
+    speck = np.zeros_like(square)
+    speck[9, 12] = True
+    yield speck, ring, np.ones_like(square)
+
+
+def test_include_mvo_equals_the_whole_slice_fill_oracle():
+    holes = 0
+    for hyper, endo, myo in _mvo_slices():
+        final, mvo = segment.include_mvo(hyper, endo, myo)
+        expected_final, expected_mvo = oracles.whole_slice_mvo(hyper, endo, myo)
+        np.testing.assert_array_equal(mvo, expected_mvo)
+        np.testing.assert_array_equal(final, expected_final)
+        holes += int(mvo.any())
+    assert holes >= 10
+
+
+def test_include_mvo_rejects_slices_of_different_shapes():
+    square = np.ones((20, 20), dtype=bool)
+    wide = np.ones((20, 21), dtype=bool)
+    for hyper, endo, myo in ((wide, square, square), (square, wide, square),
+                             (square, square, wide)):
+        with pytest.raises(AlignmentError):
+            segment.include_mvo(hyper, endo, myo)
+
+
 def test_segmentation_result_rejects_overlapping_hyper_and_mvo():
     spacing = (1.25, 1.25, 8.0)
     on = Mask(spacing, np.ones((1, 2, 2), dtype=bool))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from miquant import volcore as vc
+from miquant import segment, volcore as vc
 from miquant.errors import ConfigError, DataError, DegenerateHistogram
 
 import oracles
@@ -109,6 +109,23 @@ def test_tophat_removes_wide_plateau_interior():
     th = vc.white_tophat(img, se)
     assert np.all(th[5:11, 5:11] == 0.0)
     np.testing.assert_array_equal(th, oracles.scan_tophat(img, se.offsets))
+
+
+# boxes on a 46 x 52 slice: touching each border, one pixel, central and
+# the whole slice; the central box leaves every bar's full reach in the slice
+_TOPHAT_BOXES = [(0, 9, 14, 40), (37, 46, 10, 30), (12, 30, 0, 7), (20, 41, 44, 52),
+                 (23, 24, 26, 27), (18, 28, 19, 33), (0, 46, 0, 52)]
+
+
+@pytest.mark.parametrize("theta", segment.BAR_ANGLES_DEG)
+def test_white_tophat_box_equals_the_whole_slice_scan(theta):
+    se = vc.make_bar_se(segment.BAR_LENGTH, theta)
+    for img in np.random.default_rng(int(theta)).uniform(0, 255, size=(2, 46, 52)):
+        expected = oracles.scan_tophat(img, se.offsets)
+        np.testing.assert_array_equal(vc.white_tophat(img, se), expected)
+        for y0, y1, x0, x1 in _TOPHAT_BOXES:
+            np.testing.assert_array_equal(vc.white_tophat(img, se, (y0, y1, x0, x1)),
+                                          expected[y0:y1, x0:x1])
 
 
 def test_duality_idempotence_antiextensivity():
@@ -283,6 +300,13 @@ def test_mask_alignment_check():
     b = vc.Mask((1, 1, 2), np.zeros((2, 3, 3), dtype=bool))
     with pytest.raises(Exception):
         vc.check_aligned(a, b)
+
+
+def test_mask_count_equals_the_sum():
+    rng = np.random.default_rng(5)
+    for data in (np.zeros((2, 5, 6), dtype=bool), np.ones((2, 5, 6), dtype=bool),
+                 rng.random((3, 17, 19)) < 0.3):
+        assert vc.Mask((1, 1, 1), data).count() == int(data.sum())
 
 
 def test_labeled_case_slice_labels_derived_from_gt():
