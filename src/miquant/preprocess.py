@@ -55,55 +55,62 @@ def denoise_nlm(img: np.ndarray, sigma: float, box=None) -> np.ndarray:
     """Non-local means with Gaussian patch-distance weights, h = k * sigma.
 
     Each output pixel is a convex combination of the pixels in its search
-    window; sigma = 0 degenerates to the identity.
+    window; sigma = 0, or a sigma so small that h^2 underflows to 0,
+    degenerates to the identity. Raises DataError for a non-finite sigma.
 
     Only the pixels of ``box = (y0, y1, x0, x1)`` (half-open) are denoised;
     the rest of the output is the input. ``None`` denoises the whole slice.
-    Inside the box the output is the whole-slice result bit for bit: the
-    reflect padding is the whole slice's, and the patch distances come from
-    integral images that start at the slice corner, taken over the prefix
-    of rows and columns that the box's patches reach. A crop of the slice
-    would move both and so change the rounding. Raises DataError for a box
-    that is inverted or leaves the slice.
+    Each patch distance is summed directly from the nine squared
+    differences of its 3x3 patch: the three columns of each patch row
+    first, then the three row sums. That sum depends only on the pixels
+    around its own patch, not on where the box starts, so inside the box the
+    output is the whole-slice result bit for bit (the reflect padding is the
+    whole slice's), and pixels more than ``NLM_PATCH_RADIUS +
+    NLM_SEARCH_RADIUS`` px outside the box do not change it. Raises
+    DataError for a box that is inverted or leaves the slice.
     """
     img = np.asarray(img, dtype=np.float64)
     ny, nx = img.shape
     y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else (int(v) for v in box)
     if not (0 <= y0 <= y1 <= ny and 0 <= x0 <= x1 <= nx):
         raise DataError(f"denoising box {box} is inverted or leaves the {ny}x{nx} slice")
+    if not np.isfinite(sigma):
+        raise DataError(f"noise sigma must be finite, got {sigma}")
     out = img.copy()
-    if sigma <= 0 or y0 == y1 or x0 == x1:
+    h2 = (NLM_H_FACTOR * sigma) ** 2
+    if sigma <= 0 or h2 == 0 or y0 == y1 or x0 == x1:
         return out
     pr, sr = NLM_PATCH_RADIUS, NLM_SEARCH_RADIUS
-    h2 = (NLM_H_FACTOR * sigma) ** 2
     pad = pr + sr
     padded = np.pad(img, pad, mode="reflect")
     k = 2 * pr + 1
     patch_n = k * k
-    # patch rows and columns that the box's patches cover, from the corner
-    py, px = y1 + 2 * pr, x1 + 2 * pr
-    a = padded[pad - pr : pad - pr + py, pad - pr : pad - pr + px]
-    ii = np.zeros((py + 1, px + 1))  # integral image with a zero first row and column
-    # one buffer for every offset: a fresh prefix-sized temporary can cost a
-    # page-faulting mmap and munmap per offset
-    diff2 = np.empty((py, px))
-
-    acc = np.zeros((y1 - y0, x1 - x0))
-    wsum = np.zeros((y1 - y0, x1 - x0))
+    by, bx = y1 - y0, x1 - x0
+    # the box grown by the patch radius, in padded coordinates
+    gy, gx = y0 + sr, x0 + sr
+    a = padded[gy : gy + by + 2 * pr, gx : gx + bx + 2 * pr]
+    diff2 = np.empty(a.shape)
+    rows = np.empty((by + 2 * pr, bx))
+    d2 = np.empty((by, bx))
+    w = np.empty((by, bx))
+    acc = np.zeros((by, bx))
+    wsum = np.zeros((by, bx))
     for dy in range(-sr, sr + 1):
         for dx in range(-sr, sr + 1):
-            # squared difference of the two patch stacks, box-summed
-            b = padded[pad - pr + dy : pad - pr + dy + py, pad - pr + dx : pad - pr + dx + px]
+            b = padded[gy + dy : gy + dy + by + 2 * pr, gx + dx : gx + dx + bx + 2 * pr]
             np.square(np.subtract(a, b, out=diff2), out=diff2)
-            np.cumsum(diff2, axis=0, out=diff2)
-            np.cumsum(diff2, axis=1, out=ii[1:, 1:])
-            box_sum = (ii[y0 + k : y1 + k, x0 + k : x1 + k] - ii[y0:y1, x0 + k : x1 + k]
-                       - ii[y0 + k : y1 + k, x0:x1] + ii[y0:y1, x0:x1])
-            d2 = box_sum / patch_n
-            w = np.exp(-d2 / h2)
-            values = padded[pad + dy + y0 : pad + dy + y1, pad + dx + x0 : pad + dx + x1]
-            acc += w * values
+            # each patch row's three columns, then each patch's three rows
+            np.add(diff2[:, :bx], diff2[:, 1 : bx + 1], out=rows)
+            for j in range(2, k):
+                rows += diff2[:, j : j + bx]
+            np.add(rows[:by], rows[1 : by + 1], out=d2)
+            for i in range(2, k):
+                d2 += rows[i : i + by]
+            d2 /= patch_n
+            np.exp(np.divide(d2, -h2, out=w), out=w)
             wsum += w
+            w *= padded[pad + dy + y0 : pad + dy + y1, pad + dx + x0 : pad + dx + x1]
+            acc += w
     out[y0:y1, x0:x1] = acc / wsum
     return out
 
@@ -199,10 +206,12 @@ def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig(
 
     Each slice is denoised only inside the bounding box of its myocardium
     and endocardium grown by 1 px (the noise level is still estimated on
-    the whole slice). The output is the same as with whole-slice denoising:
-    normalization zeroes every resliced pixel outside those two masks, and
-    one inside them takes its nearest source pixel from inside them, so its
-    bilinear taps lie within 1 px of the masks.
+    the whole slice). The output is the same as with whole-slice denoising,
+    bit for bit: ``denoise_nlm`` sums each patch distance directly, so its
+    box result does not depend on where the box lies; normalization zeroes
+    every resliced pixel outside those two masks, and one inside them takes
+    its nearest source pixel from inside them, so its bilinear taps lie
+    within 1 px of the masks.
     """
     data = np.empty_like(case.volume.data)
     heart = case.myocardium.data | case.endocardium.data

@@ -8,7 +8,10 @@ function whose gradient it checks. The whole-slice oracles are the
 pipeline's per-slice stages as they were before those stages learnt to
 compute only the pixels they read. The preprocessing oracle calls the
 package's reslicing and normalization on whole slices; the coarse oracle
-scans its top-hat here.
+scans its top-hat here. ``whole_slice_nlm`` sums each patch distance in the
+same order as ``preprocess.denoise_nlm`` and so matches it bit for bit;
+``integral_nlm`` keeps the integral-image sums that the package used before,
+which round differently except on integer-valued slices.
 """
 from collections import deque
 
@@ -61,8 +64,46 @@ def scan_tophat(img, offsets):
 # --- whole-slice preprocessing and coarse stage, as written before cropping ---
 
 def whole_slice_nlm(img, sigma):
-    """Non-local means over the whole slice, one padded integral image per
-    offset."""
+    """Non-local means over the whole slice, each patch distance the sum of
+    nine explicitly shifted squared-difference slices: the three terms of
+    each patch row left to right, then the three row sums top to bottom."""
+    img = np.asarray(img, dtype=np.float64)
+    if sigma <= 0:
+        return img.copy()
+    pr, sr = preprocess.NLM_PATCH_RADIUS, preprocess.NLM_SEARCH_RADIUS
+    h2 = (preprocess.NLM_H_FACTOR * sigma) ** 2
+    pad = pr + sr
+    padded = np.pad(img, pad, mode="reflect")
+    ny, nx = img.shape
+    k = 2 * pr + 1
+
+    acc = np.zeros((ny, nx))
+    wsum = np.zeros((ny, nx))
+    for dy in range(-sr, sr + 1):
+        for dx in range(-sr, sr + 1):
+            a = padded[pad - pr : pad + pr + ny, pad - pr : pad + pr + nx]
+            b = padded[pad - pr + dy : pad + pr + ny + dy, pad - pr + dx : pad + pr + nx + dx]
+            diff2 = (a - b) ** 2
+            row_sums = []
+            for i in range(k):
+                row = diff2[i : i + ny, 0:nx]
+                for j in range(1, k):
+                    row = row + diff2[i : i + ny, j : j + nx]
+                row_sums.append(row)
+            dist = row_sums[0]
+            for row in row_sums[1:]:
+                dist = dist + row
+            w = np.exp(-(dist / k**2) / h2)
+            values = padded[pad + dy : pad + dy + ny, pad + dx : pad + dx + nx]
+            acc += w * values
+            wsum += w
+    return acc / wsum
+
+
+def integral_nlm(img, sigma):
+    """Non-local means over the whole slice, each patch distance taken from
+    one padded integral image per offset (Darbon et al., ISBI 2008), as the
+    package computed it before it summed patch distances directly."""
     img = np.asarray(img, dtype=np.float64)
     if sigma <= 0:
         return img.copy()

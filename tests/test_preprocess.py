@@ -128,14 +128,73 @@ def test_nlm_box_on_slices_smaller_than_the_search_reach(shape, box):
     _assert_box_result(img, 30.0, box)
 
 
-def test_nlm_box_sums_patch_distances_from_the_slice_corner():
-    # Integral images over large values at the top left carry rounding into
-    # every box sum further down and right; sums taken from the box's own
-    # corner would round differently.
+def test_nlm_box_ignores_rounding_of_large_values_beyond_its_reach():
+    # Large values at the top left, beyond the 4-px reach of the box: the box
+    # result depends only on the pixels its patches and search windows read,
+    # so it equals the whole-slice call bit for bit.
     rng = np.random.default_rng(14)
     img = rng.uniform(0, 255, (48, 48))
     img[:24, :24] = rng.uniform(0, 1e7, (24, 24))
     _assert_box_result(img, 30.0, (30, 44, 28, 46))
+
+
+def test_nlm_box_result_does_not_depend_on_pixels_beyond_its_reach():
+    # Pixels more than NLM_PATCH_RADIUS + NLM_SEARCH_RADIUS px from the box
+    # (Chebyshev distance) are neither patch nor search pixels of any box pixel.
+    reach = pp.NLM_PATCH_RADIUS + pp.NLM_SEARCH_RADIUS
+    rng = np.random.default_rng(15)
+    for shape, box in [((48, 48), (30, 44, 28, 46)), ((40, 36), (0, 9, 12, 30)),
+                       ((40, 36), (10, 25, 0, 7)), ((40, 36), (31, 40, 29, 36)),
+                       ((30, 30), (12, 13, 15, 16))]:
+        y0, y1, x0, x1 = box
+        img = rng.uniform(0, 255, shape)
+        near = np.zeros(shape, dtype=bool)
+        near[max(0, y0 - reach) : y1 + reach, max(0, x0 - reach) : x1 + reach] = True
+        other = img.copy()
+        other[~near] = rng.uniform(0, 1e7, int((~near).sum()))
+        got = pp.denoise_nlm(img, 30.0, box)[y0:y1, x0:x1]
+        np.testing.assert_array_equal(pp.denoise_nlm(other, 30.0, box)[y0:y1, x0:x1], got)
+
+
+def test_nlm_equals_the_integral_image_nlm_on_integer_valued_slices():
+    # With integer values every partial sum of a patch distance is an exact
+    # integer, so summing directly or through integral images gives the
+    # same distances, and so the same result bit for bit.
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        ny, nx = (int(v) for v in rng.integers(1, 48, 2))
+        img = rng.integers(0, 256, (ny, nx)).astype(float)
+        sigma = float(rng.uniform(5, 40))
+        whole = oracles.integral_nlm(img, sigma)
+        np.testing.assert_array_equal(pp.denoise_nlm(img, sigma), whole)
+        y0, y1 = sorted(int(v) for v in rng.integers(0, ny + 1, 2))
+        x0, x1 = sorted(int(v) for v in rng.integers(0, nx + 1, 2))
+        got = pp.denoise_nlm(img, sigma, (y0, y1, x0, x1))
+        np.testing.assert_array_equal(got[y0:y1, x0:x1], whole[y0:y1, x0:x1])
+
+
+def test_nlm_agrees_with_the_integral_image_nlm_on_real_slices():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        ny, nx = (int(v) for v in rng.integers(1, 48, 2))
+        img = rng.uniform(0, 255, (ny, nx))
+        sigma = float(rng.uniform(5, 40))
+        np.testing.assert_allclose(pp.denoise_nlm(img, sigma), oracles.integral_nlm(img, sigma),
+                                   rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_nlm_rejects_a_non_finite_sigma(sigma):
+    with pytest.raises(DataError):
+        pp.denoise_nlm(np.zeros((8, 8)), sigma)
+
+
+@pytest.mark.parametrize("sigma", [1e-170, 5e-324])
+def test_nlm_sigma_whose_h_squared_underflows_is_identity(sigma):
+    assert (pp.NLM_H_FACTOR * sigma) ** 2 == 0.0
+    img = np.random.default_rng(18).uniform(0, 255, (16, 16))
+    np.testing.assert_array_equal(pp.denoise_nlm(img, sigma), img)
+    np.testing.assert_array_equal(pp.denoise_nlm(img, sigma, (2, 9, 3, 12)), img)
 
 
 @pytest.mark.parametrize("box", [(5, 4, 0, 8), (0, 8, 6, 2), (-1, 4, 0, 4), (0, 9, 0, 4),
