@@ -33,113 +33,151 @@ class PreprocessConfig:
                               f"got {self.p_lo} and {self.p_hi}")
 
 
-def estimate_noise_sigma(img: np.ndarray) -> float:
-    """Robust noise SD from the median absolute 5-point Laplacian.
+def estimate_noise_sigma(img: np.ndarray):
+    """Robust noise SD from the median absolute 5-point Laplacian, one per
+    slice of a slice or a stack of slices (..., ny, nx).
 
     For iid Gaussian noise the Laplacian response is N(0, 20*sigma^2), so
     sigma = MAD(L) / 0.6745 / sqrt(20). Computed on the interior to avoid
-    border effects; requires at least a 3x3 slice.
+    border effects; requires slices of at least 3x3.
     """
     img = np.asarray(img, dtype=np.float64)
-    if img.shape[0] < 3 or img.shape[1] < 3:
-        raise DataError(f"noise estimation needs a slice of at least 3x3, got {img.shape}")
+    if img.ndim < 2 or img.shape[-2] < 3 or img.shape[-1] < 3:
+        raise DataError(f"noise estimation needs slices of at least 3x3, got {img.shape}")
     lap = (
-        img[:-2, 1:-1] + img[2:, 1:-1] + img[1:-1, :-2] + img[1:-1, 2:]
-        - 4.0 * img[1:-1, 1:-1]
+        img[..., :-2, 1:-1] + img[..., 2:, 1:-1] + img[..., 1:-1, :-2] + img[..., 1:-1, 2:]
+        - 4.0 * img[..., 1:-1, 1:-1]
     )
-    mad = float(np.median(np.abs(lap)))
+    mad = np.median(np.abs(lap), axis=(-2, -1))
     return mad / 0.6745 / np.sqrt(20.0)
 
 
-def denoise_nlm(img: np.ndarray, sigma: float, box=None) -> np.ndarray:
-    """Non-local means with Gaussian patch-distance weights, h = k * sigma.
+def denoise_nlm(stack: np.ndarray, sigmas, box=None) -> np.ndarray:
+    """Non-local means with Gaussian patch-distance weights, h = k * sigma,
+    over a stack of slices (nz, ny, nx) with one noise sigma per slice.
 
     Each output pixel is a convex combination of the pixels in its search
-    window; sigma = 0, or a sigma so small that h^2 underflows to 0,
-    degenerates to the identity. Raises DataError for a non-finite sigma.
+    window on its own slice. A slice whose sigma is 0, or so small that h^2
+    underflows to 0, is returned unchanged. Raises DataError for a sigma
+    whose h^2 is not finite: a non-finite sigma, or one so large that h^2
+    overflows.
 
-    Only the pixels of ``box = (y0, y1, x0, x1)`` (half-open) are denoised;
-    the rest of the output is the input. ``None`` denoises the whole slice.
-    Each patch distance is summed directly from the nine squared
-    differences of its 3x3 patch: the three columns of each patch row
-    first, then the three row sums. That sum depends only on the pixels
-    around its own patch, not on where the box starts, so inside the box the
-    output is the whole-slice result bit for bit (the reflect padding is the
-    whole slice's), and pixels more than ``NLM_PATCH_RADIUS +
-    NLM_SEARCH_RADIUS`` px outside the box do not change it. Raises
-    DataError for a box that is inverted or leaves the slice.
+    Only the pixels of ``box = (y0, y1, x0, x1)`` (half-open, one box for
+    every slice) are denoised; the rest of the output is the input. ``None``
+    denoises whole slices. Each patch distance is summed directly from the
+    nine squared differences of its 3x3 patch: the three columns of each
+    patch row first, then the three row sums. That sum depends only on the
+    pixels around its own patch, not on where the box starts, so inside the
+    box the output is the whole-slice result bit for bit (the reflect
+    padding is the whole slice's), and pixels more than ``NLM_PATCH_RADIUS +
+    NLM_SEARCH_RADIUS`` px outside the box do not change it. A box larger
+    than a slice needs, such as the union of the boxes of a case's slices,
+    only denoises more of it. Raises DataError for a box that is inverted or
+    leaves the slices.
+
+    The weight of offset o at pixel q equals the weight of -o at q + o
+    (Darbon et al., ISBI 2008): both come from the same squared differences,
+    as (a - b)^2 = (b - a)^2, summed in the same order. So each weight map
+    is computed once per pair of offsets, on the box joined with its shift
+    by -o, and the 49 offsets are accumulated in their usual order.
     """
-    img = np.asarray(img, dtype=np.float64)
-    ny, nx = img.shape
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3:
+        raise DataError(f"denoising needs a stack of slices, got shape {stack.shape}")
+    nz, ny, nx = stack.shape
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    if sigmas.shape != (nz,):
+        raise DataError(f"{sigmas.size} noise sigmas for {nz} slices")
     y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else (int(v) for v in box)
     if not (0 <= y0 <= y1 <= ny and 0 <= x0 <= x1 <= nx):
-        raise DataError(f"denoising box {box} is inverted or leaves the {ny}x{nx} slice")
-    if not np.isfinite(sigma):
-        raise DataError(f"noise sigma must be finite, got {sigma}")
-    out = img.copy()
-    h2 = (NLM_H_FACTOR * sigma) ** 2
-    if sigma <= 0 or h2 == 0 or y0 == y1 or x0 == x1:
+        raise DataError(f"denoising box {box} is inverted or leaves the {ny}x{nx} slices")
+    with np.errstate(over="ignore"):
+        # a scalar's ** 2 is pow(), which can round an ulp away from the
+        # x * x that an array's ** 2 computes; keep the scalar's rounding
+        h2 = np.array([(NLM_H_FACTOR * sigma) ** 2 for sigma in sigmas])
+    if not np.isfinite(h2).all():
+        raise DataError(f"noise sigmas must give a finite h^2, got {sigmas}")
+    out = stack.copy()
+    live = (sigmas > 0) & (h2 > 0)
+    if not live.any() or y0 == y1 or x0 == x1:
         return out
     pr, sr = NLM_PATCH_RADIUS, NLM_SEARCH_RADIUS
     pad = pr + sr
-    padded = np.pad(img, pad, mode="reflect")
+    padded = np.pad(stack[live], ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    neg_h2 = -h2[live, None, None]
     k = 2 * pr + 1
     patch_n = k * k
     by, bx = y1 - y0, x1 - x0
-    # the box grown by the patch radius, in padded coordinates
-    gy, gx = y0 + sr, x0 + sr
-    a = padded[gy : gy + by + 2 * pr, gx : gx + bx + 2 * pr]
-    diff2 = np.empty(a.shape)
-    rows = np.empty((by + 2 * pr, bx))
-    d2 = np.empty((by, bx))
-    w = np.empty((by, bx))
-    acc = np.zeros((by, bx))
-    wsum = np.zeros((by, bx))
-    for dy in range(-sr, sr + 1):
-        for dx in range(-sr, sr + 1):
-            b = padded[gy + dy : gy + dy + by + 2 * pr, gx + dx : gx + dx + bx + 2 * pr]
-            np.square(np.subtract(a, b, out=diff2), out=diff2)
+    acc = np.zeros((len(padded), by, bx))
+    wsum = np.zeros((len(padded), by, bx))
+    wv = np.empty((len(padded), by, bx))
+    offsets = [(dy, dx) for dy in range(-sr, sr + 1) for dx in range(-sr, sr + 1)]
+    maps = {}
+    for i, (dy, dx) in enumerate(offsets):
+        j = len(offsets) - 1 - i  # the index of -o
+        if i <= j:
+            # the weights of o on the box and on the box shifted by -o, in
+            # padded coordinates grown by the patch radius
+            ry, rx = by + abs(dy), bx + abs(dx)
+            gy, gx = y0 - max(dy, 0) + sr, x0 - max(dx, 0) + sr
+            a = padded[:, gy : gy + ry + 2 * pr, gx : gx + rx + 2 * pr]
+            b = padded[:, gy + dy : gy + dy + ry + 2 * pr, gx + dx : gx + dx + rx + 2 * pr]
+            diff2 = np.square(a - b)
             # each patch row's three columns, then each patch's three rows
-            np.add(diff2[:, :bx], diff2[:, 1 : bx + 1], out=rows)
-            for j in range(2, k):
-                rows += diff2[:, j : j + bx]
-            np.add(rows[:by], rows[1 : by + 1], out=d2)
-            for i in range(2, k):
-                d2 += rows[i : i + by]
+            rows = diff2[:, :, :rx] + diff2[:, :, 1 : rx + 1]
+            for c in range(2, k):
+                rows += diff2[:, :, c : c + rx]
+            d2 = rows[:, :ry] + rows[:, 1 : ry + 1]
+            for r in range(2, k):
+                d2 += rows[:, r : r + ry]
             d2 /= patch_n
-            np.exp(np.divide(d2, -h2, out=w), out=w)
-            wsum += w
-            w *= padded[pad + dy + y0 : pad + dy + y1, pad + dx + x0 : pad + dx + x1]
-            acc += w
-    out[y0:y1, x0:x1] = acc / wsum
+            maps[i] = np.exp(np.divide(d2, neg_h2, out=d2), out=d2)
+        # w_o(p) = w_-o(p + o): in either map of the pair, the box of o
+        # starts max(dy, 0) rows and max(dx, 0) columns in
+        oy, ox = max(dy, 0), max(dx, 0)
+        w = maps[i] if i <= j else maps.pop(j)
+        w = w[:, oy : oy + by, ox : ox + bx]
+        wsum += w
+        np.multiply(w, padded[:, pad + dy + y0 : pad + dy + y1, pad + dx + x0 : pad + dx + x1],
+                    out=wv)
+        acc += wv
+    out[live, y0:y1, x0:x1] = acc / wsum
     return out
 
 
-def _reslice(grid, target_spacing, sample):
+def _reslice(grid, target_spacing, sample, box=None):
     """Resample grid in-plane to the target sx, sy with sample(data, rows,
     cols), where rows and cols are the source coordinates of the target
-    grid, clipped to the slice. Same spacing: an unchanged copy.
+    grid, clipped to the slice. Same spacing: an unchanged copy. Only the
+    target pixels of ``box = (y0, y1, x0, x1)`` are computed and returned
+    (None: the whole grid); each depends only on its own coordinates.
     """
     sx, sy, sz = grid.spacing
     tx, ty, tz = target_spacing
     if abs(sz - tz) > 1e-9:
         raise SpacingError(f"through-plane resampling required ({sz} mm vs {tz} mm)")
-    if abs(sx - tx) < 1e-12 and abs(sy - ty) < 1e-12:
-        return grid.copy()
     nx, ny, _ = grid.dims
+    if abs(sx - tx) < 1e-12 and abs(sy - ty) < 1e-12:
+        y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
+        return type(grid)(grid.spacing, grid.data[:, y0:y1, x0:x1].copy())
     rows = np.arange(max(1, int(round(ny * sy / ty)))) * ty / sy
     cols = np.arange(max(1, int(round(nx * sx / tx)))) * tx / sx
+    if box is not None:
+        y0, y1, x0, x1 = box
+        rows, cols = rows[y0:y1], cols[x0:x1]
     data = sample(grid.data, np.clip(rows, 0, ny - 1), np.clip(cols, 0, nx - 1))
     return type(grid)(target_spacing, data)
 
 
-def reslice(volume: Volume, target_spacing=CANONICAL_SPACING) -> Volume:
+def reslice(volume: Volume, target_spacing=CANONICAL_SPACING, box=None) -> Volume:
     """In-plane bilinear resample to the target sx, sy; z grid untouched.
+    With ``box = (y0, y1, x0, x1)`` in target pixels, the volume holds only
+    that part of the resampled slices.
 
     Raises SpacingError when sz differs from the target (through-plane
     resampling is out of scope).
     """
-    return _reslice(volume, target_spacing, _bilinear)
+    return _reslice(volume, target_spacing, _bilinear, box)
 
 
 def reslice_mask(mask: Mask, target_spacing=CANONICAL_SPACING) -> Mask:
@@ -199,25 +237,29 @@ def gamma_enhance(img: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig()) -> LabeledCase:
-    """Denoise -> reslice -> per-slice normalize -> gamma.
+    """Denoise -> reslice -> per-slice normalize -> gamma, each stage once
+    over the stack of slices.
 
     Masks are resliced nearest-neighbor. Slices whose reference regions are
     empty (no contoured heart) are zeroed rather than failing the case.
 
-    Each slice is denoised only inside the bounding box of its myocardium
-    and endocardium grown by 1 px (the noise level is still estimated on
-    the whole slice). The output is the same as with whole-slice denoising,
-    bit for bit: ``denoise_nlm`` sums each patch distance directly, so its
-    box result does not depend on where the box lies; normalization zeroes
-    every resliced pixel outside those two masks, and one inside them takes
-    its nearest source pixel from inside them, so its bilinear taps lie
-    within 1 px of the masks.
+    Each stage computes only a heart box shared by all slices. Denoising
+    runs on the bounding box of every slice's myocardium and endocardium
+    grown by 1 px (each slice's noise level is still estimated on the whole
+    slice). Reslicing, normalization and gamma run on the bounding box of
+    the resliced myocardium and endocardium of every slice, and the rest of
+    the output is 0. The output is the same as with whole-slice stages, bit
+    for bit: normalization zeroes every pixel outside a slice's own
+    myocardium and endocardium; a resliced pixel inside them takes its
+    nearest source pixel from inside them, so its bilinear taps lie within
+    1 px of the masks, inside the denoising box; and ``denoise_nlm`` sums
+    each patch distance directly, so its result at a pixel does not depend
+    on the box. A union box only adds pixels that a slice computes and
+    normalization then zeroes.
     """
-    data = np.empty_like(case.volume.data)
+    stack = case.volume.data
     heart = case.myocardium.data | case.endocardium.data
-    for k, img in enumerate(case.volume.data):
-        data[k] = denoise_nlm(img, estimate_noise_sigma(img), bounding_box(heart[k], 1))
-    vol = reslice(Volume(case.volume.spacing, data), cfg.target_spacing)
+    data = denoise_nlm(stack, estimate_noise_sigma(stack), bounding_box(heart.any(axis=0), 1))
 
     def rs(mask):
         return None if mask is None else reslice_mask(mask, cfg.target_spacing)
@@ -228,14 +270,18 @@ def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig(
     gt_scar = rs(case.gt_scar)
     gt_mvo = rs(case.gt_mvo)
 
-    out = np.empty_like(vol.data)
-    for k in range(vol.data.shape[0]):
-        try:
-            normalized = normalize_slice(vol.data[k], myo.data[k], endo.data[k], cfg)
-        except (EmptyRegion, DegenerateRange):
-            out[k] = 0.0
-            continue
-        out[k] = gamma_enhance(normalized, cfg.gamma)
+    out = np.zeros(myo.data.shape)
+    y0, y1, x0, x1 = box = bounding_box((myo.data | endo.data).any(axis=0), 0)
+    if y1 > y0:
+        crop = (slice(None), slice(y0, y1), slice(x0, x1))
+        vol = reslice(Volume(case.volume.spacing, data), cfg.target_spacing, box)
+        normalized = np.zeros(vol.data.shape)
+        for k, (img, m, e) in enumerate(zip(vol.data, myo.data[crop], endo.data[crop])):
+            try:
+                normalized[k] = normalize_slice(img, m, e, cfg)
+            except (EmptyRegion, DegenerateRange):
+                pass  # the slice stays 0, which gamma keeps
+        out[crop] = gamma_enhance(normalized, cfg.gamma)
 
     return LabeledCase(
         case_id=case.case_id,

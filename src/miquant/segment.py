@@ -56,50 +56,64 @@ _BAR_SES = tuple(make_bar_se(BAR_LENGTH, theta) for theta in BAR_ANGLES_DEG)
 
 def tophat_enhance(img: np.ndarray, box=None) -> np.ndarray:
     """Image plus the sum of white top-hats over six bar orientations
-    (30-degree steps); clamped to [0, 255] after summation. Returns
-    ``box = (y0, y1, x0, x1)`` of the enhanced slice only (None is the whole
-    slice); see ``white_tophat``."""
+    (30-degree steps); clamped to [0, 255] after summation. img is a slice
+    or a stack of slices (..., ny, nx). Returns ``box = (y0, y1, x0, x1)``
+    of each enhanced slice only (None is the whole slice); see
+    ``white_tophat``."""
     img = np.asarray(img, dtype=np.float64)
-    ny, nx = img.shape
+    ny, nx = img.shape[-2:]
     y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
-    acc = img[y0:y1, x0:x1].copy()
+    acc = img[..., y0:y1, x0:x1].copy()
     for se in _BAR_SES:
         acc += white_tophat(img, se, box)
     return np.clip(acc, 0.0, 255.0)
 
 
 def _check_shapes(**slices) -> None:
-    """Raise AlignmentError unless the named 2-D slices share one shape."""
+    """Raise AlignmentError unless the named slices or stacks share one shape."""
     shapes = {name: np.shape(a) for name, a in slices.items()}
     if len(set(shapes.values())) > 1:
         raise AlignmentError(f"slice shapes differ: {shapes}")
 
 
-def coarse_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
-    """Otsu threshold of the enhanced myocardial intensities, then a binary
-    opening (disk radius 1) to drop isolated speckles.
+def coarse_segment(img: np.ndarray, myo: np.ndarray):
+    """Coarse scar masks of a stack of slices (nz, ny, nx): per slice, the
+    Otsu threshold of the enhanced myocardial intensities, then a binary
+    opening (disk radius 1) to drop isolated speckles. Returns (masks,
+    degenerate): ``degenerate[k]`` flags a slice whose myocardial histogram
+    has no split, and its mask is empty.
 
     Only myocardial pixels of the enhanced image are read, so the top-hat
-    runs on ``box = bounding_box(myo, OPENING_RADIUS)`` only (see
+    runs once for the stack, on the union of the slices' boxes
+    ``bounding_box(myo.any(axis=0), OPENING_RADIUS)`` (see
     ``white_tophat``), and the threshold and the opening on that crop. The
-    thresholded mask is False off the myocardium. The 1-px ring gives the
-    opening the False neighbours it sees on the whole slice, and where the
-    ring is clipped the crop's border is the slice's, so the mask is the
-    whole-slice one. Raises AlignmentError when img and myo differ in shape.
+    thresholded mask is False off the myocardium. The box holds every
+    slice's myocardium with a 1-px ring, which gives the opening the False
+    neighbours it sees on the whole slice, and where the ring is clipped
+    the crop's border is the slice's, so each mask is the whole-slice one;
+    the rest of the union box only adds False pixels. Raises EmptyMask
+    when a slice's myocardium is empty and AlignmentError when img and myo
+    differ in shape.
     """
     _check_shapes(img=img, myo=myo)
     myo = np.asarray(myo, dtype=bool)
-    if not myo.any():
-        raise EmptyMask("coarse segmentation needs a non-empty myocardium")
-    box = bounding_box(myo, OPENING_RADIUS)
-    crop = (slice(box[0], box[1]), slice(box[2], box[3]))
+    if not myo.any(axis=(-2, -1)).all():
+        raise EmptyMask("coarse segmentation needs a non-empty myocardium on every slice")
+    y0, y1, x0, x1 = box = bounding_box(myo.any(axis=0), OPENING_RADIUS)
+    crop = (slice(None), slice(y0, y1), slice(x0, x1))
     enhanced = tophat_enhance(img, box)
     myo_crop = myo[crop]
-    t = otsu_threshold(enhanced[myo_crop])
-    fg = (intensity_levels(enhanced) > t) & myo_crop
+    levels = intensity_levels(enhanced)
+    fg = np.zeros(myo_crop.shape, dtype=bool)
+    degenerate = np.zeros(len(myo), dtype=bool)
+    for k, (values, m) in enumerate(zip(enhanced, myo_crop)):
+        try:
+            fg[k] = levels[k] > otsu_threshold(values[m])
+        except DegenerateHistogram:
+            degenerate[k] = True
     out = np.zeros(myo.shape, dtype=bool)
-    out[crop] = binary_opening(fg, make_disk_se(OPENING_RADIUS)) & myo_crop
-    return out
+    out[crop] = binary_opening(fg & myo_crop, make_disk_se(OPENING_RADIUS)) & myo_crop
+    return out, degenerate
 
 
 def boundary_region(mask: np.ndarray, radius: int = BOUNDARY_RADIUS) -> np.ndarray:
@@ -340,6 +354,11 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
     The result keeps each stage: ``coarse``, ``hyper`` (refined, before MVO
     inclusion) and ``final``. Per-slice numeric failures produce empty
     masks plus a flag rather than aborting the case.
+
+    The coarse stage runs once, on the stack of slices that are neither
+    gated nor empty, with its top-hat on the union of their myocardium
+    boxes (see ``coarse_segment``); a slice outside that stack does not
+    widen the box. Refinement and MVO inclusion run per slice.
     """
     nz = case.nz
     if gate is not None and len(gate) != nz:
@@ -348,28 +367,28 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
     coarse_v = np.zeros(shape, dtype=bool)
     hyper_v = np.zeros(shape, dtype=bool)
     mvo_v = np.zeros(shape, dtype=bool)
-    outcomes = []
-
-    for k in range(nz):
-        outcome = SliceOutcome(index=k)
-        outcomes.append(outcome)
+    has_myo = case.myocardium.data.any(axis=(1, 2))
+    outcomes = [SliceOutcome(index=k) for k in range(nz)]
+    live = []
+    for k, outcome in enumerate(outcomes):
         if gate is not None and gate[k] == "healthy":
             outcome.gated_out = True
+        elif not has_myo[k]:
+            outcome.empty_myocardium = True
+        else:
+            live.append(k)
+
+    coarse_v[live], degenerate = coarse_segment(case.volume.data[live],
+                                                case.myocardium.data[live])
+    for k, flat in zip(live, degenerate):
+        if flat:
+            outcomes[k].degenerate_histogram = True
             continue
         myo = case.myocardium.data[k]
-        img = case.volume.data[k]
-        try:
-            coarse = coarse_segment(img, myo)
-        except EmptyMask:
-            outcome.empty_myocardium = True
-            continue
-        except DegenerateHistogram:
-            outcome.degenerate_histogram = True
-            continue
-        coarse_v[k] = coarse
+        coarse = coarse_v[k]
         if ensemble is not None:
-            hyper = refine(img, coarse, ensemble, myo)
-            outcome.refined = True
+            hyper = refine(case.volume.data[k], coarse, ensemble, myo)
+            outcomes[k].refined = True
         else:
             hyper = coarse
         _, mvo = include_mvo(hyper, case.endocardium.data[k], myo)

@@ -200,22 +200,23 @@ def make_bar_se(length: int, theta_deg: float) -> StructuringElement:
 def _shift_reduce(img: np.ndarray, offsets, ufunc, init, box=None) -> np.ndarray:
     """Accumulate ufunc of img shifted by each offset, in img's dtype.
 
-    The output covers ``box = (y0, y1, x0, x1)`` of img (half-open; None is
-    the whole image). Out-of-bounds samples of img are skipped; the anchor
-    guarantees every pixel receives at least one in-bounds sample. Each box
-    pixel reduces the same samples in the same order as in the whole-image
-    call, so the box is a crop of that output.
+    img is a slice or a stack of slices (..., ny, nx); offsets shift the
+    last two axes. The output covers ``box = (y0, y1, x0, x1)`` of each
+    slice (half-open; None is the whole slice). Out-of-bounds samples of img
+    are skipped; the anchor guarantees every pixel receives at least one
+    in-bounds sample. Each box pixel reduces the same samples in the same
+    order as in the whole-slice call, so the box is a crop of that output.
     """
-    ny, nx = img.shape
+    ny, nx = img.shape[-2:]
     by0, by1, bx0, bx1 = (0, ny, 0, nx) if box is None else box
-    out = np.full((by1 - by0, bx1 - bx0), init, dtype=img.dtype)
+    out = np.full(img.shape[:-2] + (by1 - by0, bx1 - bx0), init, dtype=img.dtype)
     for dx, dy in offsets:
         y0, y1 = max(by0, -dy), min(by1, ny - dy)
         x0, x1 = max(bx0, -dx), min(bx1, nx - dx)
         if y0 >= y1 or x0 >= x1:
             continue
-        src = img[y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-        dst = out[y0 - by0 : y1 - by0, x0 - bx0 : x1 - bx0]
+        src = img[..., y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+        dst = out[..., y0 - by0 : y1 - by0, x0 - bx0 : x1 - bx0]
         ufunc(dst, src, out=dst)
     return out
 
@@ -239,16 +240,18 @@ def gray_opening(img: np.ndarray, se: StructuringElement) -> np.ndarray:
 def white_tophat(img: np.ndarray, se: StructuringElement, box=None) -> np.ndarray:
     """Image minus its opening; keeps bright structures thinner than se.
 
-    Returns the top-hat on ``box = (y0, y1, x0, x1)`` only (None is the
-    whole slice). The dilation at p reads the erosion at p - o for each
-    footprint offset o = (dx, dy), so the erosion runs on the box grown by
-    max(dy) rows above, -min(dy) below, max(dx) columns left and -min(dx)
-    right, clipped to the slice. Both stages read the whole slice, and
-    every p - o inside the slice lies inside the grown box, so each box
-    pixel gets the whole-slice value.
+    img is a slice or a stack of slices (..., ny, nx), each opened on its
+    own. Returns the top-hat on ``box = (y0, y1, x0, x1)`` of each slice
+    only (None is the whole slice); a stack shares one box, such as the
+    union of its slices' boxes. The dilation at p reads the erosion at
+    p - o for each footprint offset o = (dx, dy), so the erosion runs on the
+    box grown by max(dy) rows above, -min(dy) below, max(dx) columns left
+    and -min(dx) right, clipped to the slice. Both stages read the whole
+    slice, and every p - o inside the slice lies inside the grown box, so
+    each box pixel gets the whole-slice value, whatever else the box holds.
     """
     img = np.asarray(img, dtype=np.float64)
-    ny, nx = img.shape
+    ny, nx = img.shape[-2:]
     y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
     dxs, dys = zip(*se.offsets)
     gy0, gx0 = max(y0 - max(dys), 0), max(x0 - max(dxs), 0)
@@ -256,7 +259,7 @@ def white_tophat(img: np.ndarray, se: StructuringElement, box=None) -> np.ndarra
     eroded = _shift_reduce(img, se.offsets, np.minimum, np.inf, grown)
     opened = _shift_reduce(eroded, se.reflected().offsets, np.maximum, -np.inf,
                            (y0 - gy0, y1 - gy0, x0 - gx0, x1 - gx0))
-    return img[y0:y1, x0:x1] - opened
+    return img[..., y0:y1, x0:x1] - opened
 
 
 def binary_erode(mask: np.ndarray, se: StructuringElement) -> np.ndarray:

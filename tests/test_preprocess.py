@@ -6,7 +6,7 @@ import pytest
 import oracles
 from miquant import phantom, preprocess as pp
 from miquant.errors import ConfigError, DataError, DegenerateRange, EmptyRegion, SpacingError
-from miquant.volcore import LabeledCase, Mask, Volume
+from miquant.volcore import LabeledCase, Mask, Volume, bounding_box
 
 
 # --- noise estimation ---
@@ -42,15 +42,20 @@ def test_sigma_checkerboard_analytic():
 
 # --- non-local means ---
 
+def _nlm(img, sigma, box=None):
+    """denoise_nlm on a stack of one slice."""
+    return pp.denoise_nlm(img[None], [sigma], box)[0]
+
+
 def test_nlm_sigma_zero_is_identity():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 255, (16, 16))
-    np.testing.assert_array_equal(pp.denoise_nlm(img, 0.0), img)
+    np.testing.assert_array_equal(_nlm(img, 0.0), img)
 
 
 def test_nlm_constant_slice_unchanged():
     img = np.full((20, 20), 33.0)
-    np.testing.assert_allclose(pp.denoise_nlm(img, 5.0), img)
+    np.testing.assert_allclose(_nlm(img, 5.0), img)
 
 
 def test_nlm_reduces_mse_on_noisy_step_edge():
@@ -61,7 +66,7 @@ def test_nlm_reduces_mse_on_noisy_step_edge():
     for _ in range(10):
         noisy = clean + rng.normal(0, 15, clean.shape)
         sigma = pp.estimate_noise_sigma(noisy)
-        out = pp.denoise_nlm(noisy, sigma)
+        out = _nlm(noisy, sigma)
         if np.mean((out - clean) ** 2) < np.mean((noisy - clean) ** 2):
             wins += 1
     assert wins == 10
@@ -70,7 +75,7 @@ def test_nlm_reduces_mse_on_noisy_step_edge():
 def test_nlm_never_widens_range():
     rng = np.random.default_rng(3)
     img = rng.uniform(10, 200, (24, 24))
-    out = pp.denoise_nlm(img, 20.0)
+    out = _nlm(img, 20.0)
     assert out.min() >= img.min() - 1e-9
     assert out.max() <= img.max() + 1e-9
 
@@ -82,8 +87,8 @@ def _assert_box_result(img, sigma, box):
     and the input outside it."""
     y0, y1, x0, x1 = box
     whole = oracles.whole_slice_nlm(img, sigma)
-    np.testing.assert_array_equal(pp.denoise_nlm(img, sigma), whole)
-    got = pp.denoise_nlm(img, sigma, box)
+    np.testing.assert_array_equal(_nlm(img, sigma), whole)
+    got = _nlm(img, sigma, box)
     inside = np.zeros(img.shape, dtype=bool)
     inside[y0:y1, x0:x1] = True
     np.testing.assert_array_equal(got[inside], whole[inside])
@@ -152,8 +157,8 @@ def test_nlm_box_result_does_not_depend_on_pixels_beyond_its_reach():
         near[max(0, y0 - reach) : y1 + reach, max(0, x0 - reach) : x1 + reach] = True
         other = img.copy()
         other[~near] = rng.uniform(0, 1e7, int((~near).sum()))
-        got = pp.denoise_nlm(img, 30.0, box)[y0:y1, x0:x1]
-        np.testing.assert_array_equal(pp.denoise_nlm(other, 30.0, box)[y0:y1, x0:x1], got)
+        got = _nlm(img, 30.0, box)[y0:y1, x0:x1]
+        np.testing.assert_array_equal(_nlm(other, 30.0, box)[y0:y1, x0:x1], got)
 
 
 def test_nlm_equals_the_integral_image_nlm_on_integer_valued_slices():
@@ -166,10 +171,10 @@ def test_nlm_equals_the_integral_image_nlm_on_integer_valued_slices():
         img = rng.integers(0, 256, (ny, nx)).astype(float)
         sigma = float(rng.uniform(5, 40))
         whole = oracles.integral_nlm(img, sigma)
-        np.testing.assert_array_equal(pp.denoise_nlm(img, sigma), whole)
+        np.testing.assert_array_equal(_nlm(img, sigma), whole)
         y0, y1 = sorted(int(v) for v in rng.integers(0, ny + 1, 2))
         x0, x1 = sorted(int(v) for v in rng.integers(0, nx + 1, 2))
-        got = pp.denoise_nlm(img, sigma, (y0, y1, x0, x1))
+        got = _nlm(img, sigma, (y0, y1, x0, x1))
         np.testing.assert_array_equal(got[y0:y1, x0:x1], whole[y0:y1, x0:x1])
 
 
@@ -179,22 +184,48 @@ def test_nlm_agrees_with_the_integral_image_nlm_on_real_slices():
         ny, nx = (int(v) for v in rng.integers(1, 48, 2))
         img = rng.uniform(0, 255, (ny, nx))
         sigma = float(rng.uniform(5, 40))
-        np.testing.assert_allclose(pp.denoise_nlm(img, sigma), oracles.integral_nlm(img, sigma),
+        np.testing.assert_allclose(_nlm(img, sigma), oracles.integral_nlm(img, sigma),
                                    rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+# 2.9e300 is the sigma of a slice scaled by 1e300; its h^2 overflows
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 2.9e300])
 def test_nlm_rejects_a_non_finite_sigma(sigma):
     with pytest.raises(DataError):
-        pp.denoise_nlm(np.zeros((8, 8)), sigma)
+        _nlm(np.zeros((8, 8)), sigma)
+    with pytest.raises(DataError):  # one bad slice in a stack
+        pp.denoise_nlm(np.zeros((3, 8, 8)), [10.0, sigma, 0.0])
+
+
+def test_nlm_stack_equals_each_slice_alone():
+    # one box for all slices; slices whose sigma is 0 or underflows h^2 stay
+    # as they are, and the others do not see them
+    rng = np.random.default_rng(19)
+    stack = rng.uniform(0, 255, (5, 30, 27))
+    sigmas = [25.0, 0.0, 12.0, 1e-170, 40.0]
+    box = (0, 17, 6, 27)
+    got = pp.denoise_nlm(stack, sigmas, box)
+    for img, sigma, out in zip(stack, sigmas, got):
+        np.testing.assert_array_equal(out, _nlm(img, sigma, box))
+    np.testing.assert_array_equal(got[[1, 3]], stack[[1, 3]])
+    np.testing.assert_array_equal(pp.denoise_nlm(stack, sigmas)[0],
+                                  oracles.whole_slice_nlm(stack[0], 25.0))
+
+
+@pytest.mark.parametrize("shape, sigmas", [((2, 8, 8), [1.0]), ((2, 8, 8), [1.0, 2.0, 3.0]),
+                                           ((8, 8), [1.0])],
+                         ids=["too-few-sigmas", "too-many-sigmas", "not-a-stack"])
+def test_nlm_needs_a_stack_and_one_sigma_per_slice(shape, sigmas):
+    with pytest.raises(DataError):
+        pp.denoise_nlm(np.zeros(shape), sigmas)
 
 
 @pytest.mark.parametrize("sigma", [1e-170, 5e-324])
 def test_nlm_sigma_whose_h_squared_underflows_is_identity(sigma):
     assert (pp.NLM_H_FACTOR * sigma) ** 2 == 0.0
     img = np.random.default_rng(18).uniform(0, 255, (16, 16))
-    np.testing.assert_array_equal(pp.denoise_nlm(img, sigma), img)
-    np.testing.assert_array_equal(pp.denoise_nlm(img, sigma, (2, 9, 3, 12)), img)
+    np.testing.assert_array_equal(_nlm(img, sigma), img)
+    np.testing.assert_array_equal(_nlm(img, sigma, (2, 9, 3, 12)), img)
 
 
 @pytest.mark.parametrize("box", [(5, 4, 0, 8), (0, 8, 6, 2), (-1, 4, 0, 4), (0, 9, 0, 4),
@@ -202,7 +233,7 @@ def test_nlm_sigma_whose_h_squared_underflows_is_identity(sigma):
                          ids=["rows-inverted", "cols-inverted", "above", "below", "right"])
 def test_nlm_rejects_an_inverted_box_or_one_outside_the_slice(box):
     with pytest.raises(DataError):
-        pp.denoise_nlm(np.zeros((8, 8)), 1.0, box)
+        _nlm(np.zeros((8, 8)), 1.0, box)
 
 
 # --- reslicing ---
@@ -364,18 +395,36 @@ def test_pipeline_volume_preserved_across_reslice():
 @pytest.mark.parametrize("spacing", [1.25, 1.5625, 1.0, 2.0])
 def test_preprocess_case_equals_the_whole_slice_oracle(spacing):
     # 48 x 44 px of 1.0 mm cannot hold the 52-mm heart: it meets the borders
-    spec = replace(phantom.PhantomSpec(), dims=(48, 44, 3), spacing=(spacing, spacing, 8.0),
-                   center_jitter_mm=4.0, scar=True, mvo=True)
+    spec = replace(phantom.PhantomSpec(), dims=(48, 44, 5), spacing=(spacing, spacing, 8.0),
+                   center_jitter_mm=8.0, scar=True, mvo=True)
     case = phantom.generate_case(spec, seed=15)
     for mask in (case.myocardium, case.endocardium, case.epicardium, case.gt_scar, case.gt_mvo):
         mask.data[1] = False  # a slice without a contoured heart
+    vol = case.volume.data
+    vol[3] = 90.0  # a constant slice
+    # a piecewise-constant slice: sigma 0, so it is not denoised, yet it normalizes
+    vol[4] = np.where(case.endocardium.data[4], 200.0, np.where(case.myocardium.data[4], 60.0, 5.0))
+    assert pp.estimate_noise_sigma(vol[3]) == pp.estimate_noise_sigma(vol[4]) == 0.0
+    heart = case.myocardium.data | case.endocardium.data
+    union = bounding_box(heart.any(axis=0), 1)
+    if spacing != 1.0:  # at 1.0 mm every box nearly fills the slice
+        # the slices' hearts jitter by up to 8 mm, so the union box is larger
+        assert all(bounding_box(h, 1) != union for h in heart if h.any())
     expected = oracles.whole_slice_preprocess(case)
     out = pp.preprocess_case(case)
-    assert out.volume.data[0].any() and not out.volume.data[1].any()
+    assert out.volume.data[[0, 2, 4]].any(axis=(1, 2)).all()
+    assert not out.volume.data[[1, 3]].any()
     assert out.volume.spacing == expected.volume.spacing
     np.testing.assert_array_equal(out.volume.data, expected.volume.data)
     for name in ("myocardium", "endocardium", "epicardium", "gt_scar", "gt_mvo"):
         np.testing.assert_array_equal(getattr(out, name).data, getattr(expected, name).data)
+
+
+def test_preprocess_case_rejects_a_case_whose_noise_overflows_h_squared():
+    case = phantom.generate_case(replace(phantom.PhantomSpec(), dims=(40, 40, 2)), seed=3)
+    case.volume.data *= 1e300
+    with pytest.raises(DataError):
+        pp.preprocess_case(case)
 
 
 # --- configuration ---

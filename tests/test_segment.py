@@ -6,7 +6,7 @@ import pytest
 from scipy import ndimage as ndi
 
 import oracles
-from miquant import learnlib as ll, segment, vio
+from miquant import learnlib as ll, phantom, preprocess, segment, vio
 from miquant.errors import (
     AlignmentError,
     ConfigError,
@@ -17,7 +17,14 @@ from miquant.errors import (
     ShapeError,
 )
 from miquant.learnlib.net import Dense
-from miquant.volcore import LabeledCase, Mask, Volume, extract_patches, patch_region
+from miquant.volcore import (
+    LabeledCase,
+    Mask,
+    Volume,
+    bounding_box,
+    extract_patches,
+    patch_region,
+)
 
 
 def _vote_each_patch_alone(ensemble, img, ys, xs):
@@ -44,6 +51,13 @@ def _refine_oracle(ensemble, img, coarse, myo):
     return expected & myo, core, band, alone
 
 
+def _coarse(img, myo):
+    """coarse_segment on a stack of one slice."""
+    masks, degenerate = segment.coarse_segment(img[None], myo[None])
+    assert not degenerate[0]
+    return masks[0]
+
+
 def _annulus(shape, cy, cx, r_in=8.0, r_out=15.0):
     yy, xx = np.mgrid[: shape[0], : shape[1]]
     r = np.hypot(yy - cy, xx - cx)
@@ -63,15 +77,16 @@ def test_coarse_segment_equals_the_whole_slice_oracle(centre):
     img[ridges] = 200.0
     expected = oracles.whole_slice_coarse(img, myo)
     assert 0 < expected.sum() < myo.sum()
-    np.testing.assert_array_equal(segment.coarse_segment(img, myo), expected)
+    np.testing.assert_array_equal(_coarse(img, myo), expected)
 
 
 def test_coarse_segment_equals_the_whole_slice_oracle_on_phantom_slices(
         diseased_cases, mixed_cases):
     for case in diseased_cases + mixed_cases:
-        for img, myo in zip(case.volume.data, case.myocardium.data):
-            np.testing.assert_array_equal(segment.coarse_segment(img, myo),
-                                          oracles.whole_slice_coarse(img, myo))
+        masks, degenerate = segment.coarse_segment(case.volume.data, case.myocardium.data)
+        assert not degenerate.any()
+        for img, myo, got in zip(case.volume.data, case.myocardium.data, masks):
+            np.testing.assert_array_equal(got, oracles.whole_slice_coarse(img, myo))
 
 
 def _band_between_slabs(far):
@@ -100,9 +115,8 @@ def test_coarse_segment_reads_pixels_one_opening_reach_away():
     # the rows 33 px from the myocardium decide the Otsu split
     expected = oracles.whole_slice_coarse(img, myo)
     assert expected.sum() != oracles.whole_slice_coarse(lit, myo).sum()
-    np.testing.assert_array_equal(segment.coarse_segment(img, myo), expected)
-    np.testing.assert_array_equal(segment.coarse_segment(lit, myo),
-                                  oracles.whole_slice_coarse(lit, myo))
+    np.testing.assert_array_equal(_coarse(img, myo), expected)
+    np.testing.assert_array_equal(_coarse(lit, myo), oracles.whole_slice_coarse(lit, myo))
 
 
 def test_coarse_segment_and_refine_reject_slices_of_different_shapes(tiny_ensemble):
@@ -110,7 +124,7 @@ def test_coarse_segment_and_refine_reject_slices_of_different_shapes(tiny_ensemb
     square = np.ones((20, 20), dtype=bool)
     wide = np.ones((20, 21), dtype=bool)
     with pytest.raises(AlignmentError):
-        segment.coarse_segment(img, wide)
+        segment.coarse_segment(img[None], wide[None])
     with pytest.raises(AlignmentError):
         segment.refine(img, square, tiny_ensemble, wide)
     with pytest.raises(AlignmentError):
@@ -122,7 +136,7 @@ def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemb
     assert tiny_ensemble.mean_patch.std() > 0
     case = diseased_cases[4]  # not among the ensemble's training cases
     img, myo = case.volume.data[0], case.myocardium.data[0]
-    coarse = segment.coarse_segment(img, myo)
+    coarse = _coarse(img, myo)
     expected, core, _, alone = _refine_oracle(tiny_ensemble, img, coarse, myo)
     assert 0 < alone.sum() < len(alone)  # the vote decides, both ways
 
@@ -135,7 +149,7 @@ def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemb
 def test_refine_zero_pads_a_band_that_touches_the_slice_border(diseased_cases, tiny_ensemble):
     case = diseased_cases[4]
     img, myo = case.volume.data[0], case.myocardium.data[0]
-    coarse = segment.coarse_segment(img, myo)
+    coarse = _coarse(img, myo)
     rows, cols = np.nonzero(coarse)
     # cut the slice inside the coarse mask's bounding box on every side
     window = (slice(rows.min() + 2, rows.max() - 1), slice(cols.min() + 2, cols.max() - 1))
@@ -157,7 +171,7 @@ def test_each_member_votes_like_its_float64_forward_on_every_band_window(
     labels = []
     for k in range(case.nz):
         img, myo = case.volume.data[k], case.myocardium.data[k]
-        ys, xs = np.nonzero(segment.boundary_region(segment.coarse_segment(img, myo)))
+        ys, xs = np.nonzero(segment.boundary_region(_coarse(img, myo)))
         region, oy, ox = patch_region(img, ys, xs, size)
         crops = (extract_patches(img, ys, xs, size) - tiny_ensemble.mean_patch) * segment.INPUT_SCALE
         for member in tiny_ensemble.members:
@@ -172,7 +186,7 @@ def test_each_member_votes_like_its_float64_forward_on_every_band_window(
 
 def _band(case):
     img, myo = case.volume.data[0], case.myocardium.data[0]
-    ys, xs = np.nonzero(segment.boundary_region(segment.coarse_segment(img, myo)))
+    ys, xs = np.nonzero(segment.boundary_region(_coarse(img, myo)))
     return img, ys, xs
 
 
@@ -372,6 +386,30 @@ def test_segment_case_flags_empty_myocardium_apart_from_degenerate_histogram():
     assert empty.empty_myocardium and not empty.degenerate_histogram
     assert flat.degenerate_histogram and not flat.empty_myocardium
     assert result.final.count() == 0
+
+
+def test_segment_case_coarse_masks_equal_the_whole_slice_oracle():
+    # 52 x 56 px of 1.25 mm: the jittered hearts of slices 0-2 meet the top or
+    # the bottom border, and each of those slices' own box misses some coarse
+    # mask pixel of another, so only their union box gives every mask
+    spec = replace(phantom.PhantomSpec(), dims=(56, 52, 5), center_jitter_mm=8.0,
+                   scar=True, mvo=True)
+    case = preprocess.preprocess_case(phantom.generate_case(spec, seed=7))
+    case.myocardium.data[4] = False  # an empty myocardium
+    gate = ["diseased"] * 3 + ["healthy", "diseased"]
+    myo = case.myocardium.data
+    expected = [oracles.whole_slice_coarse(case.volume.data[k], myo[k]) for k in range(3)]
+    assert all(e.any() for e in expected)
+    y0, y1, _, _ = bounding_box(myo[:3].any(axis=0), segment.OPENING_RADIUS)
+    assert (y0, y1) == (0, myo.shape[1])
+    for k in range(3):
+        r0, r1, c0, c1 = bounding_box(myo[k], segment.OPENING_RADIUS)
+        assert any(e.sum() > e[r0:r1, c0:c1].sum() for e in expected)
+    result = segment.segment_case(case, gate=gate)
+    assert [(o.gated_out, o.empty_myocardium) for o in result.outcomes] == [
+        (False, False)] * 3 + [(True, False), (False, True)]
+    assert not result.coarse.data[3:].any()
+    np.testing.assert_array_equal(result.coarse.data[:3], np.stack(expected))
 
 
 @pytest.mark.parametrize("k", [0, 1])

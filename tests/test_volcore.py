@@ -120,12 +120,13 @@ _TOPHAT_BOXES = [(0, 9, 14, 40), (37, 46, 10, 30), (12, 30, 0, 7), (20, 41, 44, 
 @pytest.mark.parametrize("theta", segment.BAR_ANGLES_DEG)
 def test_white_tophat_box_equals_the_whole_slice_scan(theta):
     se = vc.make_bar_se(segment.BAR_LENGTH, theta)
-    for img in np.random.default_rng(int(theta)).uniform(0, 255, size=(2, 46, 52)):
-        expected = oracles.scan_tophat(img, se.offsets)
-        np.testing.assert_array_equal(vc.white_tophat(img, se), expected)
-        for y0, y1, x0, x1 in _TOPHAT_BOXES:
-            np.testing.assert_array_equal(vc.white_tophat(img, se, (y0, y1, x0, x1)),
-                                          expected[y0:y1, x0:x1])
+    stack = np.random.default_rng(int(theta)).uniform(0, 255, size=(2, 46, 52))
+    expected = np.stack([oracles.scan_tophat(img, se.offsets) for img in stack])
+    np.testing.assert_array_equal(vc.white_tophat(stack[0], se), expected[0])
+    np.testing.assert_array_equal(vc.white_tophat(stack, se), expected)
+    for y0, y1, x0, x1 in _TOPHAT_BOXES:
+        np.testing.assert_array_equal(vc.white_tophat(stack, se, (y0, y1, x0, x1)),
+                                      expected[:, y0:y1, x0:x1])
 
 
 def test_duality_idempotence_antiextensivity():
