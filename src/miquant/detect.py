@@ -205,12 +205,22 @@ class PermutationResult:
 
     @property
     def p_value(self) -> float:
+        """(hits + 1) / (n + 1), where a hit is a split whose permuted-label
+        AUC reaches its own unpermuted AUC; the add-one form of Phipson &
+        Smyth (2010) is never 0 for finitely many splits.
+
+        The test is paired per split: each split's true-label fit is
+        compared only with the permuted-label fit on the same split and
+        seeds, so the value is the add-one share of splits on which the
+        permuted fit does as well. It is not the test of Ojala & Garriga
+        (2010), which ranks one unpermuted score within the distribution
+        of the permuted ones."""
         if self.n == 0:
             raise EmptyDenominator("permutation p-value needs at least one split")
         hits = sum(
             1 for ap, anp in zip(self.auc_permuted, self.auc_unpermuted) if ap >= anp
         )
-        return hits / self.n
+        return (hits + 1) / (self.n + 1)
 
 
 def permutation_test(cases: list[LabeledCase], n_splits: int, cfg: DetectConfig,

@@ -3,7 +3,7 @@ descent on the regularized hinge loss.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,7 @@ class MarginModel:
     w: np.ndarray
     b: float
     lam: float
+    objective_trace: list = field(default_factory=list)  # per-epoch objective
 
 
 def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, lam: float) -> float:
@@ -30,7 +31,7 @@ def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
     averaging; the returned model is the averaged iterate.
 
     The per-epoch objective of the running average is stored on the model
-    as ``objective_trace``.
+    as ``objective_trace``, which a model file keeps.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -62,9 +63,7 @@ def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
         w_avg += (w - w_avg) / t
         b_avg += (b - b_avg) / t
         trace.append(hinge_objective(w_avg, b_avg, x, y, lam))
-    model = MarginModel(w=w_avg, b=b_avg, lam=lam)
-    model.objective_trace = trace
-    return model
+    return MarginModel(w=w_avg, b=b_avg, lam=lam, objective_trace=trace)
 
 
 def margin_decide(model: MarginModel, x: np.ndarray):

@@ -22,18 +22,22 @@ does in training, because a BLAS matrix product can round a row
 differently depending on how many rows share the call.
 
 Windowed inference (``NetModel.forward_windows``) classifies many
-overlapping windows of one image, each minus the same per-pixel ``offset``
-(a mean patch). Only the first convolution is shared between windows: the
-offset is subtracted pixel by pixel before it, so two windows that overlap
-see different inputs at the same image pixel, and every later layer works
-on different values. Conv1 is linear, so conv1 runs once over the whole
-image and once over the offset, and each window's map is the image map at
-the window's position minus the offset map. Pool1 reads its 2x2 maxima
-straight from that dense map; conv2 onward runs per window.
+overlapping windows of one image, each minus the same scalar ``offset``.
+Every window then sees the image's own values at a shared pixel, so the
+whole trunk runs once, densely, over the union box of the windows
+(shift-and-stitch: Giusti et al. 2013, arXiv:1302.1700; Long et al. 2015,
+arXiv:1411.4038). Convolutions and ReLUs act on the dense maps; each 2x2
+pool splits every map into its four phase maps, one per (row, column)
+parity of the block corners, so k pools give 4**k maps. A window's final
+block lies in the map of its phase path, the parities of its corner at
+every pool, at its corner divided by 2**k; the head runs on those blocks.
+The scan box is padded at its far end so that every map is odd-sized
+before each pool, which makes a pool's four phase maps the same size; the
+padding is read only by map pixels that no window reads.
 
-Conv1 runs in 64-bit floats; its two maps are then rounded to 32 bits, and
-pool1, conv2 onward and their im2col copies work in 32-bit floats, which
-halves the bytes those copies move and lets conv2/conv3 run as single-
+Conv1 runs in 64-bit floats; its map is then rounded to 32 bits, and the
+rest of the trunk and its im2col copies work in 32-bit floats, which halves
+the bytes those copies move and lets later convolutions run as single-
 precision matrix products. The dense head runs in 64-bit floats on the
 whole batch, as in ``forward``. Results agree with ``forward`` on the
 cropped windows to single-precision rounding (about 1e-6 on the logits),
@@ -280,12 +284,18 @@ def _pool_before_relu(layers):
     return order
 
 
-def _infer(trunk_chunk, n, head):
-    """Run ``trunk_chunk(start)`` over ``INFER_CHUNK``-sample chunks of an
-    n-sample batch, then the head on the whole batch at once."""
-    parts = [trunk_chunk(s) for s in range(0, max(n, 1), INFER_CHUNK)]
-    x = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return _run(head, x)
+def _trunk_extent(trunk, size, axis):
+    """(extent, odd): the map extent that a conv/relu/pool ``trunk`` makes of
+    an input extent ``size`` along rows (axis 0) or columns (axis 1), and
+    whether the map is odd-sized before every pool."""
+    odd = True
+    for layer in trunk:
+        if isinstance(layer, Conv2D):
+            size -= layer.w.shape[axis] - 1
+        elif isinstance(layer, MaxPool2):
+            odd = odd and size % 2 == 1
+            size //= 2
+    return size, odd
 
 
 def _flatten_index(layers):
@@ -312,63 +322,72 @@ class NetModel:
             return _run(_pool_before_relu(layers), x, train=True, rng=rng)
         flat = _flatten_index(layers)
         trunk = _pool_before_relu(layers[:flat])
-        return _infer(lambda s: _run(trunk, x[s : s + INFER_CHUNK]), len(x), layers[flat:])
+        # the trunk in cache-sized chunks, then the head on the whole batch
+        parts = [_run(trunk, x[s : s + INFER_CHUNK])
+                 for s in range(0, max(len(x), 1), INFER_CHUNK)]
+        return _run(layers[flat:], parts[0] if len(parts) == 1 else np.concatenate(parts))
 
     def forward_windows(self, image, oy, ox, offset):
         """``forward`` on the input-sized windows of a 2-D ``image`` whose
-        top-left corners are ``(oy[i], ox[i])``, each minus ``offset``.
+        top-left corners are ``(oy[i], ox[i])``, each minus the scalar
+        ``offset``.
 
-        Conv1 runs once over the image and once over the offset; pool1 is
-        gathered from the dense conv1 map per chunk of windows, the rest of
-        the trunk runs in 32-bit floats, and the head runs as in
-        ``forward``. Agrees with ``forward`` to single-precision rounding
-        (see the module docstring).
+        The trunk runs once as a dense scan of the windows' union box, with
+        each pool splitting its maps into four phase maps; each window's
+        final block is gathered from the map of its phase path, and the
+        head runs on the whole batch as in ``forward``. Conv1 runs in
+        64-bit floats and the rest of the trunk in 32-bit floats, so the
+        result agrees with ``forward`` to single-precision rounding (see
+        the module docstring).
         """
         image = np.asarray(image, dtype=np.float64)
-        offset = np.asarray(offset, dtype=np.float64)
         oy = np.asarray(oy, dtype=np.intp)
         ox = np.asarray(ox, dtype=np.intp)
         h, w, c = self.input_shape
         if image.ndim != 2 or c != 1:
             raise ShapeError(f"windows need a 2-D image and a 1-channel net, got "
                              f"image {image.shape} and input {self.input_shape}")
-        if offset.shape != (h, w):
-            raise ShapeError(f"offset {offset.shape} does not match input {self.input_shape}")
+        if np.ndim(offset) != 0:
+            raise ShapeError(f"the offset must be a scalar, got shape {np.shape(offset)}")
         if oy.ndim != 1 or oy.shape != ox.shape:
             raise ShapeError(f"window corners {oy.shape} and {ox.shape} do not pair up")
         if len(oy) and (oy.min() < 0 or ox.min() < 0 or oy.max() + h > image.shape[0]
                         or ox.max() + w > image.shape[1]):
             raise ShapeError(f"a {h}x{w} window leaves the {image.shape} image")
-        layers = self.layers
-        if not (len(layers) >= 3 and isinstance(layers[0], Conv2D)
-                and isinstance(layers[1], ReLU) and isinstance(layers[2], MaxPool2)):
-            raise ShapeError("windowed inference needs a net that starts conv -> relu -> pool")
-        conv = layers[0]
-        dense = conv.forward(image[None, :, :, None])[0].astype(np.float32)
-        off = (conv.forward(offset[None, :, :, None])[0] - conv.b).astype(np.float32)
-        oh, ow, cout = off.shape
-        ph, pw = oh // 2, ow // 2
-        if ph < 1 or pw < 1:
-            raise ShapeError(f"conv1 map {off.shape[:2]} too small for 2x2 pooling")
-        # view[y, x, p, q] = dense[y + 2p, x + 2q]: one pooling phase of the
-        # window whose conv1 map starts at (y, x), channel-last
-        view = np.moveaxis(
-            sliding_window_view(dense, (2 * ph - 1, 2 * pw - 1), axis=(0, 1))[..., ::2, ::2],
-            2, -1)
-        phases = [(a, b, off[a : 2 * ph : 2, b : 2 * pw : 2]) for a in (0, 1) for b in (0, 1)]
-        flat = _flatten_index(layers)
-        rest = _pool_before_relu(layers[:flat])[2:]  # relu1, conv2, ...
-
-        def trunk_chunk(s):
-            y, x = oy[s : s + INFER_CHUNK], ox[s : s + INFER_CHUNK]
-            pooled = None
-            for a, b, off_ab in phases:
-                phase = view[y + a, x + b]
-                phase -= off_ab
-                pooled = phase if pooled is None else np.maximum(pooled, phase, out=pooled)
-            return _run(rest, pooled).astype(np.float64)
-
-        return _infer(trunk_chunk, len(oy), layers[flat:])
+        flat = _flatten_index(self.layers)
+        trunk = _pool_before_relu(self.layers[:flat])
+        if not (trunk and isinstance(trunk[0], Conv2D)
+                and all(isinstance(l, (Conv2D, ReLU, MaxPool2)) for l in trunk)):
+            raise ShapeError("windowed inference needs a conv/relu/pool trunk "
+                             "that starts with a conv")
+        if not len(oy):
+            return self.forward(np.zeros((0, h, w, 1)))
+        y0, x0 = oy.min(), ox.min()
+        oy, ox = oy - y0, ox - x0
+        need = (oy.max() + h, ox.max() + w)
+        scan = list(need)  # grown until every map is odd-sized before each pool
+        for axis in (0, 1):
+            while not _trunk_extent(trunk, scan[axis], axis)[1]:
+                scan[axis] += 1
+        x = np.zeros((1, *scan, 1))
+        np.subtract(image[y0 : y0 + need[0], x0 : x0 + need[1]], offset,
+                    out=x[0, : need[0], : need[1], 0])
+        x = trunk[0].forward(x).astype(np.float32)
+        path = np.zeros(len(oy), dtype=np.intp)  # index of each window's map
+        for layer in trunk[1:]:
+            if isinstance(layer, MaxPool2):
+                n, mh, mw = x.shape[:3]  # odd: each phase leaves one row and column
+                x = np.concatenate([layer.forward(x[:, a : mh - 1 + a, b : mw - 1 + b])
+                                    for a, b in _PHASES])
+                path += n * (2 * (oy & 1) + (ox & 1))
+                oy, ox = oy >> 1, ox >> 1
+            else:
+                x = layer.forward(x)
+        # each window's final block, from the map of its phase path
+        fh, fw = (_trunk_extent(trunk, size, axis)[0] for axis, size in ((0, h), (1, w)))
+        rows = oy[:, None, None] + np.arange(fh)[None, :, None]
+        cols = ox[:, None, None] + np.arange(fw)[None, None, :]
+        return _run(self.layers[flat:], x[path[:, None, None], rows, cols].astype(np.float64))
 
     def features(self, x):
         """Activations of the feature head (penultimate FC), inference mode."""

@@ -125,36 +125,51 @@ def boundary_region(mask: np.ndarray, radius: int = BOUNDARY_RADIUS) -> np.ndarr
 @vio.model_kind("ensemble")
 @dataclass
 class PatchEnsemble:
+    """An odd ensemble of patch voters that share one input centring: each
+    patch, scaled by ``INPUT_SCALE``, minus ``mean_patch`` scaled alike.
+
+    ``mean_patch`` is one scalar, the pooled mean intensity of the training
+    patches. A constant ``(patch_size, patch_size)`` array is read as its
+    value; any other array, such as the per-pixel mean of a model file
+    saved before ensembles were centred on a scalar, raises ConfigError, as
+    does a non-finite mean."""
+
     members: list  # odd number of NetModel voters
-    mean_patch: np.ndarray
+    mean_patch: float
     patch_size: int = PATCH_SIZE
 
     def __post_init__(self):
         if len(self.members) % 2 == 0:
             raise ConfigError(f"the ensemble needs an odd member count, got {len(self.members)}")
         size = self.patch_size
-        if np.shape(self.mean_patch) != (size, size):
-            raise ConfigError(f"mean patch {np.shape(self.mean_patch)} does not match "
-                              f"the {size}-px patch size")
+        mean = np.asarray(self.mean_patch, dtype=np.float64)
+        if mean.ndim and mean.shape != (size, size):
+            raise ConfigError(f"mean patch {mean.shape} does not match the {size}-px patch size")
+        if not np.isfinite(mean).all():
+            raise ConfigError("the ensemble's mean intensity is not finite")
+        if mean.ndim and mean.min() != mean.max():
+            raise ConfigError("a per-pixel mean patch is not supported: the ensemble is "
+                              "centred on one scalar mean intensity")
+        self.mean_patch = float(mean.flat[0])
         for i, member in enumerate(self.members):
             if member.input_shape != (size, size, 1):
                 raise ConfigError(f"member {i} takes input {member.input_shape}, "
                                   f"not a {size}-px patch")
 
     def vote(self, ys, xs, img: np.ndarray) -> np.ndarray:
-        """Majority vote on the zero-centered patch of img around each
-        (ys[i], xs[i]), zero-padded as ``extract_patches`` crops it; True
-        means scar. Each member runs windowed inference over the region
-        that holds every patch.
+        """Majority vote on the centred patch of img around each (ys[i],
+        xs[i]), zero-padded as ``extract_patches`` crops it; True means
+        scar. Each member scans its trunk once over the box that holds the
+        patches it votes on (``NetModel.forward_windows``).
 
         The vote stops early where it is settled: once one class holds
         (M + 1) // 2 of the M votes on a patch, the members still to come
         skip it. The first (M + 1) // 2 members see every patch, each later
-        one only the patches still open, and members after the last open
-        patch do not run. A settled majority cannot change, so the result
-        is the full tally's (a member's output on a patch does not depend
-        on the other patches in the call, up to the rounding noted in
-        ``learnlib.net``)."""
+        one only the patches still open, over their smaller box, and
+        members after the last open patch do not run. A settled majority
+        cannot change, so the result is the full tally's (a member's output
+        on a patch does not depend on the other patches in the call, up to
+        the rounding noted in ``learnlib.net``)."""
         region, oy, ox = patch_region(img, ys, xs, self.patch_size)
         region = region * INPUT_SCALE
         offset = self.mean_patch * INPUT_SCALE
@@ -231,9 +246,11 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
 
     Members follow a k-fold strategy over the patch pool: member i trains
     on every fold but its own. Each case's sample is class-balanced, so the
-    pool is too. All patches are zero-centered by the pooled mean image.
-    Cases without scar ground truth, or whose stride lattice misses a
-    class, are skipped.
+    pool is too. All patches are centred on one scalar, the pooled mean
+    intensity of the pool, so that overlapping patches see the same input
+    at a shared pixel and refine can scan each member's trunk densely (see
+    ``NetModel.forward_windows``). Cases without scar ground truth, or
+    whose stride lattice misses a class, are skipped.
     """
     ss = np.random.SeedSequence(seed)
     case_seeds = ss.spawn(len(cases))
@@ -256,8 +273,8 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
     if cfg.max_patches_per_class is not None:
         x, y = ll.balance_classes(x, y, seed=cap_seed, cap=cfg.max_patches_per_class)
 
-    mean_patch = x.mean(axis=0)[:, :, 0]
-    xc = (x - mean_patch[None, :, :, None]) * INPUT_SCALE
+    mean = float(x.mean())
+    xc = (x - mean) * INPUT_SCALE
 
     rng = np.random.default_rng(int(ss.spawn(1)[0].generate_state(1)[0]))
     order = rng.permutation(len(xc))
@@ -273,7 +290,7 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
         ll.net_train(xc[train_idx], y[train_idx], net,
                      replace(cfg.train, seed=member_seed))
         members.append(net)
-    return PatchEnsemble(members=members, mean_patch=mean_patch)
+    return PatchEnsemble(members=members, mean_patch=mean)
 
 
 def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,

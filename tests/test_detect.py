@@ -198,6 +198,14 @@ def test_detect_model_roundtrip(tmp_path, tiny_detector, mixed_cases):
         )
 
 
+def test_detect_model_file_keeps_the_margin_objective_trace(tmp_path, tiny_detector):
+    trace = tiny_detector.margin.objective_trace
+    assert len(trace) > 0
+    path = str(tmp_path / "det.json")
+    tiny_detector.save(path)
+    assert detect.DetectionModel.load(path).margin.objective_trace == trace
+
+
 PINNED_MODEL = os.path.join(os.path.dirname(__file__), "data", "detection_model.json")
 
 
@@ -213,16 +221,26 @@ def test_model_file_format_is_pinned(tmp_path):
         detect.DetectionModel(net=net, pca=pca, margin=margin, tau=0.25,
                               meta={"seed": 0}).save(path)
 
-    It must load, re-encode to the same document, and be written again
-    byte for byte, both from the loaded model and from the snippet.
+    It must load and re-encode to the same document, plus the margin's
+    ``objective_trace`` field (added later; a file without it loads with an
+    empty trace), and that document must be written byte for byte, both
+    from the loaded model and from the snippet.
     """
     model = detect.DetectionModel.load(PINNED_MODEL)
-    assert vio.encode_model(model) == vio.read_json(PINNED_MODEL)
+    doc = vio.read_json(PINNED_MODEL)
+    assert "objective_trace" not in doc["margin"]
+    doc["margin"]["objective_trace"] = []
+    assert vio.encode_model(model) == doc
     assert model.net.input_shape == (1, 2, 1) and model.net.layers[2].rate == 0.5
     assert model.pca.k == 1 and model.margin.b == -0.125 and model.tau == 0.25
     assert model.net.features(np.ones((1, 1, 2, 1))).shape == (1, 2)
+    # the writer's layout is pinned too: the file's own document comes out
+    # byte for byte
+    vio.write_json(vio.read_json(PINNED_MODEL), str(tmp_path / "as_read.json"))
     with open(PINNED_MODEL, "rb") as fh:
-        pinned = fh.read()
+        assert (tmp_path / "as_read.json").read_bytes() == fh.read()
+    vio.write_json(doc, str(tmp_path / "pinned.json"))
+    pinned = (tmp_path / "pinned.json").read_bytes()
     model.save(str(tmp_path / "again.json"))
     net = ll.build_net((1, 2, 1), [("flatten",), ("dense", 2), ("dropout", 0.5),
                                    ("dense", 2), ("softmax",)], seed=0, feature_layer=2)
@@ -279,7 +297,7 @@ def test_permutation_p_arithmetic():
         n=4, auc_unpermuted=[0.9, 0.8, 0.95, 0.7], auc_permuted=[0.95, 0.5, 0.6, 0.9]
     )
     # indicators: (1, 0, 0, 1)
-    assert res.p_value == 0.5
+    assert res.p_value == (2 + 1) / (4 + 1)
 
 
 def test_permutation_indicator_uses_geq():
@@ -289,11 +307,11 @@ def test_permutation_indicator_uses_geq():
     assert res.p_value == 1.0
 
 
-def test_permutation_all_below_gives_zero():
+def test_permutation_all_below_gives_one_over_n_plus_one():
     res = detect.PermutationResult(
         n=5, auc_unpermuted=[1.0] * 5, auc_permuted=[0.4, 0.6, 0.99, 0.5, 0.0]
     )
-    assert res.p_value == 0.0
+    assert res.p_value == 1 / 6
 
 
 def test_permutation_p_value_without_splits_raises():
@@ -308,4 +326,4 @@ def test_permutation_test_end_to_end(mixed_cases, tiny_detect_cfg):
     assert len(res.auc_unpermuted) == len(res.auc_permuted) == 2
     assert all(0.0 <= a <= 1.0 for a in res.auc_unpermuted + res.auc_permuted)
     hits = sum(ap >= anp for ap, anp in zip(res.auc_permuted, res.auc_unpermuted))
-    assert res.p_value == hits / 2
+    assert res.p_value == (hits + 1) / 3

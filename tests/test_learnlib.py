@@ -110,10 +110,10 @@ def test_logits_without_softmax_head_raises_shape_error():
 
 # --- windowed inference ---
 
-def _windows_net(size, seed):
+def _windows_net(size, seed, widths=(16, 32, 64)):
     """Paper-style net with random biases; the softmax is stripped, so the
     net outputs logits."""
-    net = ll.build_classifier(size, seed=seed, dropout=0.0)
+    net = ll.build_classifier(size, seed=seed, widths=widths, dropout=0.0)
     rng = np.random.default_rng(seed + 1)
     for layer in net.layers:
         if isinstance(layer, (Conv2D, Dense)):
@@ -131,6 +131,18 @@ def _corners(rng, n, image_shape, size):
     return np.array(oy, dtype=np.intp), np.array(ox, dtype=np.intp)
 
 
+def _assert_windows_match_forward(net, image, oy, ox, offset):
+    size = net.input_shape[0]
+    crops = np.stack([image[y : y + size, x : x + size] - offset for y, x in zip(oy, ox)])
+    expected = net.forward(crops[..., None])
+    got = net.forward_windows(image, oy, ox, offset)
+    assert got.shape == expected.shape == (len(oy), 2)
+    # the trunk after conv1 runs in float32: the worst of these inputs
+    # differs by about 1.6e-6
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-5)
+    np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+
 @pytest.mark.parametrize("size", [49, 48])  # conv5 maps of 45 (odd) and 44 (even)
 @pytest.mark.parametrize("n,margin", [
     (1, (0, 0)),  # the one window is the whole image and touches every edge
@@ -144,23 +156,41 @@ def test_forward_windows_matches_forward_on_cropped_windows(size, n, margin):
     net = _windows_net(size, seed=40 + size)
     rng = np.random.default_rng(size * 100 + n)
     image = rng.uniform(0.0, 1.0, (size + margin[0], size + margin[1]))
-    offset = rng.uniform(0.0, 1.0, (size, size))  # not constant
     assert net.layers[0].b.std() > 0
     oy, ox = _corners(rng, n, image.shape, size)
-    crops = np.stack([image[y : y + size, x : x + size] - offset for y, x in zip(oy, ox)])
-    expected = net.forward(crops[..., None])
-    got = net.forward_windows(image, oy, ox, offset)
-    assert got.shape == expected.shape == (n, 2)
-    # the trunk after conv1 runs in float32: the worst of these 12 inputs
-    # differs by about 1.6e-6
-    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-5)
-    np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+    _assert_windows_match_forward(net, image, oy, ox, rng.uniform(0.0, 1.0))
+
+
+@pytest.mark.parametrize("size,widths", [(49, (16, 32, 64)), (48, (16, 32, 64)), (49, (4, 8))],
+                         ids=["49px", "48px", "49px-two-stage"])
+def test_forward_windows_matches_forward_at_every_corner_residue_mod_8(size, widths):
+    # three pools: a corner's residue mod 8 picks its phase map at each pool
+    net = _windows_net(size, seed=50 + size, widths=widths)
+    rng = np.random.default_rng(size + len(widths))
+    image = rng.uniform(0.0, 1.0, (size + 17, size + 19))
+    oy, ox = np.divmod(np.arange(64), 8)
+    oy = oy + 8 * rng.integers(0, 2, 64)  # the residue stays; the block moves
+    ox = ox + 8 * rng.integers(0, 2, 64)
+    _assert_windows_match_forward(net, image, oy, ox, 0.5)
+
+
+def test_forward_windows_scans_the_union_box_of_far_apart_windows():
+    net = _windows_net(49, seed=57)
+    rng = np.random.default_rng(57)
+    image = rng.uniform(0.0, 1.0, (240, 250))
+    oy, ox = np.array([3, 186]), np.array([190, 5])  # opposite corners of the image
+    _assert_windows_match_forward(net, image, oy, ox, 0.25)
+    # each window alone scans only its own box, and agrees with the pair
+    pair = net.forward_windows(image, oy, ox, 0.25)
+    for i in range(2):
+        alone = net.forward_windows(image, oy[i : i + 1], ox[i : i + 1], 0.25)
+        np.testing.assert_allclose(alone, pair[i : i + 1], rtol=0.0, atol=1e-5)
 
 
 def test_forward_windows_on_no_windows_is_empty():
     net = _windows_net(48, seed=47)
     image = np.zeros((60, 60))
-    assert net.forward_windows(image, [], [], np.zeros((48, 48))).shape == (0, 2)
+    assert net.forward_windows(image, [], [], 0.0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("image_shape,oy,ox", [
@@ -172,17 +202,32 @@ def test_forward_windows_on_no_windows_is_empty():
 def test_forward_windows_rejects_bad_windows(image_shape, oy, ox):
     net = _windows_net(49, seed=48)
     with pytest.raises(ShapeError):
-        net.forward_windows(np.zeros(image_shape), oy, ox, np.zeros((49, 49)))
+        net.forward_windows(np.zeros(image_shape), oy, ox, 0.0)
+
+
+def test_forward_windows_needs_a_scalar_offset():
+    net = _windows_net(49, seed=48)
+    with pytest.raises(ShapeError):
+        net.forward_windows(np.zeros((60, 60)), [0], [0], np.zeros((49, 49)))
+
+
+def test_forward_windows_runs_a_trunk_that_pools_before_its_relu():
+    net = ll.build_net((13, 13, 1), [("conv", 3, 4), ("maxpool",), ("relu",), ("conv", 2, 3),
+                                     ("flatten",), ("dense", 2)], seed=49)
+    rng = np.random.default_rng(49)
+    image = rng.uniform(-1.0, 1.0, (30, 31))
+    oy, ox = _corners(rng, 9, image.shape, 13)
+    _assert_windows_match_forward(net, image, oy, ox, 0.1)
 
 
 @pytest.mark.parametrize("specs", [
-    [("conv", 3, 4), ("maxpool",), ("relu",), ("flatten",), ("dense", 2)],
+    [("relu",), ("conv", 3, 4), ("maxpool",), ("flatten",), ("dense", 2)],
     [("flatten",), ("dense", 2)],
-])
-def test_forward_windows_needs_conv_relu_pool_first(specs):
+], ids=["relu-first", "no-trunk"])
+def test_forward_windows_needs_a_trunk_that_starts_with_a_conv(specs):
     net = ll.build_net((13, 13, 1), specs, seed=49)
     with pytest.raises(ShapeError):
-        net.forward_windows(np.zeros((20, 20)), [0], [0], np.zeros((13, 13)))
+        net.forward_windows(np.zeros((20, 20)), [0], [0], 0.0)
 
 
 # --- training ---

@@ -132,8 +132,8 @@ def test_coarse_segment_and_refine_reject_slices_of_different_shapes(tiny_ensemb
 
 
 def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemble):
-    # a trained ensemble: its mean patch differs from pixel to pixel
-    assert tiny_ensemble.mean_patch.std() > 0
+    # a trained ensemble centres its patches on a non-zero scalar mean
+    assert isinstance(tiny_ensemble.mean_patch, float) and tiny_ensemble.mean_patch > 0
     case = diseased_cases[4]  # not among the ensemble's training cases
     img, myo = case.volume.data[0], case.myocardium.data[0]
     coarse = _coarse(img, myo)
@@ -259,7 +259,33 @@ def test_patch_ensemble_needs_odd_member_count(tiny_ensemble, members):
 
 def test_patch_ensemble_rejects_a_mean_patch_of_another_size(tiny_ensemble):
     with pytest.raises(ConfigError):
-        segment.PatchEnsemble(tiny_ensemble.members, tiny_ensemble.mean_patch[:-1, :-1])
+        segment.PatchEnsemble(tiny_ensemble.members,
+                              np.full((segment.PATCH_SIZE - 1,) * 2, tiny_ensemble.mean_patch))
+
+
+def test_patch_ensemble_reads_a_constant_mean_patch_as_its_scalar(tiny_ensemble):
+    # the form a caller that still builds a patch-sized mean uses
+    ensemble = segment.PatchEnsemble(tiny_ensemble.members,
+                                     mean_patch=np.full((segment.PATCH_SIZE,) * 2, 127.5))
+    assert type(ensemble.mean_patch) is float and ensemble.mean_patch == 127.5
+    assert segment.PatchEnsemble(tiny_ensemble.members, np.float32(2.5)).mean_patch == 2.5
+
+
+def _per_pixel_mean():
+    mean = np.full((segment.PATCH_SIZE,) * 2, 100.0)
+    mean[3, 4] = 101.0
+    return mean
+
+
+NOT_ONE_FINITE_MEAN = [_per_pixel_mean(), np.nan, np.inf,
+                       np.full((segment.PATCH_SIZE,) * 2, np.nan)]
+NOT_ONE_FINITE_MEAN_IDS = ["per-pixel", "nan", "inf", "nan-patch"]
+
+
+@pytest.mark.parametrize("mean", NOT_ONE_FINITE_MEAN, ids=NOT_ONE_FINITE_MEAN_IDS)
+def test_patch_ensemble_rejects_a_mean_that_is_not_one_finite_scalar(tiny_ensemble, mean):
+    with pytest.raises(ConfigError):
+        segment.PatchEnsemble(tiny_ensemble.members, mean)
 
 
 def test_patch_ensemble_rejects_a_member_of_another_input_size(tiny_ensemble):
@@ -513,6 +539,25 @@ def test_ensemble_file_roundtrip_votes_bit_identically(tmp_path, tiny_ensemble, 
     vote = tiny_ensemble.vote(ys, xs, img)
     assert 0 < vote.sum() < len(vote)
     np.testing.assert_array_equal(back.vote(ys, xs, img), vote)
+
+
+def test_ensemble_file_stores_its_mean_as_a_float(tmp_path, tiny_ensemble):
+    path = str(tmp_path / "ens.json")
+    tiny_ensemble.save(path)
+    assert type(vio.read_json(path)["mean_patch"]) is float
+    back = segment.PatchEnsemble.load(path)
+    assert type(back.mean_patch) is float and back.mean_patch == tiny_ensemble.mean_patch
+
+
+@pytest.mark.parametrize("mean", NOT_ONE_FINITE_MEAN[:2], ids=NOT_ONE_FINITE_MEAN_IDS[:2])
+def test_ensemble_load_rejects_a_mean_that_is_not_one_finite_scalar(tmp_path, tiny_ensemble, mean):
+    # a file saved with a per-pixel mean patch, before ensembles were centred
+    # on a scalar, stores the mean as an array
+    def edit(doc):
+        doc["mean_patch"] = vio.encode_array(mean) if np.ndim(mean) else float(mean)
+
+    with pytest.raises(ConfigError):
+        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
 
 
 def test_ensemble_load_rejects_a_detection_file():
