@@ -42,6 +42,15 @@ precision matrix products. The dense head runs in 64-bit floats on the
 whole batch, as in ``forward``. Results agree with ``forward`` on the
 cropped windows to single-precision rounding (about 1e-6 on the logits),
 not bit for bit.
+
+A convolution's backward takes its input gradient per kernel tap: one
+batched product gives every tap's share dY @ W[i, j].T, and each share is
+added onto the input window that the tap read. No zero-padded copy of dY
+is built or multiplied. A one-channel input (conv1) is unfolded tap-major,
+one whole shifted map per tap, and the product reads the transpose of that
+array. Forward outputs are bit-identical to an unfolding pixel by pixel;
+training gradients, and so trained weights, equal those of the padded full
+correlation to rounding (about 1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
 
@@ -61,11 +70,26 @@ INFER_CHUNK = 32  # samples per trunk pass at inference
 # ---------------------------------------------------------------------------
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N, H, W, C) -> (N*OH*OW, kh*kw*C) patch matrix for valid stride-1."""
+    """(N, H, W, C) -> (N*OH*OW, kh*kw*C) patch matrix for valid stride-1.
+
+    A one-channel input is copied tap by tap into a (kh*kw, N*OH*OW) array,
+    whose transpose is returned: each copy moves a whole shifted map, not a
+    kh*kw-element run per pixel."""
+    n, h, w, c = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    if c == 1:
+        cols = np.empty((kh * kw, n, oh, ow), dtype=x.dtype)
+        for t in range(kh * kw):
+            i, j = divmod(t, kw)
+            cols[t] = x[:, i : i + oh, j : j + ow, 0]
+        return cols.reshape(kh * kw, n * oh * ow).T, (n, oh, ow)
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (N, OH, OW, C, kh, kw)
-    n, oh, ow = windows.shape[:3]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(n * oh * ow, kh * kw * x.shape[3]), (n, oh, ow)
+    return cols.reshape(n * oh * ow, kh * kw * c), (n, oh, ow)
+
+
+def _no_forward(layer):
+    return ShapeError(f"{type(layer).__name__} backward needs a training forward before it")
 
 
 class Conv2D:
@@ -92,19 +116,25 @@ class Conv2D:
         return out.reshape(n, oh, ow, cout)
 
     def backward(self, dout, need_dx=True):
+        """Parameter gradients, and the input gradient taken per kernel tap:
+        tap (i, j) read the input window at offset (i, j), so its share
+        dY @ W[i, j].T is added back onto that window."""
+        if self._cols is None:
+            raise _no_forward(self)
         kh, kw, cin, cout = self.w.shape
         n, oh, ow, _ = dout.shape
         dmat = dout.reshape(-1, cout)
         self.dw = (self._cols.T @ dmat).reshape(kh, kw, cin, cout)
-        self.db = dmat.sum(axis=0)
+        self.db = np.ones(len(dmat)) @ dmat  # a BLAS product: 4-5x a column sum here
         self._cols = None
         if not need_dx:
             return None
-        padded = np.pad(dout, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-        dcols, (_, h, w) = _im2col(padded, kh, kw)
-        # full correlation with the kernel rotated 180 deg, channels swapped
-        wmat = self.w[::-1, ::-1, :, :].transpose(0, 1, 3, 2).reshape(-1, cin)
-        return (dcols @ wmat).reshape(n, h, w, cin)
+        taps = np.matmul(dmat, self.w.reshape(kh * kw, cin, cout).transpose(0, 2, 1))
+        dx = np.zeros((n, oh + kh - 1, ow + kw - 1, cin))
+        for t in range(kh * kw):
+            i, j = divmod(t, kw)
+            dx[:, i : i + oh, j : j + ow] += taps[t].reshape(n, oh, ow, cin)
+        return dx
 
     def spec(self):
         return ("conv", self.w.shape[0], self.w.shape[3])
@@ -112,6 +142,7 @@ class Conv2D:
 
 class ReLU:
     param_names = ()
+    _mask = None
 
     def forward(self, x, train=False, rng=None):
         if train:
@@ -119,7 +150,11 @@ class ReLU:
         return np.maximum(x, 0.0)
 
     def backward(self, dout):
-        return dout * self._mask
+        if self._mask is None:
+            raise _no_forward(self)
+        dx = dout * self._mask
+        self._mask = None
+        return dx
 
     def spec(self):
         return ("relu",)
@@ -134,6 +169,7 @@ class MaxPool2:
     that routing needs."""
 
     param_names = ()
+    _masks = None
 
     def forward(self, x, train=False, rng=None):
         n, h, w, c = x.shape
@@ -157,6 +193,8 @@ class MaxPool2:
         return out
 
     def backward(self, dout):
+        if self._masks is None:
+            raise _no_forward(self)
         oh, ow = self._xshape[1] // 2, self._xshape[2] // 2
         dx = np.empty(self._xshape)
         dx[:, 2 * oh :] = 0.0  # odd remainders take no gradient
@@ -172,13 +210,19 @@ class MaxPool2:
 
 class Flatten:
     param_names = ()
+    _shape = None
 
     def forward(self, x, train=False, rng=None):
-        self._shape = x.shape
+        if train:
+            self._shape = x.shape
         return x.reshape(x.shape[0], int(np.prod(x.shape[1:])))
 
     def backward(self, dout):
-        return dout.reshape(self._shape)
+        if self._shape is None:
+            raise _no_forward(self)
+        dx = dout.reshape(self._shape)
+        self._shape = None
+        return dx
 
     def spec(self):
         return ("flatten",)
@@ -192,6 +236,7 @@ class Dense:
         self.b = b
         self.dw = None
         self.db = None
+        self._x = None
 
     def forward(self, x, train=False, rng=None):
         if x.shape[1] != self.w.shape[0]:
@@ -201,6 +246,8 @@ class Dense:
         return x @ self.w + self.b
 
     def backward(self, dout, need_dx=True):
+        if self._x is None:
+            raise _no_forward(self)
         self.dw = self._x.T @ dout
         self.db = dout.sum(axis=0)
         self._x = None
@@ -219,10 +266,14 @@ class Dropout:
 
     def __init__(self, rate: float):
         self.rate = rate
+        self._mask = None
 
     def forward(self, x, train=False, rng=None):
-        if not train or self.rate <= 0.0:
+        if not train:
             self._mask = None
+            return x
+        if self.rate <= 0.0:
+            self._mask = 1.0  # identity
             return x
         keep = 1.0 - self.rate
         self._mask = (rng.random(x.shape) < keep) / keep
@@ -230,8 +281,10 @@ class Dropout:
 
     def backward(self, dout):
         if self._mask is None:
-            return dout
-        return dout * self._mask
+            raise _no_forward(self)
+        dx = dout * self._mask
+        self._mask = None
+        return dx
 
     def spec(self):
         return ("dropout", self.rate)

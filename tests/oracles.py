@@ -11,15 +11,20 @@ package's reslicing and normalization on whole slices; the coarse oracle
 scans its top-hat here. ``whole_slice_nlm`` sums each patch distance in the
 same order as ``preprocess.denoise_nlm`` and so matches it bit for bit;
 ``integral_nlm`` keeps the integral-image sums that the package used before,
-which round differently except on integer-valued slices.
+which round differently except on integer-valued slices. ``PaddedConv2D``
+takes a convolution's input gradient as the full correlation over the
+zero-padded output gradient, which the package computed before it took
+that gradient per kernel tap.
 """
 from collections import deque
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from miquant import baselines, preprocess, segment
 from miquant.errors import DegenerateRange, EmptyRegion, ShapeError
 from miquant.learnlib import net_loss
+from miquant.learnlib.net import Conv2D
 from miquant.volcore import (
     LabeledCase,
     Volume,
@@ -343,6 +348,28 @@ class ArgmaxPool2:
 
     def spec(self):
         return ("maxpool",)
+
+
+def padded_conv_dx(dout, w):
+    """Input gradient of a valid stride-1 convolution with kernel ``w``
+    (kh, kw, cin, cout): ``dout`` zero-padded by k - 1 on each side, then
+    correlated with the kernel rotated 180 deg, its channels swapped."""
+    kh, kw, cin, cout = w.shape
+    padded = np.pad(dout, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2))  # (N, H, W, cout, kh, kw)
+    n, h, wd = windows.shape[:3]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * h * wd, -1)
+    wmat = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin)
+    return (cols @ wmat).reshape(n, h, wd, cin)
+
+
+class PaddedConv2D(Conv2D):
+    """A ``Conv2D`` whose backward returns ``padded_conv_dx``; its forward
+    and parameter gradients are the package's."""
+
+    def backward(self, dout, need_dx=True):
+        super().backward(dout, need_dx=False)
+        return padded_conv_dx(dout, self.w) if need_dx else None
 
 
 def grad_check(model, x, labels, epsilon=1e-5):

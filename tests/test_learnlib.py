@@ -10,7 +10,17 @@ from miquant.errors import (
     ShapeError,
     SingleClassError,
 )
-from miquant.learnlib.net import Conv2D, Dense, MaxPool2, NetModel, Softmax
+from miquant.learnlib.net import (
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2,
+    NetModel,
+    ReLU,
+    Softmax,
+    _im2col,
+)
 
 
 # --- forward path ---
@@ -430,6 +440,77 @@ def test_training_with_pool_before_relu_matches_argmax_chain():
     assert nets[0].train_meta["loss_trace"] == oracle_net.train_meta["loss_trace"]
     for (layer, name), (ref, _) in zip(nets[0].parameters(), oracle_net.parameters()):
         np.testing.assert_array_equal(getattr(layer, name), getattr(ref, name))
+
+
+# --- convolution input gradient against the padded full correlation ---
+
+@pytest.mark.parametrize("kernel", [(5, 5), (3, 3), (3, 2), (1, 1)])
+@pytest.mark.parametrize("cin", [1, 3, 16])
+@pytest.mark.parametrize("cout", [1, 4])
+@pytest.mark.parametrize("n", [1, 3])
+def test_conv_input_gradient_matches_padded_full_correlation_oracle(kernel, cin, cout, n):
+    rng = np.random.default_rng([*kernel, cin, cout, n])
+    conv = Conv2D(rng.normal(size=(*kernel, cin, cout)), rng.normal(size=cout))
+    x = rng.normal(size=(n, 11, 9, cin))  # odd maps
+    dout = rng.normal(size=conv.forward(x, train=True).shape)
+    np.testing.assert_allclose(conv.backward(dout), oracles.padded_conv_dx(dout, conv.w),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kernel", [(5, 5), (3, 2), (1, 1)])
+def test_one_channel_im2col_matches_the_general_path(dtype, kernel):
+    x = np.random.default_rng(60).normal(size=(3, 10, 9, 1)).astype(dtype)
+    cols, dims = _im2col(x, *kernel)
+    # two channels take the general path; channel 0 is every other column
+    wide, wide_dims = _im2col(np.concatenate([x, x], axis=3), *kernel)
+    assert dims == wide_dims and cols.dtype == dtype
+    np.testing.assert_array_equal(cols, wide[:, ::2])
+
+
+def test_member_trained_with_padded_input_gradient_matches():
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(64, 49, 49, 1))
+    y = rng.integers(0, 2, 64)
+    nets = [ll.build_classifier(49, seed=62) for _ in range(2)]
+    oracle_net = nets[1]
+    oracle_net.layers = [oracles.PaddedConv2D(l.w, l.b) if isinstance(l, Conv2D) else l
+                         for l in oracle_net.layers]
+    cfg = ll.TrainConfig(epochs=2, batch_size=32, seed=63)
+    for net in nets:
+        ll.net_train(x, y, net, cfg)
+    np.testing.assert_allclose(nets[0].train_meta["loss_trace"],
+                               oracle_net.train_meta["loss_trace"], rtol=1e-10)
+    for (layer, name), (ref, _) in zip(nets[0].parameters(), oracle_net.parameters()):
+        np.testing.assert_allclose(getattr(layer, name), getattr(ref, name), rtol=1e-10)
+
+
+# --- backward needs a training forward ---
+
+LAYER_CASES = {
+    "conv": (lambda: Conv2D(np.ones((3, 3, 2, 4)), np.zeros(4)), (2, 6, 5, 2)),
+    "dense": (lambda: Dense(np.ones((5, 3)), np.zeros(3)), (2, 5)),
+    "maxpool": (MaxPool2, (2, 4, 5, 3)),
+    "relu": (ReLU, (2, 4, 5, 3)),
+    "dropout": (lambda: Dropout(0.5), (2, 5)),
+    "flatten": (Flatten, (2, 4, 5, 3)),
+}
+
+
+@pytest.mark.parametrize("before", ["nothing", "an inference forward", "a backward"])
+@pytest.mark.parametrize("tag", LAYER_CASES)
+def test_backward_without_a_training_forward_raises_shape_error(tag, before):
+    make, shape = LAYER_CASES[tag]
+    x = np.random.default_rng(64).normal(size=shape)
+    dout = np.ones_like(make().forward(x, train=True, rng=np.random.default_rng(0)))
+    layer = make()
+    if before == "an inference forward":
+        layer.forward(x)
+    elif before == "a backward":  # each backward consumes its forward
+        layer.forward(x, train=True, rng=np.random.default_rng(0))
+        layer.backward(dout)
+    with pytest.raises(ShapeError, match="training forward"):
+        layer.backward(dout)
 
 
 # --- PCA ---
