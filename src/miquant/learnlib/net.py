@@ -46,11 +46,9 @@ not bit for bit.
 A convolution's backward takes its input gradient per kernel tap: one
 batched product gives every tap's share dY @ W[i, j].T, and each share is
 added onto the input window that the tap read. No zero-padded copy of dY
-is built or multiplied. A one-channel input (conv1) is unfolded tap-major,
-one whole shifted map per tap, and the product reads the transpose of that
-array. Forward outputs are bit-identical to an unfolding pixel by pixel;
-training gradients, and so trained weights, equal those of the padded full
-correlation to rounding (about 1e-14 relative), not bit for bit.
+is built or multiplied. The input gradient, and so trained weights, equal
+those of a full correlation over the zero-padded dY to rounding (about
+1e-14 relative), not bit for bit.
 """
 from __future__ import annotations
 
@@ -70,22 +68,11 @@ INFER_CHUNK = 32  # samples per trunk pass at inference
 # ---------------------------------------------------------------------------
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N, H, W, C) -> (N*OH*OW, kh*kw*C) patch matrix for valid stride-1.
-
-    A one-channel input is copied tap by tap into a (kh*kw, N*OH*OW) array,
-    whose transpose is returned: each copy moves a whole shifted map, not a
-    kh*kw-element run per pixel."""
-    n, h, w, c = x.shape
-    oh, ow = h - kh + 1, w - kw + 1
-    if c == 1:
-        cols = np.empty((kh * kw, n, oh, ow), dtype=x.dtype)
-        for t in range(kh * kw):
-            i, j = divmod(t, kw)
-            cols[t] = x[:, i : i + oh, j : j + ow, 0]
-        return cols.reshape(kh * kw, n * oh * ow).T, (n, oh, ow)
+    """(N, H, W, C) -> (N*OH*OW, kh*kw*C) patch matrix for valid stride-1."""
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (N, OH, OW, C, kh, kw)
+    n, oh, ow = windows.shape[:3]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(n * oh * ow, kh * kw * c), (n, oh, ow)
+    return cols.reshape(n * oh * ow, kh * kw * x.shape[3]), (n, oh, ow)
 
 
 def _no_forward(layer):
@@ -125,7 +112,7 @@ class Conv2D:
         n, oh, ow, _ = dout.shape
         dmat = dout.reshape(-1, cout)
         self.dw = (self._cols.T @ dmat).reshape(kh, kw, cin, cout)
-        self.db = np.ones(len(dmat)) @ dmat  # a BLAS product: 4-5x a column sum here
+        self.db = dmat.sum(axis=0)
         self._cols = None
         if not need_dx:
             return None

@@ -19,7 +19,6 @@ from miquant.learnlib.net import (
     NetModel,
     ReLU,
     Softmax,
-    _im2col,
 )
 
 
@@ -455,17 +454,6 @@ def test_conv_input_gradient_matches_padded_full_correlation_oracle(kernel, cin,
     dout = rng.normal(size=conv.forward(x, train=True).shape)
     np.testing.assert_allclose(conv.backward(dout), oracles.padded_conv_dx(dout, conv.w),
                                rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("kernel", [(5, 5), (3, 2), (1, 1)])
-def test_one_channel_im2col_matches_the_general_path(dtype, kernel):
-    x = np.random.default_rng(60).normal(size=(3, 10, 9, 1)).astype(dtype)
-    cols, dims = _im2col(x, *kernel)
-    # two channels take the general path; channel 0 is every other column
-    wide, wide_dims = _im2col(np.concatenate([x, x], axis=3), *kernel)
-    assert dims == wide_dims and cols.dtype == dtype
-    np.testing.assert_array_equal(cols, wide[:, ::2])
 
 
 def test_member_trained_with_padded_input_gradient_matches():
