@@ -350,8 +350,6 @@ class SegmentationResult:
     hyper: Mask
     mvo: Mask
     final: Mask
-    scar_volume_cm3: float
-    pct_infarct: float | None
     outcomes: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -413,16 +411,11 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
         mvo_v[k] = mvo
 
     spacing = case.volume.spacing
-    final_mask = Mask(spacing, hyper_v | mvo_v)
-    voxel_cm3 = final_mask.voxel_volume_mm3 / 1000.0
-    myo_count = case.myocardium.count()
     return SegmentationResult(
         case_id=case.case_id,
         coarse=Mask(spacing, coarse_v),
         hyper=Mask(spacing, hyper_v),
         mvo=Mask(spacing, mvo_v),
-        final=final_mask,
-        scar_volume_cm3=final_mask.count() * voxel_cm3,
-        pct_infarct=(100.0 * final_mask.count() / myo_count) if myo_count else None,
+        final=Mask(spacing, hyper_v | mvo_v),
         outcomes=outcomes,
     )

@@ -179,24 +179,33 @@ def read_manifest(path: str) -> CaseManifest:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
 
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: the manifest is not a JSON object")
     for key in ("case_id", "volume", "masks"):
         if key not in doc:
             raise ManifestError(f"{path}: missing key {key!r}")
+    masks, labels = doc["masks"], doc.get("per_slice_labels")
+    if not isinstance(doc["volume"], str):
+        raise ManifestError(f"{path}: 'volume' is not a file name")
+    if not (isinstance(masks, dict) and all(isinstance(rel, str) for rel in masks.values())):
+        raise ManifestError(f"{path}: 'masks' is not a JSON object of file names")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(label, str) for label in labels)):
+        raise ManifestError(f"{path}: 'per_slice_labels' is not a list of strings")
     root = os.path.dirname(os.path.abspath(path))
     volume_path = os.path.join(root, doc["volume"])
     if not os.path.exists(volume_path):
         raise ManifestError(f"{path}: volume file not found: {doc['volume']}")
     mask_paths = {}
     for role in _REQUIRED_MASKS:
-        if role not in doc["masks"]:
+        if role not in masks:
             raise ManifestError(f"{path}: missing mask role {role!r}")
-    for role, rel in doc["masks"].items():
+    for role, rel in masks.items():
         full = os.path.join(root, rel)
         if not os.path.exists(full):
             raise ManifestError(f"{path}: mask file not found: {rel}")
         mask_paths[role] = full
 
-    labels = doc.get("per_slice_labels")
     manifest = CaseManifest(str(doc["case_id"]), volume_path, mask_paths, labels)
     _validate_manifest(manifest, path)
     return manifest

@@ -221,22 +221,6 @@ def _shift_reduce(img: np.ndarray, offsets, ufunc, init, box=None) -> np.ndarray
     return out
 
 
-def gray_erode(img: np.ndarray, se: StructuringElement) -> np.ndarray:
-    """Pointwise min of img over the footprint placed at each pixel."""
-    img = np.asarray(img, dtype=np.float64)
-    return _shift_reduce(img, se.offsets, np.minimum, np.inf)
-
-
-def gray_dilate(img: np.ndarray, se: StructuringElement) -> np.ndarray:
-    """Pointwise max with the footprint reflected through the anchor."""
-    img = np.asarray(img, dtype=np.float64)
-    return _shift_reduce(img, se.reflected().offsets, np.maximum, -np.inf)
-
-
-def gray_opening(img: np.ndarray, se: StructuringElement) -> np.ndarray:
-    return gray_dilate(gray_erode(img, se), se)
-
-
 def white_tophat(img: np.ndarray, se: StructuringElement, box=None) -> np.ndarray:
     """Image minus its opening; keeps bright structures thinner than se.
 
@@ -263,12 +247,12 @@ def white_tophat(img: np.ndarray, se: StructuringElement, box=None) -> np.ndarra
 
 
 def binary_erode(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    """gray_erode on a bool mask: AND over the footprint."""
+    """AND of the mask over the footprint placed at each pixel."""
     return _shift_reduce(np.asarray(mask, dtype=bool), se.offsets, np.logical_and, True)
 
 
 def binary_dilate(mask: np.ndarray, se: StructuringElement) -> np.ndarray:
-    """gray_dilate on a bool mask: OR over the reflected footprint."""
+    """OR of the mask over the footprint reflected through the anchor."""
     return _shift_reduce(np.asarray(mask, dtype=bool), se.reflected().offsets, np.logical_or, False)
 
 

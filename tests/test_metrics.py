@@ -206,6 +206,24 @@ def test_spearman_zero_variance():
         mx.spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+# --- input checks shared by the paired statistics ---
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("stat", [mx.bland_altman, mx.spearman, mx.paired_t])
+def test_paired_statistics_reject_non_finite_values(stat, bad):
+    x, y = [1.0, 2.0, 3.0, 4.0], [1.5, 2.0, 2.5, 5.0]
+    for series in ([1.0, bad, 3.0, 4.0], y), (x, [1.5, 2.0, bad, 5.0]):
+        with pytest.raises(DataError) as exc:
+            stat(*series)
+        assert exc.type is DataError
+
+
+@pytest.mark.parametrize("stat", [mx.bland_altman, mx.spearman, mx.paired_t])
+def test_paired_statistics_reject_series_of_unequal_length(stat):
+    with pytest.raises(LengthMismatch):
+        stat([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+
+
 # --- mann-whitney ---
 
 def test_mwu_identical_samples():
@@ -237,6 +255,9 @@ def test_paired_t_zero_variance():
         mx.paired_t([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ZeroVariance):
         mx.paired_t([2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0])
+    # equal differences whose float mean is not exactly 0.1
+    with pytest.raises(ZeroVariance):
+        mx.paired_t([0.1, 0.1, 0.1], [0.0, 0.0, 0.0])
 
 
 def test_paired_t_frozen_reference():
@@ -245,28 +266,6 @@ def test_paired_t_frozen_reference():
     t, p = mx.paired_t([2.0, -1.0, 3.0, 0.0, 1.0], [0.0] * 5)
     assert t == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert p == pytest.approx(0.2301996410804990, abs=1e-12)
-
-
-def test_student_t_tail_reference_points():
-    assert mx.student_t_sf_two_tailed(1.0, 4) == pytest.approx(0.3739009663000589, abs=1e-12)
-    assert mx.student_t_sf_two_tailed(2.5, 9) == pytest.approx(0.0338618276829857, abs=1e-12)
-    assert mx.student_t_sf_two_tailed(0.3, 19) == pytest.approx(0.7674346603392645, abs=1e-12)
-
-
-# --- classification metrics ---
-
-def test_sens_spec_acc_perfect():
-    assert mx.sens_spec_acc(mx.ConfusionCounts(5, 0, 7, 0)) == (1.0, 1.0, 1.0)
-
-
-def test_confusion_counts_reject_negative_counts():
-    with pytest.raises(DataError):
-        mx.ConfusionCounts(1, -1, 1, 1)
-
-
-def test_sens_spec_acc_margins():
-    with pytest.raises(EmptyDenominator):
-        mx.sens_spec_acc(mx.ConfusionCounts(0, 3, 4, 0))
 
 
 def test_mvo_sensitivity_cases():
@@ -326,22 +325,3 @@ def test_case_row_with_empty_myocardium_leaves_percent_blank_through_the_csv(tmp
     assert back == vio.ReportRow("c1", "all", "paper", dice_pct=100.0, hausdorff_mm=0.0,
                                  scar_volume_cm3=0.008, pct_infarct=None)
 
-
-def test_summarize_agreement_block():
-    from miquant.vio import MetricsReport, ReportRow
-
-    report = MetricsReport()
-    rng = np.random.default_rng(10)
-    manual = rng.uniform(5, 40, 8)
-    pred = manual * 0.8 - 1.0
-    for i in range(8):
-        report.add(ReportRow(f"c{i}", "all", "manual", scar_volume_cm3=manual[i]))
-        report.add(ReportRow(f"c{i}", "all", "2-sd", dice_pct=70.0 + i,
-                             scar_volume_cm3=pred[i], pct_infarct=20.0))
-    summary = mx.summarize(report)
-    entry = summary["2-sd"]
-    assert entry["dice_pct"]["n"] == 8
-    agree = entry["volume_agreement"]
-    assert agree["spearman_rho"] == pytest.approx(1.0)
-    assert agree["ba_bias_mean"] == pytest.approx(float((pred - manual).mean()))
-    assert 0.0 <= agree["paired_t_p"] <= 1.0

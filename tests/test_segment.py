@@ -390,8 +390,7 @@ def test_segmentation_result_rejects_overlapping_hyper_and_mvo():
     spacing = (1.25, 1.25, 8.0)
     on = Mask(spacing, np.ones((1, 2, 2), dtype=bool))
     with pytest.raises(DataError):
-        segment.SegmentationResult("c", coarse=on, hyper=on, mvo=on, final=on,
-                                   scar_volume_cm3=0.0, pct_infarct=None)
+        segment.SegmentationResult("c", coarse=on, hyper=on, mvo=on, final=on)
 
 
 def _flat_ring_case():

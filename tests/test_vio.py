@@ -188,6 +188,23 @@ def test_manifest_rejects_label_length(tmp_path):
         vio.read_manifest(manifest_path)
 
 
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: 3,
+    lambda doc: [doc],
+    lambda doc: {**doc, "volume": 7},
+    lambda doc: {**doc, "masks": "myocardium.mhd"},
+    lambda doc: {**doc, "masks": {**doc["masks"], "gt_scar": 1}},
+    lambda doc: {**doc, "per_slice_labels": [["healthy"], ["diseased"]]},
+    lambda doc: {**doc, "per_slice_labels": 2},
+], ids=["number", "list", "volume not a name", "masks a string", "mask not a name",
+        "labels of lists", "labels a number"])
+def test_malformed_manifest_is_a_manifest_error(tmp_path, edit):
+    manifest_path = vio.write_case(_toy_case(), str(tmp_path / "c"))
+    vio.write_json(edit(vio.read_json(manifest_path)), manifest_path)
+    with pytest.raises(ManifestError):
+        vio.read_manifest(manifest_path)
+
 def test_array_codec_roundtrip():
     arr = np.random.default_rng(3).normal(size=(3, 4, 2))
     np.testing.assert_array_equal(vio.decode_array(vio.encode_array(arr)), arr)

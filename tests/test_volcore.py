@@ -53,12 +53,7 @@ def test_even_bar_biases_positive_direction():
     assert dxs == [-1, 0, 1, 2]
 
 
-# --- grayscale morphology vs footprint-scan oracle ---
-
-def _random_grids(n, size=8, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0, 255, size=(n, size, size))
-
+# --- morphology vs footprint-scan oracle ---
 
 @pytest.mark.parametrize("se_factory", [
     lambda: vc.make_disk_se(1),
@@ -66,29 +61,34 @@ def _random_grids(n, size=8, seed=0):
     lambda: vc.make_bar_se(3, 0),
     lambda: vc.make_bar_se(5, 45),
     lambda: vc.make_bar_se(4, 120),
+    lambda: vc.make_bar_se(4, 60),
 ])
 def test_erode_dilate_match_scan_oracle(se_factory):
     se = se_factory()
-    for img in _random_grids(25, seed=3):
-        np.testing.assert_array_equal(vc.gray_erode(img, se), oracles.scan_erode(img, se.offsets))
-        np.testing.assert_array_equal(vc.gray_dilate(img, se), oracles.scan_dilate(img, se.offsets))
+    for m in np.random.default_rng(3).random((25, 8, 8)) < 0.4:
+        indicator = m.astype(float)
+        np.testing.assert_array_equal(vc.binary_erode(m, se),
+                                      oracles.scan_erode(indicator, se.offsets) > 0.5)
+        np.testing.assert_array_equal(vc.binary_dilate(m, se),
+                                      oracles.scan_dilate(indicator, se.offsets) > 0.5)
 
 
 def test_flat_invariance():
     se = vc.make_disk_se(2)
+    for m in np.zeros((9, 9), dtype=bool), np.ones((9, 9), dtype=bool):
+        np.testing.assert_array_equal(vc.binary_erode(m, se), m)
+        np.testing.assert_array_equal(vc.binary_dilate(m, se), m)
     img = np.full((9, 9), 42.0)
-    np.testing.assert_array_equal(vc.gray_erode(img, se), img)
-    np.testing.assert_array_equal(vc.gray_dilate(img, se), img)
     np.testing.assert_array_equal(vc.white_tophat(img, se), np.zeros_like(img))
 
 
 def test_single_pixel_dilation_is_cross():
-    img = np.zeros((7, 7))
-    img[3, 3] = 9.0
-    out = vc.gray_dilate(img, vc.make_disk_se(1))
-    expected = np.zeros((7, 7))
+    m = np.zeros((7, 7), dtype=bool)
+    m[3, 3] = True
+    out = vc.binary_dilate(m, vc.make_disk_se(1))
+    expected = np.zeros((7, 7), dtype=bool)
     for dy, dx in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]:
-        expected[3 + dy, 3 + dx] = 9.0
+        expected[3 + dy, 3 + dx] = True
     np.testing.assert_array_equal(out, expected)
 
 
@@ -134,14 +134,15 @@ def test_duality_idempotence_antiextensivity():
     ses = [vc.make_disk_se(1), vc.make_bar_se(4, 30), vc.make_bar_se(5, 90)]
     for _ in range(40):
         img = rng.uniform(-50, 300, size=(10, 10))
+        m = img > 125
         for se in ses:
-            # duality: erode(-I, se) == -dilate(I, reflected se)
+            # duality: erode(~M, se) == ~dilate(M, reflected se)
             np.testing.assert_array_equal(
-                vc.gray_erode(-img, se), -vc.gray_dilate(img, se.reflected())
+                vc.binary_erode(~m, se), ~vc.binary_dilate(m, se.reflected())
             )
-            opened = vc.gray_opening(img, se)
-            np.testing.assert_array_equal(vc.gray_opening(opened, se), opened)
-            assert np.all(opened <= img)
+            opened = vc.binary_opening(m, se)
+            np.testing.assert_array_equal(vc.binary_opening(opened, se), opened)
+            assert np.all(opened <= m)
             assert np.all(vc.white_tophat(img, se) >= 0)
 
 
@@ -153,19 +154,6 @@ def test_binary_monotonicity_under_inclusion():
         b = a | (rng.random((12, 12)) < 0.2)
         assert np.all(vc.binary_dilate(a, se) <= vc.binary_dilate(b, se))
         assert np.all(vc.binary_erode(a, se) <= vc.binary_erode(b, se))
-
-
-def test_binary_matches_gray_on_indicator():
-    rng = np.random.default_rng(8)
-    se = vc.make_bar_se(4, 60)
-    for _ in range(20):
-        m = rng.random((10, 10)) < 0.4
-        np.testing.assert_array_equal(
-            vc.binary_erode(m, se), vc.gray_erode(m.astype(float), se) > 0.5
-        )
-        np.testing.assert_array_equal(
-            vc.binary_dilate(m, se), vc.gray_dilate(m.astype(float), se) > 0.5
-        )
 
 
 # --- hole filling ---
