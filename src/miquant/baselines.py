@@ -22,18 +22,6 @@ N_SECTORS = 6
 BASELINE_METHODS = ("1-sd", "2-sd", "3-sd", "4-sd", "5-sd", "6-sd", "otsu", "fwhm", "gmm")
 
 
-@dataclass
-class RemoteRegion:
-    """Healthy reference myocardium for the n-SD family."""
-
-    mask: np.ndarray  # 2-D bool
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if not self.mask.any():
-            raise EmptyRegion("remote region is empty")
-
-
 def sector_index(myo: np.ndarray, cy: float, cx: float, origin) -> np.ndarray:
     """Sector of each pixel of myo about (cy, cx); myo's top-left pixel sits
     at ``origin = (y, x)`` of the slice."""
@@ -43,20 +31,26 @@ def sector_index(myo: np.ndarray, cy: float, cx: float, origin) -> np.ndarray:
     return np.minimum((angle / (360.0 / N_SECTORS)).astype(int), N_SECTORS - 1)
 
 
-def auto_remote_region(img: np.ndarray, myo: np.ndarray,
-                       endo: np.ndarray | None = None) -> RemoteRegion:
-    """Darkest of six angular sectors about the (endocardial) centroid.
+def auto_remote_region(img: np.ndarray, myo: np.ndarray, endo: np.ndarray) -> np.ndarray:
+    """The remote (healthy reference) myocardium as a bool mask: the darkest
+    of six angular sectors about the endocardial centroid, or about the
+    myocardial centroid when ``endo`` is empty.
 
-    Ties break toward the lowest sector index; sectors partition the
-    myocardium exactly. The centroid comes from the whole reference mask;
-    the sectors are built on ``bounding_box(myo, 0)`` only, in slice
-    coordinates, so each myocardial pixel gets its whole-slice angle and
-    each sector's intensities keep their order.
+    The six 60-degree sectors are anchored at angle 0 (the +x axis of the
+    slice), so the selection depends on image orientation: a left-right
+    flip maps sector edges onto sector edges, but a 90-degree rotation
+    moves them by 30 degrees and can pick another sector. Ties break toward
+    the lowest sector index; sectors partition the myocardium exactly. The
+    centroid comes from the whole reference mask; the sectors are built on
+    ``bounding_box(myo, 0)`` only, in slice coordinates, so each myocardial
+    pixel gets its whole-slice angle and each sector's intensities keep
+    their order.
     """
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("remote selection needs a non-empty myocardium")
-    ref = endo if endo is not None and np.asarray(endo).any() else myo
+    endo = np.asarray(endo, dtype=bool)
+    ref = endo if endo.any() else myo
     coords = np.argwhere(ref)
     cy, cx = coords.mean(axis=0)
     y0, y1, x0, x1 = bounding_box(myo, 0)
@@ -74,15 +68,16 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray,
             best_idx, best_mean = s, mean
     mask = np.zeros(myo.shape, dtype=bool)
     mask[crop] = myo_crop & (sectors == best_idx)
-    return RemoteRegion(mask=mask)
+    return mask
 
 
-def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: RemoteRegion, n: int) -> np.ndarray:
-    """Threshold at mean + n * SD of the remote intensities (strict >)."""
+def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: np.ndarray, n: int) -> np.ndarray:
+    """Threshold at mean + n * SD of the intensities under the bool mask
+    ``remote`` (strict >)."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     img = np.asarray(img, dtype=np.float64)
-    values = img[remote.mask]
+    values = img[np.asarray(remote, dtype=bool)]
     if values.size == 0:
         raise EmptyRegion("remote region is empty")
     t = float(values.mean()) + n * float(values.std(ddof=0))
@@ -201,9 +196,9 @@ def gmm_segment(img: np.ndarray, myo: np.ndarray, gmm: Gmm2) -> np.ndarray:
 # batch runner
 # ---------------------------------------------------------------------------
 
-def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
-                  remote: Mask | None = None) -> dict[str, Mask]:
-    """All requested methods over every slice of a preprocessed case.
+def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Mask]:
+    """The nine methods of BASELINE_METHODS over every slice of a
+    preprocessed case.
 
     Slices where a method degenerates (empty myocardium, constant
     histogram) contribute empty masks. The n-SD family uses the provided
@@ -216,45 +211,31 @@ def run_baselines(case: LabeledCase, methods=BASELINE_METHODS,
     of the slice. The myocardial intensities keep their order there, so the
     means, SDs, histograms and mixture fits are the whole-slice ones.
     """
-    unknown = [m for m in methods if m not in BASELINE_METHODS]
-    if unknown:
-        raise ConfigError(f"unknown baseline methods {unknown}; known: {BASELINE_METHODS}")
     if remote is not None:
         check_aligned(case.volume, remote)
     shape = case.volume.data.shape
-    out = {m: np.zeros(shape, dtype=bool) for m in methods}
+    out = {m: np.zeros(shape, dtype=bool) for m in BASELINE_METHODS}
     for k in range(case.nz):
         y0, y1, x0, x1 = bounding_box(case.myocardium.data[k], 0)
         if y1 == y0:
             continue
         rows, cols = slice(y0, y1), slice(x0, x1)
-        myo = case.myocardium.data[k, rows, cols]
-        img = case.volume.data[k, rows, cols]
-        remote_k = None
-        if any(m.endswith("-sd") for m in methods):
-            if remote is not None and (remote.data[k, rows, cols] & myo).any():
-                remote_k = RemoteRegion(mask=remote.data[k, rows, cols] & myo)
-            else:
-                auto = auto_remote_region(case.volume.data[k], case.myocardium.data[k],
-                                          case.endocardium.data[k])
-                remote_k = RemoteRegion(mask=auto.mask[rows, cols])
-        gmm = None
-        if "gmm" in methods:
-            try:
-                gmm = gmm_fit(img[myo])
-            except DegenerateData:
-                gmm = None
-        for method in methods:
-            dst = out[method][k, rows, cols]
-            if method.endswith("-sd"):
-                dst[...] = nsd_segment(img, myo, remote_k, int(method[0]))
-            elif method == "otsu":
-                try:
-                    dst[...] = otsu_segment(img, myo)
-                except DegenerateHistogram:
-                    pass
-            elif method == "fwhm":
-                dst[...] = fwhm_segment(img, myo)
-            elif gmm is not None:  # method == "gmm"
-                dst[...] = gmm_segment(img, myo, gmm)
+        crop = (k, rows, cols)
+        myo = case.myocardium.data[crop]
+        img = case.volume.data[crop]
+        ref = None if remote is None else remote.data[crop] & myo
+        if ref is None or not ref.any():
+            ref = auto_remote_region(case.volume.data[k], case.myocardium.data[k],
+                                     case.endocardium.data[k])[rows, cols]
+        for n in range(1, 7):
+            out[f"{n}-sd"][crop] = nsd_segment(img, myo, ref, n)
+        try:
+            out["otsu"][crop] = otsu_segment(img, myo)
+        except DegenerateHistogram:
+            pass
+        out["fwhm"][crop] = fwhm_segment(img, myo)
+        try:
+            out["gmm"][crop] = gmm_segment(img, myo, gmm_fit(img[myo]))
+        except DegenerateData:
+            pass
     return {m: Mask(case.volume.spacing, data) for m, data in out.items()}

@@ -15,6 +15,7 @@ from .volcore import LabeledCase, extract_patches
 
 DETECT_INPUT_SIZE = 89
 INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] crops for the feature net
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,10 @@ def case_label(case: LabeledCase) -> str:
     ) else "healthy"
 
 
-def stratified_split(cases: list[LabeledCase], seed: int,
-                     fractions=(0.8, 0.1, 0.1)):
-    """Case-level stratified split; every partition keeps whole cases and the
-    test partition holds at least one case of each class."""
+def stratified_split(cases: list[LabeledCase], seed: int):
+    """Case-level stratified split by SPLIT_FRACTIONS; every partition keeps
+    whole cases and the test partition holds at least one case of each
+    class."""
     rng = np.random.default_rng(seed)
     strata: dict[str, list[int]] = {"healthy": [], "diseased": []}
     for i, case in enumerate(cases):
@@ -189,8 +190,8 @@ def stratified_split(cases: list[LabeledCase], seed: int,
             continue
         idx = idx[rng.permutation(len(idx))]
         n = len(idx)
-        n_test = max(1, int(round(fractions[2] * n)))
-        n_val = max(1, int(round(fractions[1] * n))) if n - n_test >= 2 else 0
+        n_test = max(1, int(round(SPLIT_FRACTIONS[2] * n)))
+        n_val = max(1, int(round(SPLIT_FRACTIONS[1] * n))) if n - n_test >= 2 else 0
         test.extend(idx[:n_test].tolist())
         val.extend(idx[n_test : n_test + n_val].tolist())
         train.extend(idx[n_test + n_val :].tolist())

@@ -6,8 +6,9 @@ and MVO sensitivity, gathered into one report row by ``case_row``.
 Between methods: Bland-Altman bias, Spearman's rho, the paired t test and
 the Mann-Whitney U test. Spearman, paired t and Mann-Whitney are the
 ``scipy.stats`` calls. The three paired statistics reject series of
-unequal length or with a non-finite value, and a constant series (for
-paired t, constant differences) raises ZeroVariance before scipy sees it.
+unequal length, and all four reject a non-finite value. A constant series
+(for paired t, differences constant to within rounding) raises
+ZeroVariance before scipy sees it.
 """
 from __future__ import annotations
 
@@ -117,8 +118,10 @@ def paired_t(x, y) -> tuple[float, float]:
     """Paired Student t on d = x - y; two-tailed p with n-1 dof."""
     x, y = _paired(x, y, 2, "paired t")
     d = x - y
-    if (d == d[0]).all():
-        raise ZeroVariance("paired differences have zero variance")
+    mean = d.mean()
+    # scipy's own test for catastrophic cancellation in the variance
+    if (d == d[0]).all() or np.abs(d - mean).max() < 10 * np.finfo(np.float64).eps * abs(mean):
+        raise ZeroVariance("paired differences have zero variance to within rounding")
     res = ttest_rel(x, y)
     return float(res.statistic), float(res.pvalue)
 
@@ -130,6 +133,8 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=np.float64)
     if len(x) < 2 or len(y) < 2:
         raise LengthMismatch("both samples need at least 2 values")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("Mann-Whitney U needs finite values")
     res = mannwhitneyu(x, y, alternative="two-sided", method="asymptotic",
                        use_continuity=True)
     return float(res.statistic), float(res.pvalue)

@@ -3,34 +3,18 @@ intensity normalization inside the epicardium, and gamma enhancement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateRange, EmptyRegion, SpacingError
+from .errors import DataError, DegenerateRange, EmptyRegion, SpacingError
 from .volcore import LabeledCase, Mask, Volume, bounding_box
 
 CANONICAL_SPACING = (1.25, 1.25, 8.0)
+GAMMA = 1.5
+P_LO = 1.0   # percentile of myocardial intensities mapped to 0
+P_HI = 99.0  # percentile of blood-pool intensities mapped to 255
 NLM_PATCH_RADIUS = 1
 NLM_SEARCH_RADIUS = 3
 NLM_H_FACTOR = 0.6  # h = factor * sigma
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    target_spacing: tuple[float, float, float] = CANONICAL_SPACING
-    gamma: float = 1.5
-    p_lo: float = 1.0   # percentile of myocardial intensities mapped to 0
-    p_hi: float = 99.0  # percentile of blood-pool intensities mapped to 255
-
-    def __post_init__(self):
-        if any(s <= 0 for s in self.target_spacing):
-            raise ConfigError(f"target spacing must be > 0, got {self.target_spacing}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not (0 <= self.p_lo < self.p_hi <= 100):
-            raise ConfigError(f"percentiles must satisfy 0 <= p_lo < p_hi <= 100, "
-                              f"got {self.p_lo} and {self.p_hi}")
 
 
 def estimate_noise_sigma(img: np.ndarray):
@@ -202,15 +186,10 @@ def _nearest(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return data[:, r[:, None], c]
 
 
-def normalize_slice(
-    img: np.ndarray,
-    myo: np.ndarray,
-    bloodpool: np.ndarray,
-    cfg: PreprocessConfig = PreprocessConfig(),
-) -> np.ndarray:
+def normalize_slice(img: np.ndarray, myo: np.ndarray, bloodpool: np.ndarray) -> np.ndarray:
     """Affine map to [0, 255] anchored on the reference regions.
 
-    The p_lo percentile of myocardial intensities goes to 0 and the p_hi
+    The P_LO percentile of myocardial intensities goes to 0 and the P_HI
     percentile of blood-pool intensities to 255; everything is clamped, and
     pixels outside the epicardium (myo union blood pool) are zeroed.
     """
@@ -221,8 +200,8 @@ def normalize_slice(
         raise EmptyRegion("myocardium reference region is empty")
     if not bloodpool.any():
         raise EmptyRegion("blood-pool reference region is empty")
-    lo = float(np.percentile(img[myo], cfg.p_lo))
-    hi = float(np.percentile(img[bloodpool], cfg.p_hi))
+    lo = float(np.percentile(img[myo], P_LO))
+    hi = float(np.percentile(img[bloodpool], P_HI))
     if hi <= lo:
         raise DegenerateRange(f"reference range is degenerate (lo={lo}, hi={hi})")
     out = np.clip(255.0 * (img - lo) / (hi - lo), 0.0, 255.0)
@@ -236,9 +215,9 @@ def gamma_enhance(img: np.ndarray, gamma: float) -> np.ndarray:
     return 255.0 * (np.clip(img, 0.0, 255.0) / 255.0) ** gamma
 
 
-def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig()) -> LabeledCase:
-    """Denoise -> reslice -> per-slice normalize -> gamma, each stage once
-    over the stack of slices.
+def preprocess_case(case: LabeledCase) -> LabeledCase:
+    """Denoise -> reslice to CANONICAL_SPACING -> per-slice normalize (P_LO,
+    P_HI) -> gamma (GAMMA), each stage once over the stack of slices.
 
     Masks are resliced nearest-neighbor. Slices whose reference regions are
     empty (no contoured heart) are zeroed rather than failing the case.
@@ -262,7 +241,7 @@ def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig(
     data = denoise_nlm(stack, estimate_noise_sigma(stack), bounding_box(heart.any(axis=0), 1))
 
     def rs(mask):
-        return None if mask is None else reslice_mask(mask, cfg.target_spacing)
+        return None if mask is None else reslice_mask(mask)
 
     myo = rs(case.myocardium)
     endo = rs(case.endocardium)
@@ -274,18 +253,18 @@ def preprocess_case(case: LabeledCase, cfg: PreprocessConfig = PreprocessConfig(
     y0, y1, x0, x1 = box = bounding_box((myo.data | endo.data).any(axis=0), 0)
     if y1 > y0:
         crop = (slice(None), slice(y0, y1), slice(x0, x1))
-        vol = reslice(Volume(case.volume.spacing, data), cfg.target_spacing, box)
+        vol = reslice(Volume(case.volume.spacing, data), box=box)
         normalized = np.zeros(vol.data.shape)
         for k, (img, m, e) in enumerate(zip(vol.data, myo.data[crop], endo.data[crop])):
             try:
-                normalized[k] = normalize_slice(img, m, e, cfg)
+                normalized[k] = normalize_slice(img, m, e)
             except (EmptyRegion, DegenerateRange):
                 pass  # the slice stays 0, which gamma keeps
-        out[crop] = gamma_enhance(normalized, cfg.gamma)
+        out[crop] = gamma_enhance(normalized, GAMMA)
 
     return LabeledCase(
         case_id=case.case_id,
-        volume=Volume(cfg.target_spacing, out),
+        volume=Volume(CANONICAL_SPACING, out),
         myocardium=myo,
         endocardium=endo,
         epicardium=epi,

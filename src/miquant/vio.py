@@ -36,17 +36,6 @@ _ELEMENT_DTYPES = {
     "MET_UCHAR": np.dtype("<u1"),
 }
 
-REPORT_COLUMNS = [
-    "case_id",
-    "slice",
-    "method",
-    "dice_pct",
-    "hausdorff_mm",
-    "scar_volume_cm3",
-    "pct_infarct",
-    "mvo_sensitivity",
-]
-
 
 # ---------------------------------------------------------------------------
 # volumes and masks
@@ -414,6 +403,9 @@ class ReportRow:
     scar_volume_cm3: float | None = None
     pct_infarct: float | None = None
     mvo_sensitivity: float | None = None
+
+
+REPORT_COLUMNS = [f.name for f in fields(ReportRow)]  # the report CSV header, in order
 
 
 @dataclass

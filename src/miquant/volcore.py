@@ -77,10 +77,6 @@ class Mask(_Grid):
     def count(self) -> int:
         return int(np.count_nonzero(self.data))
 
-    @classmethod
-    def empty_like(cls, other: _Grid) -> "Mask":
-        return cls(other.spacing, np.zeros(other.data.shape, dtype=bool))
-
 
 def check_aligned(*grids) -> None:
     """Raise AlignmentError unless all grids share dims and spacing."""

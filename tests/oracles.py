@@ -138,27 +138,27 @@ def integral_nlm(img, sigma):
     return acc / wsum
 
 
-def whole_slice_preprocess(case, cfg=preprocess.PreprocessConfig()):
+def whole_slice_preprocess(case):
     """``preprocess_case`` with every slice denoised whole."""
     data = np.empty_like(case.volume.data)
     for k, img in enumerate(case.volume.data):
         data[k] = whole_slice_nlm(img, preprocess.estimate_noise_sigma(img))
-    vol = preprocess.reslice(Volume(case.volume.spacing, data), cfg.target_spacing)
+    vol = preprocess.reslice(Volume(case.volume.spacing, data))
 
     def rs(mask):
-        return None if mask is None else preprocess.reslice_mask(mask, cfg.target_spacing)
+        return None if mask is None else preprocess.reslice_mask(mask)
 
     myo = rs(case.myocardium)
     endo = rs(case.endocardium)
     out = np.empty_like(vol.data)
     for k in range(vol.data.shape[0]):
         try:
-            normalized = preprocess.normalize_slice(vol.data[k], myo.data[k], endo.data[k], cfg)
+            normalized = preprocess.normalize_slice(vol.data[k], myo.data[k], endo.data[k])
         except (EmptyRegion, DegenerateRange):
             out[k] = 0.0
             continue
-        out[k] = preprocess.gamma_enhance(normalized, cfg.gamma)
-    return LabeledCase(case.case_id, Volume(cfg.target_spacing, out), myo, endo,
+        out[k] = preprocess.gamma_enhance(normalized, preprocess.GAMMA)
+    return LabeledCase(case.case_id, Volume(preprocess.CANONICAL_SPACING, out), myo, endo,
                        rs(case.epicardium), rs(case.gt_scar), rs(case.gt_mvo),
                        case.per_slice_labels)
 

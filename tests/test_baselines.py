@@ -28,20 +28,13 @@ def test_nsd_needs_n_of_one_or_more(diseased_cases):
         baselines.nsd_segment(img, myo, remote, 0)
 
 
-@pytest.mark.parametrize("method", ["7-sd", "kmeans"])
-def test_run_baselines_rejects_unknown_method(diseased_cases, method):
-    with pytest.raises(ConfigError):
-        baselines.run_baselines(diseased_cases[0], methods=("otsu", method))
-
-
 def _per_slice(img, myo, endo, remote=None):
     """Each method's mask on one slice, from its own segment function; the
     n-SD reference is remote within the myocardium or, where that is empty,
     the whole-slice oracle's darkest sector."""
     if remote is None or not (remote & myo).any():
         remote = oracles.whole_slice_remote(img, myo, endo)
-    region = baselines.RemoteRegion(mask=remote & myo)
-    masks = {f"{n}-sd": baselines.nsd_segment(img, myo, region, n) for n in range(1, 7)}
+    masks = {f"{n}-sd": baselines.nsd_segment(img, myo, remote & myo, n) for n in range(1, 7)}
     masks["otsu"] = baselines.otsu_segment(img, myo)
     masks["fwhm"] = baselines.fwhm_segment(img, myo)
     masks["gmm"] = baselines.gmm_segment(img, myo, baselines.gmm_fit(img[myo]))
@@ -120,9 +113,9 @@ def test_auto_remote_region_equals_the_whole_slice_oracle(diseased_cases):
     for case in cases:
         for img, myo, endo in zip(case.volume.data, case.myocardium.data, case.endocardium.data):
             remote = baselines.auto_remote_region(img, myo, endo)
-            np.testing.assert_array_equal(remote.mask, oracles.whole_slice_remote(img, myo, endo))
+            np.testing.assert_array_equal(remote, oracles.whole_slice_remote(img, myo, endo))
     img, myo = cases[0].volume.data[0], cases[0].myocardium.data[0]
-    np.testing.assert_array_equal(baselines.auto_remote_region(img, myo).mask,
+    np.testing.assert_array_equal(baselines.auto_remote_region(img, myo, np.zeros_like(myo)),
                                   oracles.whole_slice_remote(img, myo, None))
 
 

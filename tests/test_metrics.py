@@ -248,6 +248,15 @@ def test_mwu_matches_paircount_oracle():
         assert u == oracles.paircount_u(x, y)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mwu_rejects_non_finite_values(bad):
+    x, y = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
+    for samples in ([1.0, bad, 3.0], y), (x, [4.0, 5.0, bad]):
+        with pytest.raises(DataError) as exc:
+            mx.mann_whitney_u(*samples)
+        assert exc.type is DataError
+
+
 # --- paired t ---
 
 def test_paired_t_zero_variance():
@@ -258,6 +267,16 @@ def test_paired_t_zero_variance():
     # equal differences whose float mean is not exactly 0.1
     with pytest.raises(ZeroVariance):
         mx.paired_t([0.1, 0.1, 0.1], [0.0, 0.0, 0.0])
+
+
+def test_paired_t_zero_variance_to_within_rounding():
+    # 0.1 + 0.2 is 0.30000000000000004: the differences are equal only to
+    # within rounding, where scipy would warn of catastrophic cancellation
+    with pytest.raises(ZeroVariance):
+        mx.paired_t([0.1 + 0.2, 0.3, 0.3], [0.0, 0.0, 0.0])
+    # a spread far above rounding is still a t test
+    t, p = mx.paired_t([1.0, 1.0 + 1e-9, 1.0 - 1e-9], [0.0, 0.0, 0.0])
+    assert t > 1e8 and p < 1e-15
 
 
 def test_paired_t_frozen_reference():

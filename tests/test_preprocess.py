@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from miquant import phantom, preprocess as pp
-from miquant.errors import ConfigError, DataError, DegenerateRange, EmptyRegion, SpacingError
+from miquant.errors import DataError, DegenerateRange, EmptyRegion, SpacingError
 from miquant.volcore import LabeledCase, Mask, Volume, bounding_box
 
 
@@ -300,8 +300,7 @@ def test_normalize_endpoints_map_to_0_255():
     img = np.zeros((12, 12))
     img[myo] = 10.0
     img[pool] = 90.0
-    cfg = pp.PreprocessConfig(p_lo=0, p_hi=100)
-    out = pp.normalize_slice(img, myo, pool, cfg)
+    out = pp.normalize_slice(img, myo, pool)
     assert out[myo].min() == 0.0
     assert out[pool].max() == 255.0
     assert np.all(out[~(myo | pool)] == 0.0)
@@ -364,13 +363,13 @@ def _piecewise_case(spacing=(1.25, 1.25, 8.0)):
     )
 
 
-def test_pipeline_gamma1_on_clean_canonical_case_is_pure_normalization():
+def test_pipeline_gamma1_on_clean_canonical_case_is_pure_normalization(monkeypatch):
     case = _piecewise_case()
-    cfg = pp.PreprocessConfig(gamma=1.0)
-    out = pp.preprocess_case(case, cfg)
+    monkeypatch.setattr(pp, "GAMMA", 1.0)
+    out = pp.preprocess_case(case)
     # piecewise-constant slice: estimated sigma is 0, reslice is identity
     expected = pp.normalize_slice(case.volume.data[0], case.myocardium.data[0],
-                                  case.endocardium.data[0], cfg)
+                                  case.endocardium.data[0])
     np.testing.assert_allclose(out.volume.data[0], expected)
     assert out.volume.spacing == (1.25, 1.25, 8.0)
 
@@ -426,20 +425,3 @@ def test_preprocess_case_rejects_a_case_whose_noise_overflows_h_squared():
     with pytest.raises(DataError):
         pp.preprocess_case(case)
 
-
-# --- configuration ---
-
-def test_config_rejects_non_positive_spacing():
-    with pytest.raises(ConfigError):
-        pp.PreprocessConfig(target_spacing=(1.25, 0.0, 8.0))
-
-
-def test_config_rejects_non_positive_gamma():
-    with pytest.raises(ConfigError):
-        pp.PreprocessConfig(gamma=0.0)
-
-
-@pytest.mark.parametrize("p_lo, p_hi", [(50.0, 50.0), (-1.0, 99.0), (1.0, 101.0)])
-def test_config_rejects_unordered_percentiles(p_lo, p_hi):
-    with pytest.raises(ConfigError):
-        pp.PreprocessConfig(p_lo=p_lo, p_hi=p_hi)

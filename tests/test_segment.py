@@ -489,7 +489,7 @@ def test_training_centres_match_the_distance_transform_oracle(monkeypatch):
     r = np.hypot(yy - 48, xx - 48)
     gt = np.stack([(r >= 20) & (r < 27) & (yy < 48), r <= 14])
     vol = Volume((1.0, 1.0, 1.0), np.arange(gt.size, dtype=np.float64).reshape(gt.shape))
-    empty = Mask.empty_like(vol)
+    empty = Mask(vol.spacing, np.zeros(gt.shape, dtype=bool))
     case = LabeledCase("ids", vol, empty, empty, empty, gt_scar=Mask(vol.spacing, gt))
     monkeypatch.setattr(ll, "balance_classes", lambda x, y, seed: (x, y))
     x, y = segment.sample_training_patches(case)

@@ -304,7 +304,7 @@ def test_labeled_case_slice_labels_derived_from_gt():
     scar = np.zeros((2, 4, 4), dtype=bool)
     scar[1, 2, 2] = True
     case = vc.LabeledCase(
-        "c0", vol, myo, vc.Mask.empty_like(vol), myo, gt_scar=vc.Mask((1, 1, 1), scar)
+        "c0", vol, myo, vc.Mask((1, 1, 1), np.zeros((2, 4, 4), dtype=bool)), myo, gt_scar=vc.Mask((1, 1, 1), scar)
     )
     assert case.slice_label(0) == "healthy"
     assert case.slice_label(1) == "diseased"
