@@ -85,12 +85,18 @@ def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: np.ndarray, n: int) ->
 
 
 def fwhm_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
-    """Threshold at half the maximum myocardial intensity (inclusive)."""
+    """Threshold at half the maximum myocardial intensity (inclusive).
+    Raises DegenerateData on constant myocardial intensities, where every
+    voxel would pass."""
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("FWHM needs a non-empty myocardium")
     img = np.asarray(img, dtype=np.float64)
-    t = 0.5 * float(img[myo].max())
+    values = img[myo]
+    top = float(values.max())
+    if top == float(values.min()):
+        raise DegenerateData("FWHM needs myocardial intensities that are not all equal")
+    t = 0.5 * top
     return (img >= t) & myo
 
 
@@ -133,13 +139,9 @@ class Gmm2:
         return self.sds[0]
 
 
-def _log_normal_pdf(x, mu, sd):
-    return -0.5 * np.log(2.0 * np.pi * sd * sd) - (x - mu) ** 2 / (2.0 * sd * sd)
-
-
-def gmm_fit(values: np.ndarray) -> Gmm2:
-    """EM fit initialized from the Otsu split of the intensity histogram;
-    runs to a log-likelihood change below 1e-6 or 200 iterations."""
+def _gmm_init(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, pi, mu, sd): the sample as float64 and the mixture parameters of
+    its Otsu split; raises DegenerateData when there is no mixture to fit."""
     x = np.asarray(values, dtype=np.float64).ravel()
     if x.size < 10 or float(x.std()) == 0.0:
         raise DegenerateData("GMM needs >= 10 samples with nonzero variance")
@@ -151,38 +153,114 @@ def gmm_fit(values: np.ndarray) -> Gmm2:
     hi = x[intensity_levels(x) > t]
     if lo.size == 0 or hi.size == 0:
         raise DegenerateData("Otsu initialization produced an empty class")
-
     pi = np.array([lo.size, hi.size], dtype=np.float64) / x.size
     mu = np.array([lo.mean(), hi.mean()])
     sd = np.maximum(np.array([lo.std(), hi.std()]), max(_SIGMA_FLOOR, 1e-3 * x.std()))
+    return x, pi, mu, sd
 
-    trace = []
-    converged = False
+
+def gmm_fit_all(samples) -> list[Gmm2 | DegenerateData]:
+    """gmm_fit on every sample, with one EM loop for all of them: a Gmm2
+    per sample, or the DegenerateData that gmm_fit raises on it.
+
+    The E- and M-step element work runs on the concatenated samples, with
+    each sample's parameters repeated over its own run of elements, and a
+    sample leaves the loop when it converges. Every fit equals, bit for
+    bit, a plain EM loop on that sample alone: each element sees the same
+    arithmetic, and each per-sample sum (log-likelihood, responsibilities,
+    ``resp @ x``, the weighted squared deviations) is a reduction over
+    that sample's own run of a C-ordered array, so it adds in the
+    one-sample order. The squared deviations of an M-step serve the next
+    E-step, and the two-component log-sum-exp is
+    ``max + log(1 + exp(min - max))``: the larger term's exponential is
+    exp(0) = 1 exactly, and addition commutes.
+    """
+    results: list[Gmm2 | DegenerateData | None] = [None] * len(samples)
+    xs, inits, ids = [], [], []  # the samples that get a fit, and their indices
+    for i, values in enumerate(samples):
+        try:
+            x, *params = _gmm_init(values)
+        except DegenerateData as exc:
+            results[i] = exc
+            continue
+        xs.append(x)
+        inits.append(params)
+        ids.append(i)
+    if not ids:
+        return results
+    pi, mu, sd = (np.stack(p, axis=1) for p in zip(*inits))  # (2, active samples)
+    traces = [[] for _ in ids]
+    fits = [None] * len(ids)  # (pi, mu, sd, converged) of each sample that left
+    active = list(range(len(ids)))
+
+    def gather():
+        """The active samples' elements, run lengths and runs."""
+        sizes = np.array([xs[j].size for j in active])
+        ends = np.cumsum(sizes).tolist()
+        runs = [slice(end - n, end) for end, n in zip(ends, sizes.tolist())]
+        return np.concatenate([xs[j] for j in active]), sizes, runs
+
+    x, sizes, runs = gather()
+    d2 = (x - np.repeat(mu, sizes, axis=1)) ** 2
     for _ in range(MAX_EM_ITERATIONS):
-        logp = np.stack(
-            [np.log(pi[c]) + _log_normal_pdf(x, mu[c], sd[c]) for c in (0, 1)]
+        # each sample's parameters over its run: C-ordered (2, elements) arrays
+        log_pi, log_norm, two_var = np.repeat(
+            np.stack([np.log(pi), -0.5 * np.log(2.0 * np.pi * sd * sd), 2.0 * sd * sd]),
+            sizes, axis=2)
+        logp = log_pi + (log_norm - d2 / two_var)
+        top = np.maximum(logp[0], logp[1])
+        log_mix = top + np.log(1.0 + np.exp(np.minimum(logp[0], logp[1]) - top))
+        resp = np.exp(logp - log_mix)
+        nk = np.empty_like(pi)
+        rx = np.empty_like(pi)
+        for col, run in enumerate(runs):
+            traces[active[col]].append(float(log_mix[run].sum()))
+            nk[:, col] = resp[:, run].sum(axis=1)
+            rx[:, col] = resp[:, run] @ x[run]
+        pi = nk / sizes
+        mu = rx / nk
+        d2 = (x - np.repeat(mu, sizes, axis=1)) ** 2
+        weighted = resp * d2
+        var = np.empty_like(pi)
+        for col, run in enumerate(runs):
+            var[:, col] = weighted[:, run].sum(axis=1)
+        sd = np.sqrt(np.maximum(var / nk, _SIGMA_FLOOR**2))
+        keep = []
+        for col, j in enumerate(active):
+            trace = traces[j]
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) < EM_TOLERANCE:
+                fits[j] = (pi[:, col], mu[:, col], sd[:, col], True)
+            else:
+                keep.append(col)
+        if len(keep) < len(active):
+            active = [active[col] for col in keep]
+            if not active:
+                break
+            pi, mu, sd = (np.ascontiguousarray(p[:, keep]) for p in (pi, mu, sd))
+            x, sizes, runs = gather()
+            d2 = (x - np.repeat(mu, sizes, axis=1)) ** 2
+    for col, j in enumerate(active):
+        fits[j] = (pi[:, col], mu[:, col], sd[:, col], False)
+    for j, i in enumerate(ids):
+        pi_j, mu_j, sd_j, converged = fits[j]
+        order = np.argsort(mu_j)
+        results[i] = Gmm2(
+            weights=(float(pi_j[order[0]]), float(pi_j[order[1]])),
+            means=(float(mu_j[order[0]]), float(mu_j[order[1]])),
+            sds=(float(sd_j[order[0]]), float(sd_j[order[1]])),
+            log_likelihood_trace=traces[j],
+            converged=converged,
         )
-        m = logp.max(axis=0)
-        log_mix = m + np.log(np.exp(logp - m).sum(axis=0))
-        ll = float(log_mix.sum())
-        resp = np.exp(logp - log_mix)  # (2, N)
-        nk = resp.sum(axis=1)
-        pi = nk / x.size
-        mu = (resp @ x) / nk
-        var = (resp * (x[None, :] - mu[:, None]) ** 2).sum(axis=1) / nk
-        sd = np.sqrt(np.maximum(var, _SIGMA_FLOOR**2))
-        trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < EM_TOLERANCE:
-            converged = True
-            break
-    order = np.argsort(mu)
-    return Gmm2(
-        weights=(float(pi[order[0]]), float(pi[order[1]])),
-        means=(float(mu[order[0]]), float(mu[order[1]])),
-        sds=(float(sd[order[0]]), float(sd[order[1]])),
-        log_likelihood_trace=trace,
-        converged=converged,
-    )
+    return results
+
+
+def gmm_fit(values: np.ndarray) -> Gmm2:
+    """EM fit initialized from the Otsu split of the intensity histogram;
+    runs to a log-likelihood change below 1e-6 or 200 iterations."""
+    (fit,) = gmm_fit_all([values])
+    if isinstance(fit, DegenerateData):
+        raise fit
+    return fit
 
 
 def gmm_segment(img: np.ndarray, myo: np.ndarray, gmm: Gmm2) -> np.ndarray:
@@ -201,7 +279,7 @@ def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Ma
     preprocessed case.
 
     Slices where a method degenerates (empty myocardium, constant
-    histogram) contribute empty masks. The n-SD family uses the provided
+    intensities) contribute empty masks. The n-SD family uses the provided
     remote mask within the myocardium, or auto_remote_region on slices
     where that is empty. Raises AlignmentError when remote is not on the
     case's grid.
@@ -209,12 +287,15 @@ def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Ma
     Every method's mask lies inside the myocardium and reads only
     myocardial intensities, so each method runs on ``bounding_box(myo, 0)``
     of the slice. The myocardial intensities keep their order there, so the
-    means, SDs, histograms and mixture fits are the whole-slice ones.
+    means, SDs, histograms and mixture fits are the whole-slice ones. The
+    mixture is fitted once per case: one ``gmm_fit_all`` over every slice's
+    myocardial intensities, each fit equal to that slice's ``gmm_fit``.
     """
     if remote is not None:
         check_aligned(case.volume, remote)
     shape = case.volume.data.shape
     out = {m: np.zeros(shape, dtype=bool) for m in BASELINE_METHODS}
+    crops = []
     for k in range(case.nz):
         y0, y1, x0, x1 = bounding_box(case.myocardium.data[k], 0)
         if y1 == y0:
@@ -223,6 +304,7 @@ def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Ma
         crop = (k, rows, cols)
         myo = case.myocardium.data[crop]
         img = case.volume.data[crop]
+        crops.append((crop, img, myo))
         ref = None if remote is None else remote.data[crop] & myo
         if ref is None or not ref.any():
             ref = auto_remote_region(case.volume.data[k], case.myocardium.data[k],
@@ -233,9 +315,12 @@ def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Ma
             out["otsu"][crop] = otsu_segment(img, myo)
         except DegenerateHistogram:
             pass
-        out["fwhm"][crop] = fwhm_segment(img, myo)
         try:
-            out["gmm"][crop] = gmm_segment(img, myo, gmm_fit(img[myo]))
+            out["fwhm"][crop] = fwhm_segment(img, myo)
         except DegenerateData:
             pass
+    fits = gmm_fit_all([img[myo] for _, img, myo in crops])
+    for (crop, img, myo), gmm in zip(crops, fits):
+        if isinstance(gmm, Gmm2):
+            out["gmm"][crop] = gmm_segment(img, myo, gmm)
     return {m: Mask(case.volume.spacing, data) for m, data in out.items()}

@@ -15,6 +15,14 @@ def diseased_cases():
 
 
 @pytest.fixture(scope="session")
+def golden_cases():
+    """The golden corpus of test_golden, preprocessed."""
+    from test_golden import CORPUS
+
+    return [preprocess.preprocess_case(c) for c in phantom.generate_corpus(CORPUS)]
+
+
+@pytest.fixture(scope="session")
 def mixed_cases():
     """Eight preprocessed cases, half healthy, half diseased."""
     corpus = phantom.CorpusSpec(

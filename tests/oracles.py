@@ -14,7 +14,9 @@ same order as ``preprocess.denoise_nlm`` and so matches it bit for bit;
 which round differently except on integer-valued slices. ``PaddedConv2D``
 takes a convolution's input gradient as the full correlation over the
 zero-padded output gradient, which the package computed before it took
-that gradient per kernel tap.
+that gradient per kernel tap. ``one_sample_em`` is the mixture fit's EM
+loop on one sample, which the package ran per slice before it fitted every
+slice of a case in one loop.
 """
 from collections import deque
 
@@ -22,7 +24,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from miquant import baselines, preprocess, segment
-from miquant.errors import DegenerateRange, EmptyRegion, ShapeError
+from miquant.errors import (
+    DegenerateData,
+    DegenerateHistogram,
+    DegenerateRange,
+    EmptyRegion,
+    ShapeError,
+)
 from miquant.learnlib import net_loss
 from miquant.learnlib.net import Conv2D
 from miquant.volcore import (
@@ -290,6 +298,54 @@ def rank_spearman(x, y):
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float((rx * ry).sum() / np.sqrt((rx**2).sum() * (ry**2).sum()))
+
+
+# --- Gaussian mixture: the one-sample EM loop ---
+
+def one_sample_em(values):
+    """(weights, means, sds, log-likelihood trace, converged) of the
+    two-component EM on one sample, as ``baselines.gmm_fit`` computed it
+    before it ran every sample of a case in one loop; the Otsu split that
+    starts it comes from the package. Raises DegenerateData like gmm_fit."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if x.size < 10 or float(x.std()) == 0.0:
+        raise DegenerateData("GMM needs >= 10 samples with nonzero variance")
+    try:
+        t = otsu_threshold(x)
+    except DegenerateHistogram as exc:
+        raise DegenerateData(f"degenerate intensity histogram: {exc}") from exc
+    lo = x[intensity_levels(x) <= t]
+    hi = x[intensity_levels(x) > t]
+    if lo.size == 0 or hi.size == 0:
+        raise DegenerateData("Otsu initialization produced an empty class")
+    pi = np.array([lo.size, hi.size], dtype=np.float64) / x.size
+    mu = np.array([lo.mean(), hi.mean()])
+    floor = baselines._SIGMA_FLOOR
+    sd = np.maximum(np.array([lo.std(), hi.std()]), max(floor, 1e-3 * x.std()))
+
+    def log_normal_pdf(mu, sd):
+        return -0.5 * np.log(2.0 * np.pi * sd * sd) - (x - mu) ** 2 / (2.0 * sd * sd)
+
+    trace = []
+    converged = False
+    for _ in range(baselines.MAX_EM_ITERATIONS):
+        logp = np.stack([np.log(pi[c]) + log_normal_pdf(mu[c], sd[c]) for c in (0, 1)])
+        m = logp.max(axis=0)
+        log_mix = m + np.log(np.exp(logp - m).sum(axis=0))
+        ll = float(log_mix.sum())
+        resp = np.exp(logp - log_mix)
+        nk = resp.sum(axis=1)
+        pi = nk / x.size
+        mu = (resp @ x) / nk
+        var = (resp * (x[None, :] - mu[:, None]) ** 2).sum(axis=1) / nk
+        sd = np.sqrt(np.maximum(var, floor**2))
+        trace.append(ll)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) < baselines.EM_TOLERANCE:
+            converged = True
+            break
+    order = np.argsort(mu)
+    return (tuple(float(pi[i]) for i in order), tuple(float(mu[i]) for i in order),
+            tuple(float(sd[i]) for i in order), trace, converged)
 
 
 # --- distances ---

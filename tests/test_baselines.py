@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from miquant import baselines
-from miquant.errors import AlignmentError, ConfigError
+from miquant import baselines, phantom, preprocess
+from miquant.errors import AlignmentError, ConfigError, DegenerateData
 from miquant.volcore import LabeledCase, Mask, Volume
 
 
@@ -127,3 +127,73 @@ def test_run_baselines_rejects_a_remote_mask_off_the_case_grid(diseased_cases):
     for remote in (wide, coarse):
         with pytest.raises(AlignmentError):
             baselines.run_baselines(case, remote=remote)
+
+
+def test_fwhm_on_constant_myocardial_intensities_is_degenerate():
+    myo = np.zeros((6, 6), dtype=bool)
+    myo[1:5, 1:5] = True
+    for level in (0.0, 37.0):
+        with pytest.raises(DegenerateData):
+            baselines.fwhm_segment(np.full(myo.shape, level), myo)
+
+
+def test_run_baselines_gives_nine_empty_masks_where_normalization_zeroed_the_slice():
+    spec = phantom.PhantomSpec(dims=(96, 96, 3), scar=True, mvo=True)
+    raw = phantom.generate_case(spec, seed=5, case_id="no-pool")
+    endo = raw.endocardium.data.copy()
+    endo[1] = False  # an empty blood pool: normalization fails on slice 1
+    case = preprocess.preprocess_case(replace(raw, endocardium=Mask(raw.endocardium.spacing, endo)))
+    myo = case.myocardium.data[1]
+    assert myo.any()
+    assert (case.volume.data[1] == 0.0).all()
+    out = baselines.run_baselines(case)
+    full = baselines.run_baselines(preprocess.preprocess_case(raw))
+    for method in baselines.BASELINE_METHODS:
+        assert not out[method].data[1].any(), method
+        np.testing.assert_array_equal(out[method].data[[0, 2]], full[method].data[[0, 2]])
+    assert any(full[method].data[1].any() for method in baselines.BASELINE_METHODS)
+
+
+def _fields(gmm):
+    return gmm.weights, gmm.means, gmm.sds, gmm.log_likelihood_trace, gmm.converged
+
+
+def _expected(values):
+    """oracles.one_sample_em's fit, or the error it raises."""
+    try:
+        return oracles.one_sample_em(values)
+    except DegenerateData as exc:
+        return type(exc), str(exc)
+
+
+def _got(fit):
+    return (type(fit), str(fit)) if isinstance(fit, DegenerateData) else _fields(fit)
+
+
+def test_gmm_fit_all_equals_the_one_sample_em_on_every_golden_slice(golden_cases):
+    samples = [case.volume.data[k][case.myocardium.data[k]]
+               for case in golden_cases for k in range(case.nz)]
+    middle = len(samples) // 2
+    samples.insert(middle, np.arange(5.0))          # fewer than 10 values
+    samples.insert(0, np.full(40, 3.0))             # constant
+    expected = [_expected(v) for v in samples]
+    assert sum(isinstance(e[0], type) for e in expected) == 2
+    assert len({len(e[3]) for e in expected if len(e) == 5}) > 1  # converge at different passes
+    fits = baselines.gmm_fit_all(samples)
+    assert [_got(f) for f in fits] == expected
+    for values, want in zip(samples, expected):
+        if len(want) == 5:
+            assert _fields(baselines.gmm_fit(values)) == want
+        else:
+            with pytest.raises(DegenerateData, match=want[1]):
+                baselines.gmm_fit(values)
+
+
+def test_gmm_fit_all_reports_fits_that_stop_at_the_iteration_cap(golden_cases, monkeypatch):
+    monkeypatch.setattr(baselines, "MAX_EM_ITERATIONS", 3)
+    case = golden_cases[0]
+    samples = [case.volume.data[k][case.myocardium.data[k]] for k in range(case.nz)]
+    expected = [oracles.one_sample_em(v) for v in samples]
+    assert all(len(e[3]) == 3 and e[4] is False for e in expected)
+    assert [_fields(f) for f in baselines.gmm_fit_all(samples)] == expected
+    assert [_fields(baselines.gmm_fit(v)) for v in samples] == expected

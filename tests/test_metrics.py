@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from miquant import baselines, segment, vio
 from miquant import metrics as mx
 from miquant.errors import (
     DataError,
@@ -325,8 +326,6 @@ def test_case_row_identical_empty_and_mvo():
 
 
 def test_case_row_with_empty_myocardium_leaves_percent_blank_through_the_csv(tmp_path):
-    from miquant import vio
-
     gt = np.zeros((2, 6, 6), dtype=bool)
     gt[0, 2:4, 1:5] = True
     myo = _mask(np.zeros_like(gt))
@@ -344,3 +343,101 @@ def test_case_row_with_empty_myocardium_leaves_percent_blank_through_the_csv(tmp
     assert back == vio.ReportRow("c1", "all", "paper", dice_pct=100.0, hausdorff_mm=0.0,
                                  scar_volume_cm3=0.008, pct_infarct=None)
 
+
+# --- case_row against the reference functions ---
+
+def _reference_row(case_id, method, pred, gt, myo, gt_mvo):
+    """The report row built from dice, hausdorff3d, scar_volume_cm3,
+    percent_infarct and mvo_sensitivity."""
+    try:
+        hd = mx.hausdorff3d(pred, gt)
+    except EmptyMask:
+        hd = None
+    try:
+        pct = mx.percent_infarct(pred, myo)
+    except DivisionByZero:
+        pct = None
+    row = vio.ReportRow(case_id, "all", method, dice_pct=100.0 * mx.dice(pred, gt),
+                        hausdorff_mm=hd, scar_volume_cm3=mx.scar_volume_cm3(pred),
+                        pct_infarct=pct)
+    if gt_mvo is not None and gt_mvo.count() > 0:
+        row.mvo_sensitivity = mx.mvo_sensitivity(pred, gt_mvo)
+    return row
+
+
+def test_case_row_equals_the_reference_functions_on_the_golden_corpus(golden_cases):
+    checked = set()
+    for case in golden_cases:
+        masks = dict(baselines.run_baselines(case), paper=segment.segment_case(case).final)
+        gt = case.gt_scar
+        if case.gt_mvo is not None:
+            gt = Mask(case.volume.spacing, gt.data | case.gt_mvo.data)
+        for method, pred in masks.items():
+            args = (case.case_id, method, pred, gt, case.myocardium, case.gt_mvo)
+            row = mx.case_row(*args)
+            assert row == _reference_row(*args), (case.case_id, method)
+            checked.add((row.hausdorff_mm is None, row.mvo_sensitivity is None))
+    assert checked >= {(False, False), (False, True), (True, True)}
+
+
+def _scored_case(rng, spacing=(1.25, 1.25, 8.0)):
+    """A ring of myocardium on four slices, a GT blob in it, an MVO core in
+    the GT, and a prediction inside the myocardium."""
+    zz, yy, xx = np.mgrid[0:4, 0:24, 0:30]
+    r = np.hypot(yy - 12, xx - 15)
+    myo = (r > 4) & (r <= 9) & (zz > 0)
+    gt = myo & (xx < 13) & (zz < 3)
+    mvo = gt & (r <= 6)
+    pred = myo & (rng.random(myo.shape) < 0.3)
+    return tuple(Mask(spacing, m) for m in (pred, gt, myo, mvo))
+
+
+def _check_row(pred, gt, myo, mvo, method="m"):
+    assert mx.case_row("c", method, pred, gt, myo, mvo) == _reference_row(
+        "c", method, pred, gt, myo, mvo)
+
+
+def test_case_row_follows_a_ground_truth_changed_in_place():
+    pred, gt, myo, mvo = _scored_case(np.random.default_rng(6))
+    _check_row(pred, gt, myo, mvo)
+    gt.data[3, 10:14, 2:6] = True  # outside the first box, and a far GT voxel
+    _check_row(pred, gt, myo, mvo)
+    gt.data[:] = False
+    _check_row(pred, gt, myo, mvo)
+
+
+def test_case_row_takes_an_equal_ground_truth_given_as_a_new_object():
+    pred, gt, myo, mvo = _scored_case(np.random.default_rng(7))
+    _check_row(pred, gt, myo, mvo)
+    twin = Mask(gt.spacing, gt.data.copy())
+    _check_row(pred, twin, myo, mvo)
+    _check_row(pred, twin, myo, Mask(mvo.spacing, mvo.data.copy()))
+
+
+def test_case_row_follows_the_myocardium_mvo_and_spacing():
+    base = _scored_case(np.random.default_rng(8))
+    pred, gt, myo, mvo = base
+    variants = [
+        (pred, gt, Mask(myo.spacing, myo.data & (np.arange(30) < 20)), mvo),
+        (pred, gt, Mask(myo.spacing, np.zeros_like(myo.data)), mvo),
+        (pred, gt, myo, Mask(mvo.spacing, mvo.data & (np.arange(30) < 11))),
+        (pred, gt, myo, Mask(mvo.spacing, np.zeros_like(mvo.data))),
+        (pred, gt, myo, None),
+        _scored_case(np.random.default_rng(8), spacing=(1.5625, 1.5625, 8.0)),
+    ]
+    for variant in variants:
+        _check_row(*base)
+        _check_row(*variant)
+
+
+def test_case_row_grows_its_box_for_a_prediction_outside_the_myocardium():
+    pred, gt, myo, mvo = _scored_case(np.random.default_rng(9))
+    _check_row(pred, gt, myo, mvo)
+    far = pred.data.copy()
+    far[0, 0, 29] = far[3, 23, 0] = True
+    _check_row(Mask(pred.spacing, far), gt, myo, mvo, "far")
+    _check_row(pred, gt, myo, mvo)
+    speck = np.zeros_like(far)
+    speck[0, 0, 0] = True
+    _check_row(Mask(pred.spacing, speck), gt, myo, mvo, "speck")
+    _check_row(Mask(pred.spacing, np.zeros_like(far)), gt, myo, mvo, "empty")
