@@ -61,14 +61,29 @@ def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_
     return extract_patches(masked, [cy], [cx], size)[0]
 
 
+def _slice_inputs(case: LabeledCase, size: int = DETECT_INPUT_SIZE):
+    """(inputs, blank): every slice's (size, size, 1) detection input, and
+    which slices have an empty epicardium and so a blank input."""
+    blank = ~case.epicardium.data.any(axis=(1, 2))
+    x = np.stack([np.zeros((size, size)) if b else extract_detection_input(case, k, size)
+                  for k, b in enumerate(blank)])
+    return x[..., None], blank
+
+
+def _slice_labels(case: LabeledCase) -> np.ndarray:
+    """0/1 (healthy/diseased) label of every slice."""
+    return np.array([case.slice_label(k) == "diseased" for k in range(case.nz)], dtype=np.int64)
+
+
 def collect_slice_patches(cases: list[LabeledCase]):
-    """All per-slice inputs and 0/1 labels across the given cases."""
+    """Per-slice inputs and 0/1 labels across the given cases. A slice with
+    an empty epicardium has no crop to learn from and is left out."""
     patches, labels = [], []
     for case in cases:
-        for k in range(case.nz):
-            patches.append(extract_detection_input(case, k)[..., None])
-            labels.append(1 if case.slice_label(k) == "diseased" else 0)
-    return np.stack(patches), np.asarray(labels, dtype=np.int64)
+        x, blank = _slice_inputs(case)
+        patches.append(x[~blank])
+        labels.append(_slice_labels(case)[~blank])
+    return np.concatenate(patches), np.concatenate(labels)
 
 
 def detect_fit_patches(x: np.ndarray, y: np.ndarray, cfg: DetectConfig, seed: int) -> DetectionModel:
@@ -105,13 +120,10 @@ def detect_scores(model: DetectionModel, case: LabeledCase) -> np.ndarray:
     to classify: it scores -inf, so every finite threshold labels it
     healthy. Its batch row holds a blank crop, so the other slices score
     exactly as they would with its epicardium in place."""
-    size = model.net.input_shape[0]
-    empty = np.array([not case.epicardium.data[k].any() for k in range(case.nz)])
-    x = np.stack([np.zeros((size, size)) if empty[k] else extract_detection_input(case, k, size)
-                  for k in range(case.nz)])[..., None]
+    x, blank = _slice_inputs(case, model.net.input_shape[0])
     feats = model.net.features(x * INPUT_SCALE)
     scores = ll.margin_decide(model.margin, ll.pca_project(model.pca, feats))
-    scores[empty] = -np.inf
+    scores[blank] = -np.inf
     return scores
 
 
@@ -170,9 +182,7 @@ def pick_operating_point(roc: RocCurve, target_sensitivity: float):
 # ---------------------------------------------------------------------------
 
 def case_label(case: LabeledCase) -> str:
-    return "diseased" if any(
-        case.slice_label(k) == "diseased" for k in range(case.nz)
-    ) else "healthy"
+    return "diseased" if _slice_labels(case).any() else "healthy"
 
 
 def stratified_split(cases: list[LabeledCase], seed: int):
@@ -253,11 +263,5 @@ def permutation_test(cases: list[LabeledCase], n_splits: int, cfg: DetectConfig,
 
 
 def _score_cases(model: DetectionModel, cases: list[LabeledCase]):
-    scores, labels = [], []
-    for case in cases:
-        s = detect_scores(model, case)
-        scores.extend(s.tolist())
-        labels.extend(
-            1 if case.slice_label(k) == "diseased" else 0 for k in range(case.nz)
-        )
-    return np.asarray(scores), np.asarray(labels)
+    return (np.concatenate([detect_scores(model, case) for case in cases]),
+            np.concatenate([_slice_labels(case) for case in cases]))

@@ -40,7 +40,6 @@ class PhantomSpec:
     mvo_sigma: float = 15.0
     background_sigma: float = 10.0
     blur_sigma_px: float = 0.8
-    seed: int = 0
 
     def validate(self) -> None:
         if self.inner_radius_mm <= 0 or self.inner_radius_mm >= self.outer_radius_mm:
@@ -58,10 +57,10 @@ class PhantomSpec:
             raise SpecError("MVO depth fraction must be in (0, 1)")
 
 
-def generate_case(spec: PhantomSpec, seed: int | None = None, case_id: str = "phantom") -> LabeledCase:
-    """Deterministic labeled case for (spec, seed)."""
+def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> LabeledCase:
+    """Deterministic labeled case for (spec, seed); the seed is required."""
     spec.validate()
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     nx, ny, nz = spec.dims
     sx, sy, sz = spec.spacing
 

@@ -183,7 +183,8 @@ def _bilinear(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarra
 
 def _nearest(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     r, c = (np.floor(x + 0.5).astype(int) for x in (rows, cols))
-    return data[:, r[:, None], c]
+    # C order: the gather alone lays the indexed axes out first in memory
+    return np.ascontiguousarray(data[:, r[:, None], c])
 
 
 def normalize_slice(img: np.ndarray, myo: np.ndarray, bloodpool: np.ndarray) -> np.ndarray:

@@ -295,7 +295,8 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
 
 def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,
            myo: np.ndarray) -> np.ndarray:
-    """Reclassify boundary-band voxels by ensemble majority vote.
+    """Reclassify boundary-band voxels of a slice or a stack of slices
+    (..., ny, nx) by ensemble majority vote, one vote call per slice.
 
     Voxels inside the eroded coarse mask stay scar; voxels outside the
     dilated mask stay background; the output is limited to the myocardium.
@@ -304,34 +305,34 @@ def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,
     _check_shapes(img=img, coarse=coarse, myo=myo)
     band = boundary_region(coarse)
     out = coarse & ~band  # the eroded core
-    ys, xs = np.nonzero(band)
-    scar = ensemble.vote(ys, xs, img)
-    out[ys[scar], xs[scar]] = True
+    for k in np.ndindex(band.shape[:-2]):
+        ys, xs = np.nonzero(band[k])
+        scar = ensemble.vote(ys, xs, img[k])
+        out[k][ys[scar], xs[scar]] = True
     return out & np.asarray(myo, dtype=bool)
 
 
-def include_mvo(hyper: np.ndarray, endo: np.ndarray, myo: np.ndarray):
-    """Fill holes of (endocardium | hyper); enclosed dark clusters inside the
-    myocardium become the MVO mask. Returns (final, mvo), disjoint.
+def include_mvo(hyper: np.ndarray, endo: np.ndarray, myo: np.ndarray) -> np.ndarray:
+    """The MVO mask of a slice or a stack (..., ny, nx): the myocardial
+    holes of each slice's (endocardium | hyper), disjoint from hyper.
 
-    Holes are filled on ``bounding_box(endo | hyper, 1)`` only. Beyond the
-    union's box the background is one frame that touches the slice border,
-    and the 1-px ring belongs to it, so a background pixel of the crop
-    reaches the crop's border exactly when it reaches the slice's: the
-    filled crop is the whole-slice one, and nothing outside it is a hole.
-    An empty union gives no MVO. Raises AlignmentError when hyper, endo
-    and myo differ in shape.
+    Holes are filled once, on the union over slices of their boxes
+    ``bounding_box(endo | hyper, 1)``. A slice's box lies in the crop, and
+    its 1-px ring and all beyond it is one background frame that touches
+    the slice border, so a background pixel of the crop reaches the crop's
+    border exactly when it reaches the slice's: each filled slice is the
+    whole-slice one, and nothing outside the crop is a hole. An empty union gives no MVO. Raises AlignmentError when hyper,
+    endo and myo differ in shape.
     """
     _check_shapes(hyper=hyper, endo=endo, myo=myo)
-    hyper = np.asarray(hyper, dtype=bool)
-    union = np.asarray(endo, dtype=bool) | hyper
+    union = np.asarray(endo, dtype=bool) | np.asarray(hyper, dtype=bool)
     mvo = np.zeros(union.shape, dtype=bool)
-    y0, y1, x0, x1 = bounding_box(union, 1)
+    y0, y1, x0, x1 = bounding_box(union.reshape((-1,) + union.shape[-2:]).any(axis=0), 1)
     if y1 > y0:
-        crop = (slice(y0, y1), slice(x0, x1))
+        crop = (..., slice(y0, y1), slice(x0, x1))
         part = union[crop]
         mvo[crop] = fill_holes_2d(part) & ~part & np.asarray(myo, dtype=bool)[crop]
-    return hyper | mvo, mvo
+    return mvo
 
 
 @dataclass
@@ -345,18 +346,19 @@ class SliceOutcome:
 
 @dataclass
 class SegmentationResult:
+    """The masks of each stage; ``final`` is ``hyper | mvo``."""
+
     case_id: str
     coarse: Mask
     hyper: Mask
     mvo: Mask
-    final: Mask
     outcomes: list = field(default_factory=list)
+    final: Mask = field(init=False)
 
     def __post_init__(self):
         if (self.hyper.data & self.mvo.data).any():
             raise DataError(f"case {self.case_id}: hyperenhanced and MVO masks overlap")
-        if not np.array_equal(self.final.data, self.hyper.data | self.mvo.data):
-            raise DataError(f"case {self.case_id}: final mask is not hyper | mvo")
+        self.final = Mask(self.hyper.spacing, self.hyper.data | self.mvo.data)
 
 
 def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
@@ -367,55 +369,40 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
     the labels of ``detect.detect_predict``); slices labelled healthy get
     empty masks. Without an ``ensemble`` the coarse mask is not refined.
     The result keeps each stage: ``coarse``, ``hyper`` (refined, before MVO
-    inclusion) and ``final``. Per-slice numeric failures produce empty
-    masks plus a flag rather than aborting the case.
+    inclusion), ``mvo`` and ``final``. Per-slice numeric failures produce
+    empty masks plus a flag rather than aborting the case.
 
-    The coarse stage runs once, on the stack of slices that are neither
-    gated nor empty, with its top-hat on the union of their myocardium
-    boxes (see ``coarse_segment``); a slice outside that stack does not
-    widen the box. Refinement and MVO inclusion run per slice.
+    Each stage runs once, on a stack: the coarse stage on the slices that
+    are neither gated nor empty (its top-hat on the union of their
+    myocardium boxes, see ``coarse_segment``, so a slice outside the stack
+    does not widen the box); refinement and MVO inclusion on those of them
+    whose histogram has a split.
     """
     nz = case.nz
     if gate is not None and len(gate) != nz:
         raise DataError(f"case {case.case_id}: {len(gate)} gate labels for {nz} slices")
-    shape = case.volume.data.shape
-    coarse_v = np.zeros(shape, dtype=bool)
-    hyper_v = np.zeros(shape, dtype=bool)
-    mvo_v = np.zeros(shape, dtype=bool)
-    has_myo = case.myocardium.data.any(axis=(1, 2))
-    outcomes = [SliceOutcome(index=k) for k in range(nz)]
-    live = []
-    for k, outcome in enumerate(outcomes):
-        if gate is not None and gate[k] == "healthy":
-            outcome.gated_out = True
-        elif not has_myo[k]:
-            outcome.empty_myocardium = True
-        else:
-            live.append(k)
+    img, myo = case.volume.data, case.myocardium.data
+    gated = np.zeros(nz, dtype=bool) if gate is None else np.asarray(gate) == "healthy"
+    empty = ~gated & ~myo.any(axis=(1, 2))
+    live = ~gated & ~empty
+    coarse_v = np.zeros(img.shape, dtype=bool)
+    degenerate = np.zeros(nz, dtype=bool)
+    coarse_v[live], degenerate[live] = coarse_segment(img[live], myo[live])
+    done = live & ~degenerate
+    hyper_v = coarse_v.copy()
+    refined = done & (ensemble is not None)
+    if ensemble is not None:
+        hyper_v[done] = refine(img[done], coarse_v[done], ensemble, myo[done])
+    mvo_v = np.zeros(img.shape, dtype=bool)
+    mvo_v[done] = include_mvo(hyper_v[done], case.endocardium.data[done], myo[done])
 
-    coarse_v[live], degenerate = coarse_segment(case.volume.data[live],
-                                                case.myocardium.data[live])
-    for k, flat in zip(live, degenerate):
-        if flat:
-            outcomes[k].degenerate_histogram = True
-            continue
-        myo = case.myocardium.data[k]
-        coarse = coarse_v[k]
-        if ensemble is not None:
-            hyper = refine(case.volume.data[k], coarse, ensemble, myo)
-            outcomes[k].refined = True
-        else:
-            hyper = coarse
-        _, mvo = include_mvo(hyper, case.endocardium.data[k], myo)
-        hyper_v[k] = hyper
-        mvo_v[k] = mvo
-
+    outcomes = [SliceOutcome(k, *flags) for k, flags in enumerate(zip(
+        gated.tolist(), empty.tolist(), degenerate.tolist(), refined.tolist()))]
     spacing = case.volume.spacing
     return SegmentationResult(
         case_id=case.case_id,
         coarse=Mask(spacing, coarse_v),
         hyper=Mask(spacing, hyper_v),
         mvo=Mask(spacing, mvo_v),
-        final=Mask(spacing, hyper_v | mvo_v),
         outcomes=outcomes,
     )

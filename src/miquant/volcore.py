@@ -53,9 +53,6 @@ class _Grid:
         sx, sy, sz = self.spacing
         return sx * sy * sz
 
-    def copy(self):
-        return type(self)(self.spacing, self.data.copy())
-
 
 class Volume(_Grid):
     """3-D scalar grid; data is float64."""
@@ -260,8 +257,11 @@ _FOUR_CONNECTED = ndi.generate_binary_structure(2, 1)
 
 
 def fill_holes_2d(mask: np.ndarray) -> np.ndarray:
-    """Add background regions not 4-connected to the slice border."""
-    return ndi.binary_fill_holes(np.asarray(mask, dtype=bool), structure=_FOUR_CONNECTED)
+    """Add background regions not 4-connected to the slice border, on a
+    slice or on each slice of a stack (..., ny, nx) alone."""
+    mask = np.asarray(mask, dtype=bool)
+    structure = _FOUR_CONNECTED.reshape((1,) * (mask.ndim - 2) + (3, 3))
+    return ndi.binary_fill_holes(mask, structure=structure)
 
 
 def bounding_box(mask: np.ndarray, margin: int) -> tuple[int, int, int, int]:

@@ -201,10 +201,9 @@ def whole_slice_remote(img, myo, endo):
 
 
 def whole_slice_mvo(hyper, endo, myo):
-    """``include_mvo``'s (final, mvo), filling holes over the whole slice."""
+    """``include_mvo``'s MVO mask, filling holes over the whole slice."""
     union = np.asarray(endo, dtype=bool) | np.asarray(hyper, dtype=bool)
-    mvo = bfs_fill_holes(union) & ~union & np.asarray(myo, dtype=bool)
-    return np.asarray(hyper, dtype=bool) | mvo, mvo
+    return bfs_fill_holes(union) & ~union & np.asarray(myo, dtype=bool)
 
 
 # --- hole filling: breadth-first flood of the background from the border ---

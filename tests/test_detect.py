@@ -278,8 +278,14 @@ def test_empty_epicardium_slice_is_healthy_and_others_keep_their_scores(
     predicted = detect.detect_predict(tiny_detector, holed)
     assert predicted[0] == (-np.inf, "healthy")
     assert predicted[1:] == detect.detect_predict(tiny_detector, case)[1:]
-    with pytest.raises(EmptyMask):  # training still needs every slice's crop
-        detect.detect_fit([holed] + mixed_cases[4:], tiny_detect_cfg, seed=5)
+    # training leaves out the slice without a crop
+    x, y = detect.collect_slice_patches([holed])
+    full_x, full_y = detect.collect_slice_patches([case])
+    np.testing.assert_array_equal(x, full_x[1:])
+    np.testing.assert_array_equal(y, full_y[1:])
+    pool = [holed] + mixed_cases[4:]
+    model = detect.detect_fit(pool, tiny_detect_cfg, seed=5)
+    assert model.meta["n_slices"] == sum(c.nz for c in pool) - 1
 
 
 # --- splits and permutation analysis ---

@@ -284,6 +284,19 @@ def test_reslice_mask_stays_binary():
     assert out.dims[0] == round(16 * 1.91 / 1.25)
 
 
+@pytest.mark.parametrize("spacing", [1.0, 1.5625, 1.91])
+def test_reslice_mask_is_c_ordered_and_equals_the_nearest_gather(spacing):
+    rng = np.random.default_rng(6)
+    m = Mask((spacing, spacing, 8.0), rng.random((10, 20, 24)) < 0.5)
+    out = pp.reslice_mask(m).data
+    assert out.flags.c_contiguous
+    ny, nx = out.shape[1:]
+    rows, cols = (np.clip(np.arange(n) * 1.25 / spacing, 0, size - 1)
+                  for n, size in ((ny, 20), (nx, 24)))
+    r, c = (np.floor(v + 0.5).astype(int) for v in (rows, cols))
+    np.testing.assert_array_equal(out, m.data[:, r[:, None], c])
+
+
 # --- normalization and gamma ---
 
 def _refs(n=12):

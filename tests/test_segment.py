@@ -145,6 +145,14 @@ def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemb
     assert not (out & ~myo).any()
     assert not (core & myo & ~out).any()
 
+    # a stack votes slice by slice
+    imgs, myos = case.volume.data, case.myocardium.data
+    coarses = np.stack([_coarse(i, m) for i, m in zip(imgs, myos)])
+    stacked = segment.refine(imgs, coarses, tiny_ensemble, myos)
+    np.testing.assert_array_equal(stacked[0], out)
+    for i, c, m, got in zip(imgs, coarses, myos, stacked):
+        np.testing.assert_array_equal(got, segment.refine(i, c, tiny_ensemble, m))
+
 
 def test_refine_zero_pads_a_band_that_touches_the_slice_border(diseased_cases, tiny_ensemble):
     case = diseased_cases[4]
@@ -325,19 +333,16 @@ def test_include_mvo_turns_an_enclosed_dark_core_into_mvo():
     # a dark disk in the middle of a transmural scar sector
     core = r**2 + 12**2 - 2 * 12 * r * np.cos(np.radians(angle - 45)) <= 2**2
     hyper = myo & (angle < 90) & ~core
-    final, mvo = segment.include_mvo(hyper, endo, myo)
+    mvo = segment.include_mvo(hyper, endo, myo)
     assert core.sum() > 1
     np.testing.assert_array_equal(mvo, core)
-    np.testing.assert_array_equal(final, hyper | mvo)
     assert not (hyper & mvo).any()
 
 
 def test_include_mvo_leaves_a_scar_without_holes_alone():
     r, angle, endo, myo = _ring()
     hyper = myo & (angle < 90) & (r > 11)  # subendocardial gap open to healthy myocardium
-    final, mvo = segment.include_mvo(hyper, endo, myo)
-    assert not mvo.any()
-    np.testing.assert_array_equal(final, hyper)
+    assert not segment.include_mvo(hyper, endo, myo).any()
 
 
 def _mvo_slices():
@@ -367,14 +372,19 @@ def _mvo_slices():
 
 
 def test_include_mvo_equals_the_whole_slice_fill_oracle():
+    slices = list(_mvo_slices())
     holes = 0
-    for hyper, endo, myo in _mvo_slices():
-        final, mvo = segment.include_mvo(hyper, endo, myo)
-        expected_final, expected_mvo = oracles.whole_slice_mvo(hyper, endo, myo)
-        np.testing.assert_array_equal(mvo, expected_mvo)
-        np.testing.assert_array_equal(final, expected_final)
+    for hyper, endo, myo in slices:
+        mvo = segment.include_mvo(hyper, endo, myo)
+        np.testing.assert_array_equal(mvo, oracles.whole_slice_mvo(hyper, endo, myo))
         holes += int(mvo.any())
     assert holes >= 10
+    # a stack fills on the union of its slices' boxes, slice by slice
+    for shape in {hyper.shape for hyper, _, _ in slices}:
+        same = [s for s in slices if s[0].shape == shape]
+        hyper, endo, myo = (np.stack(masks) for masks in zip(*same))
+        expected = np.stack([oracles.whole_slice_mvo(*s) for s in same])
+        np.testing.assert_array_equal(segment.include_mvo(hyper, endo, myo), expected)
 
 
 def test_include_mvo_rejects_slices_of_different_shapes():
@@ -390,27 +400,40 @@ def test_segmentation_result_rejects_overlapping_hyper_and_mvo():
     spacing = (1.25, 1.25, 8.0)
     on = Mask(spacing, np.ones((1, 2, 2), dtype=bool))
     with pytest.raises(DataError):
-        segment.SegmentationResult("c", coarse=on, hyper=on, mvo=on, final=on)
+        segment.SegmentationResult("c", coarse=on, hyper=on, mvo=on)
+    hyper = Mask(spacing, np.array([[[True, False], [False, False]]]))
+    mvo = Mask(spacing, np.array([[[False, True], [False, False]]]))
+    result = segment.SegmentationResult("c", coarse=hyper, hyper=hyper, mvo=mvo)
+    np.testing.assert_array_equal(result.final.data, hyper.data | mvo.data)
+    assert result.final.spacing == spacing
+    with pytest.raises(TypeError):  # final is derived, never given
+        segment.SegmentationResult("c", coarse=hyper, hyper=hyper, mvo=mvo, final=hyper)
 
 
 def _flat_ring_case():
-    """Two-slice case: slice 0 has no myocardium, slice 1 is a flat image."""
+    """Three-slice case: slice 0 has no myocardium, slice 1 is a flat image
+    and slice 2 a ring with a bright half."""
     spacing = (1.25, 1.25, 8.0)
     yy, xx = np.mgrid[0:48, 0:48]
     r = np.hypot(yy - 24, xx - 24)
-    endo = np.repeat((r <= 6)[None], 2, axis=0)
-    myo = np.repeat(((r > 6) & (r <= 12))[None], 2, axis=0)
+    endo = np.repeat((r <= 6)[None], 3, axis=0)
+    myo = np.repeat(((r > 6) & (r <= 12))[None], 3, axis=0)
     myo[0] = False
-    return LabeledCase("flat", Volume(spacing, np.full((2, 48, 48), 60.0)),
+    vol = np.full((3, 48, 48), 60.0)
+    vol[2][myo[2] & (xx > 24)] = 200.0
+    return LabeledCase("flat", Volume(spacing, vol),
                        Mask(spacing, myo), Mask(spacing, endo), Mask(spacing, myo | endo))
 
 
-def test_segment_case_flags_empty_myocardium_apart_from_degenerate_histogram():
-    result = segment.segment_case(_flat_ring_case())
-    empty, flat = result.outcomes
-    assert empty.empty_myocardium and not empty.degenerate_histogram
-    assert flat.degenerate_histogram and not flat.empty_myocardium
-    assert result.final.count() == 0
+def test_segment_case_flags_empty_myocardium_apart_from_degenerate_histogram(tiny_ensemble):
+    for ensemble in (None, tiny_ensemble):
+        result = segment.segment_case(_flat_ring_case(), ensemble=ensemble)
+        empty, flat, live = result.outcomes
+        assert empty.empty_myocardium and not empty.degenerate_histogram
+        assert flat.degenerate_histogram and not flat.empty_myocardium
+        assert not (live.empty_myocardium or live.degenerate_histogram)
+        assert [o.refined for o in result.outcomes] == [False, False, ensemble is not None]
+        assert not result.final.data[:2].any() and result.coarse.data[2].any()
 
 
 def test_segment_case_coarse_masks_equal_the_whole_slice_oracle():

@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ def test_array_codec_roundtrip():
 def test_report_empty_is_header_only(tmp_path):
     path = str(tmp_path / "r.csv")
     vio.write_report(vio.MetricsReport(), path)
-    text = open(path).read().strip()
+    text = pathlib.Path(path).read_text().strip()
     assert text == ",".join(vio.REPORT_COLUMNS)
 
 
@@ -223,7 +224,7 @@ def test_report_dice_in_percent_and_blanks(tmp_path):
                              scar_volume_cm3=2.5, pct_infarct=10.0, mvo_sensitivity=None))
     path = str(tmp_path / "r.csv")
     vio.write_report(report, path)
-    line = open(path).read().splitlines()[1]
+    line = pathlib.Path(path).read_text().splitlines()[1]
     assert line == "c1,all,proposed,50.0000,,2.5000,10.0000,"
 
 

@@ -195,10 +195,18 @@ def _fill_cases():
 
 
 def test_fill_matches_bfs_oracle():
-    for m in _fill_cases():
+    masks = list(_fill_cases())
+    for m in masks:
         out = vc.fill_holes_2d(m)
         assert out.dtype == bool
         np.testing.assert_array_equal(out, oracles.bfs_fill_holes(m))
+    # a stack, of one or two leading axes, fills each slice as if alone
+    for shape in {m.shape for m in masks}:
+        stack = np.stack([m for m in masks if m.shape == shape])
+        expected = np.stack([oracles.bfs_fill_holes(m) for m in stack])
+        np.testing.assert_array_equal(vc.fill_holes_2d(stack), expected)
+        np.testing.assert_array_equal(vc.fill_holes_2d(stack.reshape(2, -1, *shape)),
+                                      expected.reshape(2, -1, *shape))
 
 
 def test_fill_is_extensive_and_idempotent():
