@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import vio
-from ..errors import SingleClassError
+from ..errors import ShapeError, SingleClassError
 
 
 @vio.model_kind("margin")
@@ -20,6 +20,13 @@ class MarginModel:
     objective_trace: list = field(default_factory=list)  # per-epoch objective
 
 
+def _samples(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"expected (N, D) samples, got shape {x.shape}")
+    return x
+
+
 def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, lam: float) -> float:
     margins = 1.0 - y * (x @ w + b)
     return 0.5 * lam * float(w @ w) + float(np.mean(np.maximum(margins, 0.0)))
@@ -27,15 +34,13 @@ def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, lam: 
 
 def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
                  epochs: int = 400) -> MarginModel:
-    """Full-batch subgradient descent with decaying steps and iterate
-    averaging; the returned model is the averaged iterate.
+    """Full-batch subgradient descent on (N, D) samples, with decaying steps
+    and iterate averaging; the returned model is the averaged iterate.
 
     The per-epoch objective of the running average is stored on the model
     as ``objective_trace``, which a model file keeps.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _samples(x)
     y = np.asarray(y, dtype=np.float64)
     classes = np.unique(y)
     if not (len(classes) == 2 and set(classes) == {-1.0, 1.0}):
@@ -66,9 +71,6 @@ def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
     return MarginModel(w=w_avg, b=b_avg, lam=lam, objective_trace=trace)
 
 
-def margin_decide(model: MarginModel, x: np.ndarray):
-    """Signed decision value; the ROC-sweepable score."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return float(x @ model.w + model.b)
-    return x @ model.w + model.b
+def margin_decide(model: MarginModel, x: np.ndarray) -> np.ndarray:
+    """Signed decision value of each (N, D) row; the ROC-sweepable score."""
+    return _samples(x) @ model.w + model.b

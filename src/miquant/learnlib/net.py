@@ -8,10 +8,13 @@ stride 1; pooling is 2x2 stride 2 (odd remainders dropped); the terminal
 layer is a softmax over two classes. L2 regularization acts on connection
 weights, not biases.
 
-Both training and inference run a pool that follows a ReLU before it
-(ReLU is monotone, so both orders give the same values, and the same
-gradients, on a map 4x smaller); the stored layer order, and so the model
-file, keeps the ReLU first. Pooling takes pairwise maxima over a 2x2 block
+A network runs its layers in the order it stores them; ``build_classifier``
+stores each trunk stage as conv, pool, ReLU. Model files written before
+that order list the ReLU first and load and run unchanged: max and ReLU
+commute exactly, so such a net gives the same values and gradients (a block
+with a positive max has the same first max in x and in ReLU(x); any other
+block gets no gradient in either order). Only its ReLU runs on a map 4x
+larger. Pooling takes pairwise maxima over a 2x2 block
 view of its input; training also compares the four phases of that view
 with the maximum and keeps a first-max mask per phase, so the backward
 pass writes each phase of the input gradient with one product. Inference
@@ -311,19 +314,6 @@ def _run(layers, x, train=False, rng=None):
     return x
 
 
-def _pool_before_relu(layers):
-    """Run order, for training and inference alike: each MaxPool2 that
-    directly follows a ReLU moves ahead of it. Max and ReLU commute, so the
-    values are unchanged; so are the gradients, because where a block's max
-    is > 0 its first max in x is its first max in ReLU(x), and where the max
-    is <= 0 both orders send the block a zero gradient."""
-    order = list(layers)
-    for i in range(len(order) - 1):
-        if isinstance(order[i], ReLU) and isinstance(order[i + 1], MaxPool2):
-            order[i], order[i + 1] = order[i + 1], order[i]
-    return order
-
-
 def _trunk_extent(trunk, size, axis):
     """(extent, odd): the map extent that a conv/relu/pool ``trunk`` makes of
     an input extent ``size`` along rows (axis 0) or columns (axis 1), and
@@ -359,11 +349,10 @@ class NetModel:
             raise ShapeError(f"expected input {self.input_shape}, got {x.shape[1:]}")
         layers = self.layers[: len(self.layers) if n_layers is None else n_layers]
         if train:
-            return _run(_pool_before_relu(layers), x, train=True, rng=rng)
+            return _run(layers, x, train=True, rng=rng)
         flat = _flatten_index(layers)
-        trunk = _pool_before_relu(layers[:flat])
         # the trunk in cache-sized chunks, then the head on the whole batch
-        parts = [_run(trunk, x[s : s + INFER_CHUNK])
+        parts = [_run(layers[:flat], x[s : s + INFER_CHUNK])
                  for s in range(0, max(len(x), 1), INFER_CHUNK)]
         return _run(layers[flat:], parts[0] if len(parts) == 1 else np.concatenate(parts))
 
@@ -395,7 +384,7 @@ class NetModel:
                         or ox.max() + w > image.shape[1]):
             raise ShapeError(f"a {h}x{w} window leaves the {image.shape} image")
         flat = _flatten_index(self.layers)
-        trunk = _pool_before_relu(self.layers[:flat])
+        trunk = self.layers[:flat]
         if not (trunk and isinstance(trunk[0], Conv2D)
                 and all(isinstance(l, (Conv2D, ReLU, MaxPool2)) for l in trunk)):
             raise ShapeError("windowed inference needs a conv/relu/pool trunk "
@@ -442,9 +431,7 @@ class NetModel:
 
     def backward_from_logits(self, dlogits):
         d = dlogits
-        chain = _pool_before_relu(self.layers[:-1])  # as logits(train=True) ran it
-        for i in range(len(chain) - 1, -1, -1):
-            layer = chain[i]
+        for i, layer in reversed(list(enumerate(self.layers[:-1]))):  # below the softmax
             if i == 0 and isinstance(layer, (Conv2D, Dense)):
                 # the input gradient of the bottom layer is never consumed
                 layer.backward(d, need_dx=False)
@@ -496,8 +483,8 @@ def build_net(input_shape, layer_specs, seed: int, feature_layer=None) -> NetMod
 
 def build_classifier(input_size: int, seed: int, widths=(16, 32, 64), fc: int = 128,
                      dropout: float = 0.5) -> NetModel:
-    """Two-class net: a conv/pool trunk sized to the input, then FC +
-    dropout + softmax.
+    """Two-class net: a trunk of conv -> 2x2 max-pool -> ReLU stages sized
+    to the input, then FC + ReLU + dropout + softmax.
 
     Trailing conv/pool stages that no longer fit small inputs are dropped,
     so the same stack scales from full-size patches down to toy grids.
@@ -508,7 +495,7 @@ def build_classifier(input_size: int, seed: int, widths=(16, 32, 64), fc: int = 
     for k, width in zip(kernels, widths):
         if size - k + 1 < 2:
             break
-        specs += [("conv", k, width), ("relu",), ("maxpool",)]
+        specs += [("conv", k, width), ("maxpool",), ("relu",)]
         size = (size - k + 1) // 2
         if size < 1:
             raise ShapeError("input too small for the classifier trunk")

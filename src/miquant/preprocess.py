@@ -132,9 +132,10 @@ def denoise_nlm(stack: np.ndarray, sigmas, box=None) -> np.ndarray:
 def _reslice(grid, target_spacing, sample, box=None):
     """Resample grid in-plane to the target sx, sy with sample(data, rows,
     cols), where rows and cols are the source coordinates of the target
-    grid, clipped to the slice. Same spacing: an unchanged copy. Only the
-    target pixels of ``box = (y0, y1, x0, x1)`` are computed and returned
-    (None: the whole grid); each depends only on its own coordinates.
+    grid, clipped to the slice. Same spacing (within the tolerances below):
+    an unchanged copy on the target spacing. Only the target pixels of
+    ``box = (y0, y1, x0, x1)`` are computed and returned (None: the whole
+    grid); each depends only on its own coordinates.
     """
     sx, sy, sz = grid.spacing
     tx, ty, tz = target_spacing
@@ -143,7 +144,7 @@ def _reslice(grid, target_spacing, sample, box=None):
     nx, ny, _ = grid.dims
     if abs(sx - tx) < 1e-12 and abs(sy - ty) < 1e-12:
         y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
-        return type(grid)(grid.spacing, grid.data[:, y0:y1, x0:x1].copy())
+        return type(grid)(target_spacing, grid.data[:, y0:y1, x0:x1].copy())
     rows = np.arange(max(1, int(round(ny * sy / ty)))) * ty / sy
     cols = np.arange(max(1, int(round(nx * sx / tx)))) * tx / sx
     if box is not None:

@@ -267,16 +267,15 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
     x = np.concatenate(xs)
     y = np.concatenate(ys)
 
-    # Child 0 is unused; spawning it keeps the member-order seed below, which
-    # comes from the next spawn, and so the trained models, stable.
-    cap_seed = int(ss.spawn(2)[1].generate_state(1)[0])
+    _, cap_child, order_child = ss.spawn(3)
     if cfg.max_patches_per_class is not None:
-        x, y = ll.balance_classes(x, y, seed=cap_seed, cap=cfg.max_patches_per_class)
+        x, y = ll.balance_classes(x, y, seed=int(cap_child.generate_state(1)[0]),
+                                  cap=cfg.max_patches_per_class)
 
     mean = float(x.mean())
     xc = (x - mean) * INPUT_SCALE
 
-    rng = np.random.default_rng(int(ss.spawn(1)[0].generate_state(1)[0]))
+    rng = np.random.default_rng(int(order_child.generate_state(1)[0]))
     order = rng.permutation(len(xc))
     folds = np.array_split(order, cfg.members)
     members = []

@@ -301,9 +301,12 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(doc: dict) -> np.ndarray:
-    raw = base64.b64decode(doc["data_b64"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(doc["shape"])
+    try:
+        raw = base64.b64decode(doc["data_b64"])
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return arr.reshape(doc["shape"])
+    except ValueError as exc:  # not base64 (binascii.Error), or not prod(shape) floats
+        raise FormatError(f"bad array payload: {exc}") from exc
 
 
 # One codec owns the model-file format. A registered model dataclass is
@@ -362,6 +365,9 @@ def decode_model(doc):
         if tag not in _LAYERS:
             raise ShapeError(f"unknown layer tag {tag!r}")
         cls = _LAYERS[tag]
+        missing = [name for name in cls.param_names if name not in doc]
+        if missing:
+            raise FormatError(f"{tag!r} layer lacks its parameters {missing}")
         params = [decode_array(doc[name]) for name in cls.param_names]
         return cls(*(params or args))
     if "kind" in doc:
@@ -443,17 +449,14 @@ def read_report(path: str) -> MetricsReport:
             if reader.fieldnames != REPORT_COLUMNS:
                 raise FormatError(f"{path}: unexpected report columns {reader.fieldnames}")
             for rec in reader:
-                report.add(
-                    ReportRow(
-                        case_id=rec["case_id"],
-                        slice=rec["slice"],
-                        method=rec["method"],
-                        **{
-                            k: (float(rec[k]) if rec[k] != "" else None)
-                            for k in REPORT_COLUMNS[3:]
-                        },
-                    )
-                )
+                metrics = {}
+                for k in REPORT_COLUMNS[3:]:
+                    try:
+                        metrics[k] = float(rec[k]) if rec[k] != "" else None
+                    except (TypeError, ValueError):  # TypeError: a short row's None
+                        raise FormatError(f"{path}: column {k!r} holds {rec[k]!r}, "
+                                          "not a number") from None
+                report.add(ReportRow(rec["case_id"], rec["slice"], rec["method"], **metrics))
     except OSError as exc:
         raise IoError(f"cannot read report {path}: {exc}") from exc
     return report

@@ -82,8 +82,8 @@ def test_forward_shape_error():
 
 
 def _train_chain(layers, x):
-    """The layers in stored order (each ReLU before its pool), one by one in
-    training mode, so that each pool takes its first-max-mask path."""
+    """The layers in stored order, one by one in training mode, so that each
+    pool takes its first-max-mask path."""
     for layer in layers:
         x = layer.forward(x, train=True)
     return x
@@ -441,6 +441,46 @@ def test_training_with_pool_before_relu_matches_argmax_chain():
         np.testing.assert_array_equal(getattr(layer, name), getattr(ref, name))
 
 
+def _relu_first_copy(net):
+    """``net`` as a model file written before trunks stored the pool first:
+    its document with every maxpool/relu pair swapped, decoded."""
+    doc = vio.encode_model(net)
+    layers = doc["layers"]
+    for i in range(len(layers) - 1):
+        if layers[i]["spec"] == ["maxpool"] and layers[i + 1]["spec"] == ["relu"]:
+            layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return vio.decode_model(doc)
+
+
+def test_a_net_stored_relu_first_runs_as_the_pool_first_net():
+    net = ll.build_classifier(49, seed=53, widths=(4, 8, 8))
+    rng = np.random.default_rng(53)
+    for layer in net.layers:
+        if isinstance(layer, (Conv2D, Dense)):
+            layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
+    old = _relu_first_copy(net)
+    assert [layer.spec() for layer in net.layers[:6]] == [
+        ("conv", 5, 4), ("maxpool",), ("relu",), ("conv", 3, 8), ("maxpool",), ("relu",)]
+    assert [layer.spec() for layer in old.layers[:6]] == [
+        ("conv", 5, 4), ("relu",), ("maxpool",), ("conv", 3, 8), ("relu",), ("maxpool",)]
+
+    x = rng.normal(size=(40, 49, 49, 1))
+    np.testing.assert_array_equal(old.forward(x), net.forward(x))
+    np.testing.assert_array_equal(old.features(x), net.features(x))
+    image = rng.uniform(0.0, 1.0, (80, 90))
+    oy, ox = _corners(rng, 300, image.shape, 49)
+    np.testing.assert_array_equal(old.forward_windows(image, oy, ox, 0.5),
+                                  net.forward_windows(image, oy, ox, 0.5))
+
+    y = rng.integers(0, 2, len(x))
+    cfg = ll.TrainConfig(epochs=2, batch_size=16, seed=54)
+    for model in (net, old):
+        ll.net_train(x, y, model, cfg)
+    assert old.train_meta["loss_trace"] == net.train_meta["loss_trace"]
+    for (layer, name), (ref, _) in zip(old.parameters(), net.parameters()):
+        np.testing.assert_array_equal(getattr(layer, name), getattr(ref, name))
+
+
 # --- convolution input gradient against the padded full correlation ---
 
 @pytest.mark.parametrize("kernel", [(5, 5), (3, 3), (3, 2), (1, 1)])
@@ -571,8 +611,18 @@ def test_margin_separable_1d():
     x = np.array([[-2.0], [2.0]])
     y = np.array([-1.0, 1.0])
     model = ll.margin_train(x, y, lam=1e-3, epochs=200)
-    assert ll.margin_decide(model, np.array([-2.0])) < 0
-    assert ll.margin_decide(model, np.array([2.0])) > 0
+    assert ll.margin_decide(model, np.array([[-2.0]]))[0] < 0
+    assert ll.margin_decide(model, np.array([[2.0]]))[0] > 0
+
+
+@pytest.mark.parametrize("x", [np.ones(4), np.ones((4, 1, 1))], ids=["1-D", "3-D"])
+def test_margin_takes_only_samples_by_features(x):
+    y = np.array([-1.0, 1.0, -1.0, 1.0])
+    with pytest.raises(ShapeError):
+        ll.margin_train(x, y)
+    model = ll.margin_train(np.ones((4, 1)), y, epochs=2)
+    with pytest.raises(ShapeError):
+        ll.margin_decide(model, x)
 
 
 def test_margin_objective_trace_non_increasing():

@@ -432,6 +432,20 @@ def test_preprocess_case_equals_the_whole_slice_oracle(spacing):
         np.testing.assert_array_equal(getattr(out, name).data, getattr(expected, name).data)
 
 
+@pytest.mark.parametrize("near", [(1.25 + 1e-13, 1.25, 8.0), (1.25, 1.25, 8.0 + 1e-10)],
+                         ids=["in-plane", "through-plane"])
+def test_preprocess_case_puts_a_near_canonical_case_on_the_canonical_grid(near):
+    spec = replace(phantom.PhantomSpec(), dims=(48, 44, 3), scar=True, mvo=True)
+    case = phantom.generate_case(spec, seed=16)
+    moved = {name: type(grid)(near, grid.data) for name, grid in vars(case).items()
+             if isinstance(grid, (Volume, Mask))}
+    expected = pp.preprocess_case(case)
+    out = pp.preprocess_case(replace(case, **moved))
+    for name in moved:
+        assert getattr(out, name).spacing == pp.CANONICAL_SPACING
+        np.testing.assert_array_equal(getattr(out, name).data, getattr(expected, name).data)
+
+
 def test_preprocess_case_rejects_a_case_whose_noise_overflows_h_squared():
     case = phantom.generate_case(replace(phantom.PhantomSpec(), dims=(40, 40, 2)), seed=3)
     case.volume.data *= 1e300

@@ -614,6 +614,17 @@ def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
 
 
 @pytest.mark.parametrize("edit", [
+    lambda doc: doc["members"][0]["layers"][0]["w"].update(data_b64="not base64!"),
+    # conv1 has 4 output channels, so its payload holds 5 * 5 * 1 * 4 floats
+    lambda doc: doc["members"][0]["layers"][0]["w"].update(shape=[5, 5, 1, 3]),
+    lambda doc: doc["members"][0]["layers"][0].pop("b"),
+], ids=["invalid base64", "payload size", "missing parameter"])
+def test_ensemble_load_rejects_a_malformed_layer(tmp_path, tiny_ensemble, edit):
+    with pytest.raises(FormatError):
+        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+
+
+@pytest.mark.parametrize("edit", [
     lambda doc: doc.update(mean_patch=vio.encode_array(np.zeros((48, 48)))),
     lambda doc: doc.update(patch_size=48, mean_patch=vio.encode_array(np.zeros((48, 48)))),
 ], ids=["mean patch", "members"])

@@ -241,3 +241,14 @@ def test_report_roundtrip_two_methods_two_cases(tmp_path):
     assert back.rows[0].dice_pct == pytest.approx(12.3457)
     assert back.rows[0].hausdorff_mm is None
     assert back.rows[0].scar_volume_cm3 == pytest.approx(0.0125)
+
+
+@pytest.mark.parametrize("row,column", [
+    ("c1,all,proposed,50.0,,n/a,,", "scar_volume_cm3"),
+    ("c1,all,proposed,50.0,1.5", "scar_volume_cm3"),  # a short row
+], ids=["not a number", "short row"])
+def test_report_with_a_non_numeric_metric_is_a_format_error(tmp_path, row, column):
+    path = tmp_path / "r.csv"
+    path.write_text(",".join(vio.REPORT_COLUMNS) + "\n" + row + "\n")
+    with pytest.raises(FormatError, match=rf"r\.csv.*'{column}'"):
+        vio.read_report(str(path))
