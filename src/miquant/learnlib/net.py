@@ -31,10 +31,12 @@ whole trunk runs once, densely, over the union box of the windows
 (shift-and-stitch: Giusti et al. 2013, arXiv:1302.1700; Long et al. 2015,
 arXiv:1411.4038). Convolutions and ReLUs act on the dense maps; each 2x2
 pool splits every map into its four phase maps, one per (row, column)
-parity of the block corners, so k pools give 4**k maps. A window's final
-block lies in the map of its phase path, the parities of its corner at
-every pool, at its corner divided by 2**k; the head runs on those blocks.
-The scan box is padded at its far end so that every map is odd-sized
+parity of the block corners, so k pools give 4**k maps. The four phases
+share one max over every row pair, taken in ``MaxPool2``'s operand order,
+so each phase map equals ``MaxPool2`` on its crop bit for bit. A window's
+final block lies in the map of its phase path, the parities of its corner
+at every pool, at its corner divided by 2**k; the head runs on those
+blocks. The scan box is padded at its far end so that every map is odd-sized
 before each pool, which makes a pool's four phase maps the same size; the
 padding is read only by map pixels that no window reads.
 
@@ -196,6 +198,21 @@ class MaxPool2:
 
     def spec(self):
         return ("maxpool",)
+
+
+def _pool_phases(x):
+    """``MaxPool2.forward`` on each phase crop ``x[:, a:mh-1+a, b:mw-1+b]``
+    of an odd-sized (n, mh, mw, c) map, stacked phase-major as (4n, oh, ow,
+    c). The four phases share one max over every row pair; the grouping
+    and operand order are the pool's, so the maps equal it bit for bit."""
+    n, mh, mw, c = x.shape
+    oh, ow = mh // 2, mw // 2
+    rows = np.maximum(x[:, :-1], x[:, 1:])
+    out = np.empty((4, n, oh, ow, c), dtype=x.dtype)
+    for p, (a, b) in enumerate(_PHASES):
+        np.maximum(rows[:, a::2, b : b + 2 * ow : 2], rows[:, a::2, b + 1 : b + 1 + 2 * ow : 2],
+                   out=out[p])
+    return out.reshape(4 * n, oh, ow, c)
 
 
 class Flatten:
@@ -362,7 +379,8 @@ class NetModel:
         ``offset``.
 
         The trunk runs once as a dense scan of the windows' union box, with
-        each pool splitting its maps into four phase maps; each window's
+        each pool splitting its maps into four phase maps, pooled from one
+        shared max over every row pair (``_pool_phases``); each window's
         final block is gathered from the map of its phase path, and the
         head runs on the whole batch as in ``forward``. Conv1 runs in
         64-bit floats and the rest of the trunk in 32-bit floats, so the
@@ -405,10 +423,8 @@ class NetModel:
         path = np.zeros(len(oy), dtype=np.intp)  # index of each window's map
         for layer in trunk[1:]:
             if isinstance(layer, MaxPool2):
-                n, mh, mw = x.shape[:3]  # odd: each phase leaves one row and column
-                x = np.concatenate([layer.forward(x[:, a : mh - 1 + a, b : mw - 1 + b])
-                                    for a, b in _PHASES])
-                path += n * (2 * (oy & 1) + (ox & 1))
+                path += len(x) * (2 * (oy & 1) + (ox & 1))
+                x = _pool_phases(x)
                 oy, ox = oy >> 1, ox >> 1
             else:
                 x = layer.forward(x)

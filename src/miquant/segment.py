@@ -196,12 +196,13 @@ class PatchEnsemble:
 def sample_training_patches(case: LabeledCase, seed: int = 0):
     """Class-balanced boundary patches around the ground-truth scar.
 
-    The band is ``boundary_region(GT, TRAINING_BAND_RADIUS)``, the rule
-    refine votes on, split by GT: healthy centers come from the band
-    outside GT, scar centers from the band inside it (all of GT on slices
-    where the erosion empties it), subsampled on a stride lattice. Raises
-    NoGroundTruth without scar ground truth and EmptyClassError when either
-    class gets no patch.
+    The band is ``boundary_region(GT, TRAINING_BAND_RADIUS)``, split by
+    GT: healthy centers come from the band outside GT, scar centers from
+    the band inside it (all of GT on slices where the erosion empties it),
+    subsampled on a stride lattice. This is not the band refine votes on,
+    ``boundary_region(coarse, BOUNDARY_RADIUS)``. Raises NoGroundTruth
+    without scar ground truth and EmptyClassError when either class gets
+    no patch.
     """
     if case.gt_scar is None or case.gt_scar.count() == 0:
         raise NoGroundTruth(f"case {case.case_id} has no scar ground truth")

@@ -19,6 +19,7 @@ from miquant.learnlib.net import (
     NetModel,
     ReLU,
     Softmax,
+    _pool_phases,
 )
 
 
@@ -413,6 +414,19 @@ def test_pool_backward_matches_argmax_oracle(shape):
     assert ((quads == out).sum(axis=0) > 1).any()  # the test inputs tie
     dout = rng.normal(size=out.shape)
     np.testing.assert_array_equal(pool.backward(dout), oracle.backward(dout))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 3, 1), (3, 5, 9, 2), (2, 17, 13, 4), (2, 41, 39, 3)])
+def test_phase_pooling_equals_the_per_phase_pool_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = (rng.integers(-3, 4, size=shape) * 0.5).astype(dtype)  # blocks tie
+    x[x == 0] = rng.choice([0.0, -0.0], size=int((x == 0).sum()))
+    x[rng.random(shape) < 0.05] = np.nan
+    got, want = _pool_phases(x), oracles.per_phase_pool(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_training_with_pool_before_relu_matches_argmax_chain():
