@@ -1,7 +1,6 @@
 """Small convolutional networks with from-scratch backpropagation and
 SGD-with-momentum training. Training, ``forward`` and ``features`` run in
-64-bit floats; windowed inference runs its trunk after conv1 in 32-bit
-floats (see below).
+64-bit floats; windowed inference runs in 32-bit floats (see below).
 
 Conventions: batches are (N, H, W, C); convolutions are valid-padding,
 stride 1; pooling is 2x2 stride 2 (odd remainders dropped); the terminal
@@ -40,13 +39,12 @@ blocks. The scan box is padded at its far end so that every map is odd-sized
 before each pool, which makes a pool's four phase maps the same size; the
 padding is read only by map pixels that no window reads.
 
-Conv1 runs in 64-bit floats; its map is then rounded to 32 bits, and the
-rest of the trunk and its im2col copies work in 32-bit floats, which halves
-the bytes those copies move and lets later convolutions run as single-
-precision matrix products. The dense head runs in 64-bit floats on the
-whole batch, as in ``forward``. Results agree with ``forward`` on the
-cropped windows to single-precision rounding (about 1e-6 on the logits),
-not bit for bit.
+Windowed inference runs in 32-bit floats throughout, from the centred scan
+box to the last dense layer (convolutions and dense layers compute in their
+input's dtype), and only its output is cast to 64 bits. The dense head
+still runs on the whole batch, as in ``forward``. Results agree with
+``forward`` on the cropped windows to single-precision rounding (about 1e-6
+on the logits), not bit for bit.
 
 A convolution's backward takes its input gradient per kernel tap: one
 batched product gives every tap's share dY @ W[i, j].T, and each share is
@@ -250,7 +248,7 @@ class Dense:
             raise ShapeError(f"dense {self.w.shape} cannot take input {x.shape}")
         if train:
             self._x = x
-        return x @ self.w + self.b
+        return x @ self.w.astype(x.dtype, copy=False) + self.b.astype(x.dtype, copy=False)
 
     def backward(self, dout, need_dx=True):
         if self._x is None:
@@ -382,10 +380,9 @@ class NetModel:
         each pool splitting its maps into four phase maps, pooled from one
         shared max over every row pair (``_pool_phases``); each window's
         final block is gathered from the map of its phase path, and the
-        head runs on the whole batch as in ``forward``. Conv1 runs in
-        64-bit floats and the rest of the trunk in 32-bit floats, so the
-        result agrees with ``forward`` to single-precision rounding (see
-        the module docstring).
+        head runs on the whole batch as in ``forward``. The scan runs in
+        32-bit floats and returns 64-bit floats, so the result agrees with
+        ``forward`` to single-precision rounding (see the module docstring).
         """
         image = np.asarray(image, dtype=np.float64)
         oy = np.asarray(oy, dtype=np.intp)
@@ -416,10 +413,10 @@ class NetModel:
         for axis in (0, 1):
             while not _trunk_extent(trunk, scan[axis], axis)[1]:
                 scan[axis] += 1
-        x = np.zeros((1, *scan, 1))
+        x = np.zeros((1, *scan, 1), dtype=np.float32)
         np.subtract(image[y0 : y0 + need[0], x0 : x0 + need[1]], offset,
-                    out=x[0, : need[0], : need[1], 0])
-        x = trunk[0].forward(x).astype(np.float32)
+                    out=x[0, : need[0], : need[1], 0], casting="same_kind")
+        x = trunk[0].forward(x)
         path = np.zeros(len(oy), dtype=np.intp)  # index of each window's map
         for layer in trunk[1:]:
             if isinstance(layer, MaxPool2):
@@ -432,7 +429,7 @@ class NetModel:
         fh, fw = (_trunk_extent(trunk, size, axis)[0] for axis, size in ((0, h), (1, w)))
         rows = oy[:, None, None] + np.arange(fh)[None, :, None]
         cols = ox[:, None, None] + np.arange(fw)[None, None, :]
-        return _run(self.layers[flat:], x[path[:, None, None], rows, cols].astype(np.float64))
+        return _run(self.layers[flat:], x[path[:, None, None], rows, cols]).astype(np.float64)
 
     def features(self, x):
         """Activations of the feature head (penultimate FC), inference mode."""

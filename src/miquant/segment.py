@@ -366,8 +366,9 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
     """Run the cascade over every slice of a preprocessed case.
 
     ``gate`` holds one "healthy"/"diseased" label per slice (for instance
-    the labels of ``detect.detect_predict``); slices labelled healthy get
-    empty masks. Without an ``ensemble`` the coarse mask is not refined.
+    the second item of each (score, label) pair that
+    ``detect.detect_predict`` returns); slices labelled healthy get empty
+    masks. Without an ``ensemble`` the coarse mask is not refined.
     The result keeps each stage: ``coarse``, ``hyper`` (refined, before MVO
     inclusion), ``mvo`` and ``final``. Per-slice numeric failures produce
     empty masks plus a flag rather than aborting the case.

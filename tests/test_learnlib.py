@@ -68,6 +68,18 @@ def test_conv_matches_naive_nested_loop_oracle():
     np.testing.assert_allclose(conv.forward(x), naive_conv(x, w, b), atol=1e-10)
 
 
+def test_dense_computes_in_its_input_dtype():
+    rng = np.random.default_rng(3)
+    dense = Dense(rng.normal(size=(12, 5)), rng.normal(size=5))
+    x = rng.normal(size=(7, 12))
+    double = dense.forward(x)  # the training and detector path: unchanged
+    assert double.dtype == np.float64
+    np.testing.assert_array_equal(double, x @ dense.w + dense.b)
+    single = dense.forward(x.astype(np.float32))
+    assert single.dtype == np.float32
+    np.testing.assert_allclose(single, double, rtol=0.0, atol=1e-5)
+
+
 def test_softmax_rows_are_probability_vectors():
     rng = np.random.default_rng(3)
     net = ll.build_classifier(13, seed=4, widths=(4, 6), fc=8)
@@ -147,8 +159,8 @@ def _assert_windows_match_forward(net, image, oy, ox, offset):
     expected = net.forward(crops[..., None])
     got = net.forward_windows(image, oy, ox, offset)
     assert got.shape == expected.shape == (len(oy), 2)
-    # the trunk after conv1 runs in float32: the worst of these inputs
-    # differs by about 1.6e-6
+    # windowed inference runs in float32 throughout: the worst of these
+    # inputs differs by 9.6e-7 (OpenBLAS 0.3.31, x86-64)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-5)
     np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
 
@@ -201,6 +213,23 @@ def test_forward_windows_on_no_windows_is_empty():
     net = _windows_net(48, seed=47)
     image = np.zeros((60, 60))
     assert net.forward_windows(image, [], [], 0.0).shape == (0, 2)
+
+
+def test_forward_windows_runs_in_single_precision_and_returns_float64(monkeypatch):
+    seen = []
+    for cls in (Conv2D, Dense):
+        def spy(self, x, *args, _forward=cls.forward, **kwargs):
+            seen.append((type(self).__name__, x.dtype))
+            return _forward(self, x, *args, **kwargs)
+        monkeypatch.setattr(cls, "forward", spy)
+    net = _windows_net(49, seed=58)
+    rng = np.random.default_rng(58)
+    image = rng.uniform(0.0, 1.0, (70, 66))
+    oy, ox = _corners(rng, 9, image.shape, 49)
+    assert net.forward_windows(image, oy, ox, 0.5).dtype == np.float64
+    assert [name for name, _ in seen] == ["Conv2D"] * 3 + ["Dense"] * 2
+    assert all(dtype == np.float32 for _, dtype in seen)
+    assert net.forward_windows(image, [], [], 0.5).dtype == np.float64
 
 
 @pytest.mark.parametrize("image_shape,oy,ox", [

@@ -6,7 +6,7 @@ import pytest
 from scipy import ndimage as ndi
 
 import oracles
-from miquant import learnlib as ll, phantom, preprocess, segment, vio
+from miquant import detect, learnlib as ll, phantom, preprocess, segment, vio
 from miquant.errors import (
     AlignmentError,
     ConfigError,
@@ -474,6 +474,23 @@ def test_segment_case_gate_empties_only_the_healthy_slice(diseased_cases, k):
         assert not got[k].any()
         others = np.arange(case.nz) != k
         np.testing.assert_array_equal(got[others], ref[others])
+
+
+def test_segment_case_gates_on_the_labels_of_detect_predict(
+        tiny_detector, tiny_ensemble, diseased_cases):
+    labels = set()
+    for case in diseased_cases[:2]:
+        gate = [label for _, label in detect.detect_predict(tiny_detector, case)]
+        labels.update(gate)
+        healthy = np.array(gate) == "healthy"
+        ungated = segment.segment_case(case, tiny_ensemble)
+        gated = segment.segment_case(case, tiny_ensemble, gate=gate)
+        assert [o.gated_out for o in gated.outcomes] == healthy.tolist()
+        for name in ("coarse", "hyper", "mvo", "final"):
+            got, ref = getattr(gated, name).data, getattr(ungated, name).data
+            assert not got[healthy].any()
+            np.testing.assert_array_equal(got[~healthy], ref[~healthy])
+    assert labels == {"healthy", "diseased"}  # the detector gates some slices, not all
 
 
 def test_segment_case_rejects_gate_of_wrong_length(diseased_cases):
