@@ -10,7 +10,15 @@ import numpy as np
 
 from . import learnlib as ll
 from . import vio
-from .errors import ConfigError, EmptyDenominator, EmptyMask, SingleClassError, Unachievable
+from .errors import (
+    ConfigError,
+    DataError,
+    EmptyDenominator,
+    EmptyMask,
+    LengthMismatch,
+    SingleClassError,
+    Unachievable,
+)
 from .volcore import LabeledCase, extract_patches
 
 DETECT_INPUT_SIZE = 89
@@ -148,7 +156,11 @@ def roc_curve(scores, labels) -> RocCurve:
     """Threshold sweep over the unique scores; AUC by the trapezoid rule,
     which equals the Mann-Whitney pair count with ties counted half."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise LengthMismatch(f"{scores.shape} scores vs {labels.shape} labels")
+    if np.isnan(scores).any() or not np.isin(labels, (0, 1)).all():
+        raise DataError("ROC needs scores that are not NaN and labels of 0 or 1")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

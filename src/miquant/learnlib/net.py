@@ -356,6 +356,8 @@ class NetModel:
     train_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(type(layer) in LAYER_TYPES.values() for layer in self.layers):
+            raise TypeError(f"a net's layers must be {sorted(LAYER_TYPES)} layers")
         self.input_shape = tuple(self.input_shape)
 
     def forward(self, x, train=False, rng=None, n_layers=None):
@@ -510,8 +512,6 @@ def build_classifier(input_size: int, seed: int, widths=(16, 32, 64), fc: int = 
             break
         specs += [("conv", k, width), ("maxpool",), ("relu",)]
         size = (size - k + 1) // 2
-        if size < 1:
-            raise ShapeError("input too small for the classifier trunk")
     specs += [("flatten",), ("dense", fc), ("relu",)]
     feature_layer = len(specs)
     if dropout > 0:

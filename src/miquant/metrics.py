@@ -182,31 +182,7 @@ def mann_whitney_u(x, y) -> tuple[float, float]:
 # report assembly
 # ---------------------------------------------------------------------------
 
-class _CaseTruth:
-    """One case's ground truth, myocardium and MVO mask, kept as copies,
-    with the ground truth measured over the bounding box of GT |
-    myocardium | the first prediction scored against it."""
-
-    def __init__(self, pred: Mask, gt: Mask, myo: Mask, gt_mvo: Mask | None):
-        self.spacing = gt.spacing
-        # copies in the callers' memory order, which keeps the comparisons fast
-        self.gt = gt.data.copy(order="K")
-        self.myo = myo.data.copy(order="K")
-        self.mvo = None if gt_mvo is None else gt_mvo.data.copy(order="K")
-        self.ref = _Reference(self.gt, self.spacing, _box(self.gt | self.myo | pred.data))
-        self.n_myo = int(np.count_nonzero(self.myo))
-        self.n_mvo = 0 if self.mvo is None else int(np.count_nonzero(self.mvo))
-        self.mvo_crop = None if self.mvo is None else self.mvo[self.ref.box]
-
-    def holds(self, gt: Mask, myo: Mask, gt_mvo: Mask | None) -> bool:
-        """Whether these masks are the stored ones, by spacing and content."""
-        if (gt_mvo is None) != (self.mvo is None) or gt.spacing != self.spacing:
-            return False
-        return (np.array_equal(gt.data, self.gt) and np.array_equal(myo.data, self.myo)
-                and (gt_mvo is None or np.array_equal(gt_mvo.data, self.mvo)))
-
-
-_case_truth: _CaseTruth | None = None  # the ground truth case_row last scored against
+_truth = (None, None, None)  # case_row's last GT: its copy, spacing and _Reference
 
 
 def case_row(case_id: str, method: str, pred_final: Mask, gt_total: Mask,
@@ -214,31 +190,33 @@ def case_row(case_id: str, method: str, pred_final: Mask, gt_total: Mask,
     """Volume-level report row for one (case, method) prediction.
 
     The ground truth is measured once per case: case_row keeps a record of
-    the last ground truth it was given (its bounding box with the
-    myocardium's, voxel counts, and the GT's distance transform over that
-    box) and builds it anew when the GT, myocardium or MVO mask differs
-    from the record's copies, or when the prediction has voxels outside
-    the box. Each row then takes one distance transform, of the
-    prediction, for the GT-to-prediction distance; Dice, volume, percent
-    infarct and MVO sensitivity come from counts and from intersections
-    within the box. Every field equals the one from ``dice``,
-    ``hausdorff3d``, ``scar_volume_cm3``, ``percent_infarct`` and
-    ``mvo_sensitivity``. The prediction-to-GT distances come from a larger
-    box than ``hausdorff3d``'s, so among equidistant nearest GT voxels the
-    feature transform may pick another; at the canonical spacing (1.25,
-    1.25, 8 mm) every squared offset is exact in binary floating point, so
-    the distance is the same.
+    the last GT it was given (a copy, its spacing, and its distance
+    transform over the bounding box of GT | myocardium | that call's
+    prediction) and builds it anew when the GT differs by content or
+    spacing, or when the prediction has voxels outside the box. Each row
+    then takes one distance transform, of the prediction, for the
+    GT-to-prediction distance; the other fields come from counts and from
+    intersections within the box, which holds every predicted voxel. Every
+    field equals the one from ``dice``, ``hausdorff3d``, ``scar_volume_cm3``,
+    ``percent_infarct`` and ``mvo_sensitivity``. The prediction-to-GT
+    distances come from a larger box than ``hausdorff3d``'s, so among
+    equidistant nearest GT voxels the feature transform may pick another;
+    at the canonical spacing (1.25, 1.25, 8 mm) every squared offset is
+    exact in binary floating point, so the distance is the same.
     """
-    global _case_truth
+    global _truth
     check_aligned(pred_final, gt_total, myo, *([] if gt_mvo is None else [gt_mvo]))
-    truth = _case_truth
     n_pred = pred_final.count()
-    if (truth is None or not truth.holds(gt_total, myo, gt_mvo)
-            or np.count_nonzero(pred_final.data[truth.ref.box]) != n_pred):
-        truth = _case_truth = _CaseTruth(pred_final, gt_total, myo, gt_mvo)
-    ref = truth.ref
+    gt, spacing, ref = _truth
+    if (gt_total.spacing != spacing or not np.array_equal(gt_total.data, gt)
+            or np.count_nonzero(pred_final.data[ref.box]) != n_pred):
+        # a copy in the caller's memory order, which keeps the comparison fast
+        gt = gt_total.data.copy(order="K")
+        ref = _Reference(gt, gt_total.spacing, _box(gt | myo.data | pred_final.data))
+        _truth = gt, gt_total.spacing, ref
     pred = pred_final.data[ref.box]
     inter = int(np.count_nonzero(pred & ref.crop))
+    n_myo = myo.count()
     row = ReportRow(
         case_id=case_id,
         slice="all",
@@ -247,8 +225,9 @@ def case_row(case_id: str, method: str, pred_final: Mask, gt_total: Mask,
                           else 2.0 * inter / (n_pred + ref.count)),
         hausdorff_mm=ref.hausdorff(pred) if n_pred and ref.count else None,
         scar_volume_cm3=n_pred * pred_final.voxel_volume_mm3 / 1000.0,
-        pct_infarct=100.0 * n_pred / truth.n_myo if truth.n_myo else None,
+        pct_infarct=100.0 * n_pred / n_myo if n_myo else None,
     )
-    if truth.n_mvo:
-        row.mvo_sensitivity = int(np.count_nonzero(pred & truth.mvo_crop)) / truth.n_mvo
+    n_mvo = 0 if gt_mvo is None else gt_mvo.count()
+    if n_mvo:
+        row.mvo_sensitivity = int(np.count_nonzero(pred & gt_mvo.data[ref.box])) / n_mvo
     return row

@@ -142,11 +142,11 @@ class PatchEnsemble:
         if len(self.members) % 2 == 0:
             raise ConfigError(f"the ensemble needs an odd member count, got {len(self.members)}")
         size = self.patch_size
-        mean = np.asarray(self.mean_patch, dtype=np.float64)
+        mean = np.asarray(self.mean_patch)
         if mean.ndim and mean.shape != (size, size):
             raise ConfigError(f"mean patch {mean.shape} does not match the {size}-px patch size")
-        if not np.isfinite(mean).all():
-            raise ConfigError("the ensemble's mean intensity is not finite")
+        if mean.dtype.kind not in "biuf" or not np.isfinite(mean).all():
+            raise ConfigError("the ensemble's mean intensity is not a finite number")
         if mean.ndim and mean.min() != mean.max():
             raise ConfigError("a per-pixel mean patch is not supported: the ensemble is "
                               "centred on one scalar mean intensity")
@@ -380,8 +380,9 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
     whose histogram has a split.
     """
     nz = case.nz
-    if gate is not None and len(gate) != nz:
-        raise DataError(f"case {case.case_id}: {len(gate)} gate labels for {nz} slices")
+    if gate is not None and (len(gate) != nz or not set(gate) <= {"healthy", "diseased"}):
+        raise DataError(f"case {case.case_id}: gate {list(gate)} is not one 'healthy' or "
+                        f"'diseased' label for each of the {nz} slices")
     img, myo = case.volume.data, case.myocardium.data
     gated = np.zeros(nz, dtype=bool) if gate is None else np.asarray(gate) == "healthy"
     empty = ~gated & ~myo.any(axis=(1, 2))

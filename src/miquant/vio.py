@@ -305,8 +305,8 @@ def decode_array(doc: dict) -> np.ndarray:
         raw = base64.b64decode(doc["data_b64"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         return arr.reshape(doc["shape"])
-    except ValueError as exc:  # not base64 (binascii.Error), or not prod(shape) floats
-        raise FormatError(f"bad array payload: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # no key, bad type, bad base64 or size
+        raise FormatError(f"bad array document: {exc!r}") from exc
 
 
 # One codec owns the model-file format. A registered model dataclass is
@@ -331,7 +331,7 @@ def model_kind(kind: str):
 def register_layers(table: dict) -> None:
     """Register layer classes by spec tag. A layer has ``spec()`` (tag
     first) and ``param_names``; it is rebuilt from its parameters, or, if it
-    has none, from the spec's arguments."""
+    has none, from the spec's arguments, and must give back its spec."""
     _LAYERS.update(table)
 
 
@@ -361,15 +361,20 @@ def decode_model(doc):
     if "data_b64" in doc:
         return decode_array(doc)
     if "spec" in doc:
-        tag, *args = doc["spec"]
+        spec = doc["spec"]
+        if not (isinstance(spec, list) and spec and isinstance(spec[0], str)):
+            raise FormatError(f"a layer spec is a list that starts with its tag, not {spec!r}")
+        tag, *args = spec
         if tag not in _LAYERS:
             raise ShapeError(f"unknown layer tag {tag!r}")
         cls = _LAYERS[tag]
-        missing = [name for name in cls.param_names if name not in doc]
-        if missing:
-            raise FormatError(f"{tag!r} layer lacks its parameters {missing}")
-        params = [decode_array(doc[name]) for name in cls.param_names]
-        return cls(*(params or args))
+        try:
+            layer = cls(*([decode_array(doc[name]) for name in cls.param_names] or args))
+            if list(layer.spec()) == spec:
+                return layer
+        except (KeyError, TypeError, ValueError, IndexError) as exc:  # KeyError: no such parameter
+            raise FormatError(f"a layer stored as {spec} cannot be rebuilt: {exc!r}") from exc
+        raise FormatError(f"a layer stored as {spec} rebuilds as {list(layer.spec())}")
     if "kind" in doc:
         kind = doc["kind"]
         if kind not in _KINDS:

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from miquant import detect, learnlib as ll, vio
-from miquant.errors import ConfigError, EmptyDenominator, EmptyMask, SingleClassError, Unachievable
+from miquant.errors import (
+    ConfigError,
+    DataError,
+    EmptyDenominator,
+    EmptyMask,
+    LengthMismatch,
+    SingleClassError,
+    Unachievable,
+)
 from miquant.volcore import LabeledCase, Mask, Volume
 
 import oracles
@@ -125,6 +133,27 @@ def test_roc_auc_equals_paircount_oracle():
 def test_roc_single_class_error():
     with pytest.raises(SingleClassError):
         detect.roc_curve([0.1, 0.3], [1, 1])
+
+
+def test_roc_rejects_scores_and_labels_of_different_lengths():
+    with pytest.raises(LengthMismatch):
+        detect.roc_curve([0.1, 0.2, 0.3], [0, 1])
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.1, 0.2, 0.3], [0, 2, 1]),
+    ([0.1, 0.2, 0.3], [0, 0.5, 1]),
+    ([0.1, np.nan, 0.3], [0, 1, 1]),
+], ids=["label 2", "label 0.5", "NaN score"])
+def test_roc_rejects_a_label_other_than_0_or_1_and_a_nan_score(scores, labels):
+    with pytest.raises(DataError):
+        detect.roc_curve(scores, labels)
+
+
+def test_roc_ranks_a_blank_slice_score_of_minus_infinity_lowest():
+    # detect_scores gives -inf to a slice with a blank crop
+    roc = detect.roc_curve([-np.inf, 0.2, 0.8, 0.9], [0, 0, 1, 1])
+    assert roc.auc == 1.0 and roc.points[-1][2] == -np.inf
 
 
 # --- operating points ---

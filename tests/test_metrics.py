@@ -417,7 +417,11 @@ def test_case_row_takes_an_equal_ground_truth_given_as_a_new_object():
 def test_case_row_follows_the_myocardium_mvo_and_spacing():
     base = _scored_case(np.random.default_rng(8))
     pred, gt, myo, mvo = base
+    far = np.zeros_like(myo.data)
+    far[0, 0, :] = far[3, 23, 0] = True  # outside GT | myocardium and its box
     variants = [
+        (pred, gt, myo, Mask(mvo.spacing, mvo.data | far)),
+        (pred, gt, Mask(myo.spacing, myo.data | far), mvo),
         (pred, gt, Mask(myo.spacing, myo.data & (np.arange(30) < 20)), mvo),
         (pred, gt, Mask(myo.spacing, np.zeros_like(myo.data)), mvo),
         (pred, gt, myo, Mask(mvo.spacing, mvo.data & (np.arange(30) < 11))),

@@ -499,6 +499,13 @@ def test_segment_case_rejects_gate_of_wrong_length(diseased_cases):
         segment.segment_case(case, gate=["diseased"] * (case.nz + 1))
 
 
+@pytest.mark.parametrize("label", ["maybe", "Healthy", ""])
+def test_segment_case_rejects_an_unknown_gate_label(diseased_cases, label):
+    case = diseased_cases[0]
+    with pytest.raises(DataError):
+        segment.segment_case(case, gate=[label] + ["healthy"] * (case.nz - 1))
+
+
 @pytest.mark.parametrize("members", [1, 2, 4])
 def test_ensemble_config_needs_odd_member_count_of_three_or_more(members):
     with pytest.raises(ConfigError):
@@ -588,12 +595,13 @@ def test_ensemble_file_stores_its_mean_as_a_float(tmp_path, tiny_ensemble):
     assert type(back.mean_patch) is float and back.mean_patch == tiny_ensemble.mean_patch
 
 
-@pytest.mark.parametrize("mean", NOT_ONE_FINITE_MEAN[:2], ids=NOT_ONE_FINITE_MEAN_IDS[:2])
+@pytest.mark.parametrize("mean", NOT_ONE_FINITE_MEAN[:2] + ["x"],
+                         ids=NOT_ONE_FINITE_MEAN_IDS[:2] + ["string"])
 def test_ensemble_load_rejects_a_mean_that_is_not_one_finite_scalar(tmp_path, tiny_ensemble, mean):
     # a file saved with a per-pixel mean patch, before ensembles were centred
     # on a scalar, stores the mean as an array
     def edit(doc):
-        doc["mean_patch"] = vio.encode_array(mean) if np.ndim(mean) else float(mean)
+        doc["mean_patch"] = vio.encode_array(mean) if np.ndim(mean) else mean
 
     with pytest.raises(ConfigError):
         segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
@@ -635,7 +643,21 @@ def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
     # conv1 has 4 output channels, so its payload holds 5 * 5 * 1 * 4 floats
     lambda doc: doc["members"][0]["layers"][0]["w"].update(shape=[5, 5, 1, 3]),
     lambda doc: doc["members"][0]["layers"][0].pop("b"),
-], ids=["invalid base64", "payload size", "missing parameter"])
+    lambda doc: doc["members"][0]["layers"][1].update(spec=[]),
+    lambda doc: doc["members"][0]["layers"][1].update(spec="maxpool"),
+    lambda doc: next(layer for layer in doc["members"][0]["layers"]
+                     if layer["spec"][0] == "dropout").update(spec=["dropout"]),
+    lambda doc: doc["members"][0]["layers"][1].update(spec=["maxpool", 2]),
+    lambda doc: doc["members"][0]["layers"][0].update(spec=["conv", 3, 4]),
+    lambda doc: doc["members"][0]["layers"][0]["w"].pop("data_b64"),
+    lambda doc: doc["members"][0]["layers"][0]["w"].update(shape="abc"),
+    lambda doc: doc["members"][0].update(layers=5),
+    # the right number of floats for conv1's weights, as one axis
+    lambda doc: doc["members"][0]["layers"][0]["w"].update(shape=[5 * 5 * 1 * 4]),
+], ids=["invalid base64", "payload size", "missing parameter", "empty spec",
+        "spec not a list", "spec lacks its argument", "spec has an extra argument",
+        "spec differs from the parameters", "array without payload",
+        "shape not a list", "layers not a list", "rank-1 conv weights"])
 def test_ensemble_load_rejects_a_malformed_layer(tmp_path, tiny_ensemble, edit):
     with pytest.raises(FormatError):
         segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
