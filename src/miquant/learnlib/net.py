@@ -26,18 +26,15 @@ differently depending on how many rows share the call.
 Windowed inference (``NetModel.forward_windows``) classifies many
 overlapping windows of one image, each minus the same scalar ``offset``.
 Every window then sees the image's own values at a shared pixel, so the
-whole trunk runs once, densely, over the union box of the windows
-(shift-and-stitch: Giusti et al. 2013, arXiv:1302.1700; Long et al. 2015,
-arXiv:1411.4038). Convolutions and ReLUs act on the dense maps; each 2x2
-pool splits every map into its four phase maps, one per (row, column)
-parity of the block corners, so k pools give 4**k maps. The four phases
-share one max over every row pair, taken in ``MaxPool2``'s operand order,
-so each phase map equals ``MaxPool2`` on its crop bit for bit. A window's
-final block lies in the map of its phase path, the parities of its corner
-at every pool, at its corner divided by 2**k; the head runs on those
-blocks. The scan box is padded at its far end so that every map is odd-sized
-before each pool, which makes a pool's four phase maps the same size; the
-padding is read only by map pixels that no window reads.
+whole trunk runs once, densely, over the union box of the windows, as one
+stride-1 map (shift-and-stitch: Giusti et al. 2013, arXiv:1302.1700; Long
+et al. 2015, arXiv:1411.4038), in its dilated ("a trous") form (Li, Zhao
+and Wang 2014, arXiv:1412.4526). After k pools the kernels are dilated by
+d = 2**k: a convolution reads taps d apart, and a pool takes the max of
+pixels d apart, over rows and then columns in ``MaxPool2``'s operand
+order. A window's own map after k pools is then the scan's pixels d apart
+from the window's corner; its pools equal ``MaxPool2`` on its crop bit for
+bit. The head runs on the final blocks so gathered.
 
 Windowed inference runs in 32-bit floats throughout, from the centred scan
 box to the last dense layer (convolutions and dense layers compute in their
@@ -70,9 +67,11 @@ INFER_CHUNK = 32  # samples per trunk pass at inference
 # layers
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(N, H, W, C) -> (N*OH*OW, kh*kw*C) patch matrix for valid stride-1."""
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (N, OH, OW, C, kh, kw)
+def _im2col(x: np.ndarray, kh: int, kw: int, d: int = 1) -> np.ndarray:
+    """(N, H, W, C) -> (N*OH*OW, kh*kw*C) patch matrix for valid stride-1,
+    with the taps ``d`` px apart."""
+    windows = sliding_window_view(x, (d * (kh - 1) + 1, d * (kw - 1) + 1), axis=(1, 2))
+    windows = windows[..., ::d, ::d]  # (N, OH, OW, C, kh, kw)
     n, oh, ow = windows.shape[:3]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
     return cols.reshape(n * oh * ow, kh * kw * x.shape[3]), (n, oh, ow)
@@ -86,19 +85,25 @@ class Conv2D:
     param_names = ("w", "b")
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
+        if np.ndim(w) != 4 or np.shape(b) != np.shape(w)[3:]:
+            raise ShapeError(f"conv weights {np.shape(w)} and bias {np.shape(b)} do not fit")
         self.w = w  # (kh, kw, cin, cout)
         self.b = b
         self.dw = None
         self.db = None
         self._cols = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, dilation=1):
         """Valid convolution in the dtype of ``x`` (the weights are cast to
-        it; a no-op for 64-bit input)."""
+        it; a no-op for 64-bit input), its taps ``dilation`` px apart; only
+        inference dilates."""
         kh, kw, cin, cout = self.w.shape
-        if x.shape[3] != cin or x.shape[1] < kh or x.shape[2] < kw:
-            raise ShapeError(f"conv {self.w.shape} cannot take input {x.shape}")
-        cols, (n, oh, ow) = _im2col(x, kh, kw)
+        if train and dilation != 1:
+            raise ShapeError(f"training runs undilated convolutions, not dilation {dilation}")
+        if (x.shape[3] != cin or x.shape[1] < dilation * (kh - 1) + 1
+                or x.shape[2] < dilation * (kw - 1) + 1):
+            raise ShapeError(f"conv {self.w.shape} dilated by {dilation} cannot take input {x.shape}")
+        cols, (n, oh, ow) = _im2col(x, kh, kw, dilation)
         out = cols @ self.w.reshape(-1, cout).astype(x.dtype, copy=False)
         out += self.b.astype(x.dtype, copy=False)
         if train:
@@ -198,19 +203,13 @@ class MaxPool2:
         return ("maxpool",)
 
 
-def _pool_phases(x):
-    """``MaxPool2.forward`` on each phase crop ``x[:, a:mh-1+a, b:mw-1+b]``
-    of an odd-sized (n, mh, mw, c) map, stacked phase-major as (4n, oh, ow,
-    c). The four phases share one max over every row pair; the grouping
-    and operand order are the pool's, so the maps equal it bit for bit."""
-    n, mh, mw, c = x.shape
-    oh, ow = mh // 2, mw // 2
-    rows = np.maximum(x[:, :-1], x[:, 1:])
-    out = np.empty((4, n, oh, ow, c), dtype=x.dtype)
-    for p, (a, b) in enumerate(_PHASES):
-        np.maximum(rows[:, a::2, b : b + 2 * ow : 2], rows[:, a::2, b + 1 : b + 1 + 2 * ow : 2],
-                   out=out[p])
-    return out.reshape(4 * n, oh, ow, c)
+def _pool_dilated(x, d):
+    """``MaxPool2.forward`` with its block's pixels ``d`` px apart, at every
+    pixel of an (n, mh, mw, c) map: (n, mh - d, mw - d, c). The grouping and
+    operand order are the pool's, so the pixels congruent to (a, b) mod d
+    equal it on ``x[:, a::d, b::d]`` bit for bit."""
+    rows = np.maximum(x[:, :-d], x[:, d:])
+    return np.maximum(rows[:, :, :-d], rows[:, :, d:])
 
 
 class Flatten:
@@ -237,6 +236,8 @@ class Dense:
     param_names = ("w", "b")
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
+        if np.ndim(w) != 2 or np.shape(b) != np.shape(w)[1:]:
+            raise ShapeError(f"dense weights {np.shape(w)} and bias {np.shape(b)} do not fit")
         self.w = w  # (din, dout)
         self.b = b
         self.dw = None
@@ -330,17 +331,14 @@ def _run(layers, x, train=False, rng=None):
 
 
 def _trunk_extent(trunk, size, axis):
-    """(extent, odd): the map extent that a conv/relu/pool ``trunk`` makes of
-    an input extent ``size`` along rows (axis 0) or columns (axis 1), and
-    whether the map is odd-sized before every pool."""
-    odd = True
+    """The map extent that a conv/relu/pool ``trunk`` makes of an input
+    extent ``size`` along rows (axis 0) or columns (axis 1)."""
     for layer in trunk:
         if isinstance(layer, Conv2D):
             size -= layer.w.shape[axis] - 1
         elif isinstance(layer, MaxPool2):
-            odd = odd and size % 2 == 1
             size //= 2
-    return size, odd
+    return size
 
 
 def _flatten_index(layers):
@@ -378,11 +376,11 @@ class NetModel:
         top-left corners are ``(oy[i], ox[i])``, each minus the scalar
         ``offset``.
 
-        The trunk runs once as a dense scan of the windows' union box, with
-        each pool splitting its maps into four phase maps, pooled from one
-        shared max over every row pair (``_pool_phases``); each window's
-        final block is gathered from the map of its phase path, and the
-        head runs on the whole batch as in ``forward``. The scan runs in
+        The trunk runs once as a stride-1 scan of the windows' union box,
+        each convolution and pool dilated by 2**k after k pools
+        (``_pool_dilated``); each window's final block is gathered from the
+        scan's pixels 2**k apart from its corner, and the head runs on the
+        whole batch as in ``forward``. The scan runs in
         32-bit floats and returns 64-bit floats, so the result agrees with
         ``forward`` to single-precision rounding (see the module docstring).
         """
@@ -410,28 +408,23 @@ class NetModel:
             return self.forward(np.zeros((0, h, w, 1)))
         y0, x0 = oy.min(), ox.min()
         oy, ox = oy - y0, ox - x0
-        need = (oy.max() + h, ox.max() + w)
-        scan = list(need)  # grown until every map is odd-sized before each pool
-        for axis in (0, 1):
-            while not _trunk_extent(trunk, scan[axis], axis)[1]:
-                scan[axis] += 1
-        x = np.zeros((1, *scan, 1), dtype=np.float32)
-        np.subtract(image[y0 : y0 + need[0], x0 : x0 + need[1]], offset,
-                    out=x[0, : need[0], : need[1], 0], casting="same_kind")
-        x = trunk[0].forward(x)
-        path = np.zeros(len(oy), dtype=np.intp)  # index of each window's map
-        for layer in trunk[1:]:
-            if isinstance(layer, MaxPool2):
-                path += len(x) * (2 * (oy & 1) + (ox & 1))
-                x = _pool_phases(x)
-                oy, ox = oy >> 1, ox >> 1
+        x = np.empty((1, oy.max() + h, ox.max() + w, 1), dtype=np.float32)
+        np.subtract(image[y0 : y0 + x.shape[1], x0 : x0 + x.shape[2]], offset,
+                    out=x[0, :, :, 0], casting="same_kind")
+        d = 1  # the dilation: 2**k after k pools
+        for layer in trunk:
+            if isinstance(layer, Conv2D):
+                x = layer.forward(x, dilation=d)
+            elif isinstance(layer, MaxPool2):
+                x = _pool_dilated(x, d)
+                d *= 2
             else:
                 x = layer.forward(x)
-        # each window's final block, from the map of its phase path
-        fh, fw = (_trunk_extent(trunk, size, axis)[0] for axis, size in ((0, h), (1, w)))
-        rows = oy[:, None, None] + np.arange(fh)[None, :, None]
-        cols = ox[:, None, None] + np.arange(fw)[None, None, :]
-        return _run(self.layers[flat:], x[path[:, None, None], rows, cols]).astype(np.float64)
+        # each window's final block, the scan's pixels d apart from its corner
+        fh, fw = (_trunk_extent(trunk, size, axis) for axis, size in ((0, h), (1, w)))
+        rows = oy[:, None, None] + d * np.arange(fh)[None, :, None]
+        cols = ox[:, None, None] + d * np.arange(fw)[None, None, :]
+        return _run(self.layers[flat:], x[0, rows, cols]).astype(np.float64)
 
     def features(self, x):
         """Activations of the feature head (penultimate FC), inference mode."""

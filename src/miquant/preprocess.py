@@ -32,8 +32,20 @@ def estimate_noise_sigma(img: np.ndarray):
         img[..., :-2, 1:-1] + img[..., 2:, 1:-1] + img[..., 1:-1, :-2] + img[..., 1:-1, 2:]
         - 4.0 * img[..., 1:-1, 1:-1]
     )
-    mad = np.median(np.abs(lap), axis=(-2, -1))
-    return mad / 0.6745 / np.sqrt(20.0)
+    return _median(np.abs(lap).reshape(*lap.shape[:-2], -1)) / 0.6745 / np.sqrt(20.0)
+
+
+def _median(a: np.ndarray):
+    """``np.median(a, axis=-1)`` of a float array, exactly, from a partition
+    at one index rather than numpy's three (several times slower): the lower
+    middle of an even count is the max of the half below it. A slice that
+    holds a NaN gives NaN."""
+    h = a.shape[-1] // 2
+    part = np.partition(a, h, axis=-1)
+    mid = part[..., h]
+    if a.shape[-1] % 2 == 0:
+        mid = (part[..., :h].max(axis=-1) + mid) / 2
+    return np.where(np.isnan(a).any(axis=-1), np.nan, mid)[()]
 
 
 def denoise_nlm(stack: np.ndarray, sigmas, box=None) -> np.ndarray:

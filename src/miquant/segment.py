@@ -159,8 +159,9 @@ class PatchEnsemble:
     def vote(self, ys, xs, img: np.ndarray) -> np.ndarray:
         """Majority vote on the centred patch of img around each (ys[i],
         xs[i]), zero-padded as ``extract_patches`` crops it; True means
-        scar. Each member scans its trunk once over the box that holds the
-        patches it votes on (``NetModel.forward_windows``).
+        scar. Each member runs its trunk once, as one stride-1 scan of the
+        box that holds the patches it votes on, with its kernels dilated
+        after each pool (``NetModel.forward_windows``).
 
         The vote stops early where it is settled: once one class holds
         (M + 1) // 2 of the M votes on a patch, the members still to come

@@ -372,7 +372,7 @@ def decode_model(doc):
             layer = cls(*([decode_array(doc[name]) for name in cls.param_names] or args))
             if list(layer.spec()) == spec:
                 return layer
-        except (KeyError, TypeError, ValueError, IndexError) as exc:  # KeyError: no such parameter
+        except (KeyError, TypeError, ValueError, ShapeError) as exc:  # KeyError: no such parameter
             raise FormatError(f"a layer stored as {spec} cannot be rebuilt: {exc!r}") from exc
         raise FormatError(f"a layer stored as {spec} rebuilds as {list(layer.spec())}")
     if "kind" in doc:

@@ -16,9 +16,7 @@ takes a convolution's input gradient as the full correlation over the
 zero-padded output gradient, which the package computed before it took
 that gradient per kernel tap. ``one_sample_em`` is the mixture fit's EM
 loop on one sample, which the package ran per slice before it fitted every
-slice of a case in one loop. ``per_phase_pool`` is the windowed scan's
-pooling as it was before the four phases shared one row-pair max: the
-package's ``MaxPool2`` on each phase crop, concatenated.
+slice of a case in one loop.
 """
 from collections import deque
 
@@ -34,7 +32,7 @@ from miquant.errors import (
     ShapeError,
 )
 from miquant.learnlib import net_loss
-from miquant.learnlib.net import _PHASES, Conv2D, MaxPool2
+from miquant.learnlib.net import Conv2D
 from miquant.volcore import (
     LabeledCase,
     Volume,
@@ -405,14 +403,6 @@ class ArgmaxPool2:
 
     def spec(self):
         return ("maxpool",)
-
-
-def per_phase_pool(x):
-    """The four phase maps of an odd-sized (n, mh, mw, c) map, phase-major:
-    ``MaxPool2.forward`` on each crop that leaves one row and column."""
-    mh, mw = x.shape[1:3]
-    return np.concatenate([MaxPool2().forward(x[:, a : mh - 1 + a, b : mw - 1 + b])
-                           for a, b in _PHASES])
 
 
 def padded_conv_dx(dout, w):

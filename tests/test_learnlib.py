@@ -19,7 +19,7 @@ from miquant.learnlib.net import (
     NetModel,
     ReLU,
     Softmax,
-    _pool_phases,
+    _pool_dilated,
 )
 
 
@@ -445,17 +445,70 @@ def test_pool_backward_matches_argmax_oracle(shape):
     np.testing.assert_array_equal(pool.backward(dout), oracle.backward(dout))
 
 
+_POOL_SHAPES = [(2, 3, 3, 1), (3, 5, 9, 2), (2, 17, 13, 4), (2, 41, 39, 3)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(2, 3, 3, 1), (3, 5, 9, 2), (2, 17, 13, 4), (2, 41, 39, 3)])
+@pytest.mark.parametrize("shape", _POOL_SHAPES)
 def test_phase_pooling_equals_the_per_phase_pool_bit_for_bit(shape, dtype):
-    rng = np.random.default_rng(sum(shape))
+    # at d = 1 the four phases (a, b) mod 2 of the stride-1 pool are
+    # MaxPool2 on the map cropped by a rows and b columns
+    _assert_dilated_pool_matches_sub_lattices(1, shape, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _POOL_SHAPES)
+@pytest.mark.parametrize("d", [2, 4])
+def test_dilated_pooling_equals_the_pool_on_every_sub_lattice_bit_for_bit(d, shape, dtype):
+    _assert_dilated_pool_matches_sub_lattices(d, shape, dtype)
+
+
+def _assert_dilated_pool_matches_sub_lattices(d, shape, dtype):
+    rng = np.random.default_rng(sum(shape) + d)
     x = (rng.integers(-3, 4, size=shape) * 0.5).astype(dtype)  # blocks tie
     x[x == 0] = rng.choice([0.0, -0.0], size=int((x == 0).sum()))
     x[rng.random(shape) < 0.05] = np.nan
-    got, want = _pool_phases(x), oracles.per_phase_pool(x)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    n, h, w, c = shape
+    got = _pool_dilated(x, d)
+    assert got.dtype == x.dtype and got.shape == (n, max(h - d, 0), max(w - d, 0), c)
+    # the pixels at (a, b) mod 2d are the pool of the sub-lattice at (a, b)
+    # mod d, whose blocks start on its even rows and columns
+    for a in range(2 * d):
+        for b in range(2 * d):
+            part, lattice = got[:, a :: 2 * d, b :: 2 * d], x[:, a::d, b::d]
+            if min(lattice.shape[1:3]) < 2:  # no block
+                assert part.size == 0
+                continue
+            want = MaxPool2().forward(lattice)
+            assert part.shape == want.shape
+            assert np.array_equal(part, want, equal_nan=True)
+            assert np.array_equal(np.signbit(part), np.signbit(want))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k,shape", [(5, (2, 23, 21, 1)), (3, (1, 17, 18, 3))])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_dilated_conv_equals_the_conv_on_every_sub_lattice(d, k, shape, dtype):
+    # integer inputs and weights, so every sum is exact in any order
+    rng = np.random.default_rng(sum(shape) + k + d)
+    x = rng.integers(-4, 5, size=shape).astype(dtype)
+    conv = Conv2D(rng.integers(-3, 4, size=(k, k, shape[3], 4)).astype(np.float64),
+                  rng.integers(-2, 3, size=4).astype(np.float64))
+    got = conv.forward(x, dilation=d)
+    assert got.dtype == x.dtype
+    assert got.shape == (shape[0], shape[1] - d * (k - 1), shape[2] - d * (k - 1), 4)
+    for a in range(d):
+        for b in range(d):
+            np.testing.assert_array_equal(got[:, a::d, b::d], conv.forward(x[:, a::d, b::d]))
+
+
+def test_a_dilated_conv_does_not_train():
+    conv = Conv2D(np.ones((3, 3, 1, 2)), np.zeros(2))
+    x = np.ones((1, 9, 9, 1))
+    with pytest.raises(ShapeError):
+        conv.forward(x, train=True, dilation=2)
+    with pytest.raises(ShapeError):  # 2 * (3 - 1) + 1 = 5 px needed
+        conv.forward(x[:, :4], dilation=2)
 
 
 def test_training_with_pool_before_relu_matches_argmax_chain():

@@ -40,6 +40,62 @@ def test_sigma_checkerboard_analytic():
     assert sigma > 0
 
 
+def _median_sigma(img):
+    """``estimate_noise_sigma`` through ``np.median``."""
+    img = np.asarray(img, dtype=np.float64)
+    lap = (img[..., :-2, 1:-1] + img[..., 2:, 1:-1] + img[..., 1:-1, :-2] + img[..., 1:-1, 2:]
+           - 4.0 * img[..., 1:-1, 1:-1])
+    return np.median(np.abs(lap), axis=(-2, -1)) / 0.6745 / np.sqrt(20.0)
+
+
+def _sigma_inputs():
+    rng = np.random.default_rng(29)
+    corpus = phantom.CorpusSpec(n_cases=4, diseased_fraction=0.75, mvo_fraction=0.5,
+                                base=phantom.PhantomSpec(dims=(48, 40, 3)), seed=29)
+    cases = [c.volume.data for c in phantom.generate_corpus(corpus)]
+    noise = rng.normal(0.0, 3.0, (4, 11, 13))
+    ties = rng.integers(0, 4, (3, 9, 10)).astype(np.float64)  # many equal |L|
+    nan_one, nan_corner, nan_most = noise.copy(), noise.copy(), noise.copy()
+    nan_one[1, 5, 6] = np.nan
+    nan_corner[2, 0, 0] = np.nan  # a corner is no pixel's neighbour
+    nan_most[0, 1:-1, 1:-1] = np.nan
+    inf_one, inf_edge = noise.copy(), noise.copy()
+    inf_one[0, 4, 4], inf_one[1, 6, 3] = np.inf, -np.inf
+    inf_edge[3, 0, 5] = np.inf
+    signed = np.zeros((2, 6, 7))
+    signed[0, ::2] = -0.0
+    signed[1] = np.where(rng.random((6, 7)) < 0.5, -0.0, 1.0)
+    nan_even = rng.normal(size=(6, 7))
+    nan_even[2, 3] = np.nan
+    inf_3x3 = rng.normal(size=(3, 3))
+    inf_3x3[1, 1] = np.inf
+    return {
+        **{f"phantom {k}": stack for k, stack in enumerate(cases)},
+        "phantom slice": cases[0][1], "noise": noise, "ties": ties, "ties slice": ties[0],
+        "odd interior": rng.normal(size=(5, 7)),    # 15 values
+        "even interior": rng.normal(size=(6, 7)),   # 20 values
+        "3x3": rng.normal(size=(3, 3)), "3x4 stack": rng.normal(size=(2, 3, 4)),
+        "integer 3x3 stack": rng.integers(-5, 6, (5, 3, 3)),
+        "constant stack": np.full((4, 8, 9), 7.0), "constant -0": np.full((8, 8), -0.0),
+        "one nan": nan_one, "nan corner": nan_corner, "nan majority": nan_most,
+        "nan even": nan_even, "all nan": np.full((6, 6), np.nan),
+        "inf": inf_one, "inf edge": inf_edge, "inf 3x3": inf_3x3, "signed zeros": signed,
+        "two leading axes": rng.normal(size=(2, 2, 5, 6)),
+    }
+
+
+_SIGMA_INPUTS = _sigma_inputs()
+
+
+@pytest.mark.parametrize("name", _SIGMA_INPUTS)
+def test_sigma_equals_the_np_median_estimate(name):
+    img = _SIGMA_INPUTS[name]
+    got, want = pp.estimate_noise_sigma(img), _median_sigma(img)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # --- non-local means ---
 
 def _nlm(img, sigma, box=None):

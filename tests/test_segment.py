@@ -638,6 +638,11 @@ def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
         segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
 
 
+def _dense(doc):
+    """Member 0's first dense layer."""
+    return next(layer for layer in doc["members"][0]["layers"] if layer["spec"][0] == "dense")
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["members"][0]["layers"][0]["w"].update(data_b64="not base64!"),
     # conv1 has 4 output channels, so its payload holds 5 * 5 * 1 * 4 floats
@@ -654,10 +659,15 @@ def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
     lambda doc: doc["members"][0].update(layers=5),
     # the right number of floats for conv1's weights, as one axis
     lambda doc: doc["members"][0]["layers"][0]["w"].update(shape=[5 * 5 * 1 * 4]),
+    lambda doc: doc["members"][0]["layers"][0]["w"].update(shape=[5, 5, 1, 4, 1]),
+    lambda doc: doc["members"][0]["layers"][0].update(b=vio.encode_array(np.zeros(3))),
+    lambda doc: _dense(doc)["w"].update(shape=[*_dense(doc)["w"]["shape"], 1]),
+    lambda doc: _dense(doc).update(b=vio.encode_array(np.zeros(_dense(doc)["spec"][1] + 1))),
 ], ids=["invalid base64", "payload size", "missing parameter", "empty spec",
         "spec not a list", "spec lacks its argument", "spec has an extra argument",
         "spec differs from the parameters", "array without payload",
-        "shape not a list", "layers not a list", "rank-1 conv weights"])
+        "shape not a list", "layers not a list", "rank-1 conv weights", "rank-5 conv weights",
+        "conv bias of another width", "rank-3 dense weights", "dense bias of another width"])
 def test_ensemble_load_rejects_a_malformed_layer(tmp_path, tiny_ensemble, edit):
     with pytest.raises(FormatError):
         segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
