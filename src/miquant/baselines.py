@@ -130,14 +130,6 @@ class Gmm2:
     log_likelihood_trace: list = field(default_factory=list)
     converged: bool = True
 
-    @property
-    def healthy_mean(self) -> float:
-        return self.means[0]
-
-    @property
-    def healthy_sd(self) -> float:
-        return self.sds[0]
-
 
 def _gmm_init(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x, pi, mu, sd): the sample as float64 and the mixture parameters of
@@ -266,7 +258,7 @@ def gmm_fit(values: np.ndarray) -> Gmm2:
 def gmm_segment(img: np.ndarray, myo: np.ndarray, gmm: Gmm2) -> np.ndarray:
     """Threshold at two SD above the healthy-component mean (strict >)."""
     img = np.asarray(img, dtype=np.float64)
-    t = gmm.healthy_mean + 2.0 * gmm.healthy_sd
+    t = gmm.means[0] + 2.0 * gmm.sds[0]
     return (img > t) & np.asarray(myo, dtype=bool)
 
 

@@ -28,6 +28,10 @@ SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
 
 @dataclass(frozen=True)
 class DetectConfig:
+    """Feature net, training and augmentation settings. ``train.seed`` is not
+    read: ``detect_fit_patches`` derives the training seed from its own
+    ``seed`` argument."""
+
     widths: tuple[int, ...] = (16, 32, 64)
     fc: int = 128
     train: ll.TrainConfig = ll.TrainConfig(
@@ -46,12 +50,12 @@ class DetectionModel:
     tau: float = 0.0
     meta: dict = field(default_factory=dict)
 
-    def save(self, path: str) -> None:
-        vio.save_model(self, path)
-
-    @classmethod
-    def load(cls, path: str) -> "DetectionModel":
-        return vio.load_model(path, cls)
+    def __post_init__(self):
+        kinds = {"net": ll.NetModel, "pca": ll.PcaModel, "margin": ll.MarginModel,
+                 "tau": (int, float)}
+        bad = [name for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)]
+        if bad:
+            raise TypeError(f"a detection model's {', '.join(bad)} have the wrong type")
 
 
 def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_SIZE) -> np.ndarray:

@@ -9,7 +9,6 @@ from .net import (
     build_net,
     net_loss,
     net_train,
-    softmax_cross_entropy,
 )
 from .pca import PcaModel, pca_fit, pca_project
 from .sampling import (
@@ -17,7 +16,6 @@ from .sampling import (
     apply_augment,
     augment_dataset,
     balance_classes,
-    draw_augment_params,
 )
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "balance_classes",
     "build_classifier",
     "build_net",
-    "draw_augment_params",
     "hinge_objective",
     "margin_decide",
     "margin_train",
@@ -39,5 +36,4 @@ __all__ = [
     "net_train",
     "pca_fit",
     "pca_project",
-    "softmax_cross_entropy",
 ]

@@ -251,14 +251,12 @@ class Dense:
             self._x = x
         return x @ self.w.astype(x.dtype, copy=False) + self.b.astype(x.dtype, copy=False)
 
-    def backward(self, dout, need_dx=True):
+    def backward(self, dout):
         if self._x is None:
             raise _no_forward(self)
         self.dw = self._x.T @ dout
         self.db = dout.sum(axis=0)
         self._x = None
-        if not need_dx:
-            return None
         return dout @ self.w.T
 
     def spec(self):
@@ -277,9 +275,6 @@ class Dropout:
     def forward(self, x, train=False, rng=None):
         if not train:
             self._mask = None
-            return x
-        if self.rate <= 0.0:
-            self._mask = 1.0  # identity
             return x
         keep = 1.0 - self.rate
         self._mask = (rng.random(x.shape) < keep) / keep
@@ -440,7 +435,7 @@ class NetModel:
     def backward_from_logits(self, dlogits):
         d = dlogits
         for i, layer in reversed(list(enumerate(self.layers[:-1]))):  # below the softmax
-            if i == 0 and isinstance(layer, (Conv2D, Dense)):
+            if i == 0 and isinstance(layer, Conv2D):
                 # the input gradient of the bottom layer is never consumed
                 layer.backward(d, need_dx=False)
                 return None
@@ -491,20 +486,15 @@ def build_net(input_shape, layer_specs, seed: int, feature_layer=None) -> NetMod
 
 def build_classifier(input_size: int, seed: int, widths=(16, 32, 64), fc: int = 128,
                      dropout: float = 0.5) -> NetModel:
-    """Two-class net: a trunk of conv -> 2x2 max-pool -> ReLU stages sized
-    to the input, then FC + ReLU + dropout + softmax.
+    """Two-class net: a trunk of conv -> 2x2 max-pool -> ReLU stages, one
+    per width, with kernels 5, 3, 3, then FC + ReLU + dropout + softmax.
 
-    Trailing conv/pool stages that no longer fit small inputs are dropped,
-    so the same stack scales from full-size patches down to toy grids.
+    Raises ShapeError when a stage does not fit the input (see
+    ``build_net``).
     """
     specs = []
-    size = input_size
-    kernels = [5, 3, 3]
-    for k, width in zip(kernels, widths):
-        if size - k + 1 < 2:
-            break
+    for k, width in zip((5, 3, 3), widths):
         specs += [("conv", k, width), ("maxpool",), ("relu",)]
-        size = (size - k + 1) // 2
     specs += [("flatten",), ("dense", fc), ("relu",)]
     feature_layer = len(specs)
     if dropout > 0:

@@ -54,15 +54,13 @@ INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] patches for the nets
 _BAR_SES = tuple(make_bar_se(BAR_LENGTH, theta) for theta in BAR_ANGLES_DEG)
 
 
-def tophat_enhance(img: np.ndarray, box=None) -> np.ndarray:
+def tophat_enhance(img: np.ndarray, box) -> np.ndarray:
     """Image plus the sum of white top-hats over six bar orientations
     (30-degree steps); clamped to [0, 255] after summation. img is a slice
     or a stack of slices (..., ny, nx). Returns ``box = (y0, y1, x0, x1)``
-    of each enhanced slice only (None is the whole slice); see
-    ``white_tophat``."""
+    of each enhanced slice only; see ``white_tophat``."""
     img = np.asarray(img, dtype=np.float64)
-    ny, nx = img.shape[-2:]
-    y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
+    y0, y1, x0, x1 = box
     acc = img[..., y0:y1, x0:x1].copy()
     for se in _BAR_SES:
         acc += white_tophat(img, se, box)
@@ -132,13 +130,17 @@ class PatchEnsemble:
     patches. A constant ``(patch_size, patch_size)`` array is read as its
     value; any other array, such as the per-pixel mean of a model file
     saved before ensembles were centred on a scalar, raises ConfigError, as
-    does a non-finite mean."""
+    does a non-finite mean. Members that are not a list of nets raise
+    TypeError."""
 
     members: list  # odd number of NetModel voters
     mean_patch: float
     patch_size: int = PATCH_SIZE
 
     def __post_init__(self):
+        if not (isinstance(self.members, list)
+                and all(isinstance(member, ll.NetModel) for member in self.members)):
+            raise TypeError("an ensemble's members must be a list of nets")
         if len(self.members) % 2 == 0:
             raise ConfigError(f"the ensemble needs an odd member count, got {len(self.members)}")
         size = self.patch_size
@@ -186,13 +188,6 @@ class PatchEnsemble:
             open_ = open_[(tally < need) & (cast - tally < need)]
         return scar >= need
 
-    def save(self, path: str) -> None:
-        vio.save_model(self, path)
-
-    @classmethod
-    def load(cls, path: str) -> "PatchEnsemble":
-        return vio.load_model(path, cls)
-
 
 def sample_training_patches(case: LabeledCase, seed: int = 0):
     """Class-balanced boundary patches around the ground-truth scar.
@@ -229,6 +224,10 @@ def sample_training_patches(case: LabeledCase, seed: int = 0):
 
 @dataclass(frozen=True)
 class EnsembleConfig:
+    """Ensemble size, member net and training settings. ``train.seed`` is
+    not read: ``train_patch_ensemble`` derives each member's seed from its
+    own ``seed`` argument."""
+
     members: int = ENSEMBLE_MEMBERS
     widths: tuple[int, ...] = (16, 32, 64)
     fc: int = 128
@@ -338,7 +337,6 @@ def include_mvo(hyper: np.ndarray, endo: np.ndarray, myo: np.ndarray) -> np.ndar
 
 @dataclass
 class SliceOutcome:
-    index: int
     gated_out: bool = False
     empty_myocardium: bool = False
     degenerate_histogram: bool = False
@@ -353,7 +351,7 @@ class SegmentationResult:
     coarse: Mask
     hyper: Mask
     mvo: Mask
-    outcomes: list = field(default_factory=list)
+    outcomes: list = field(default_factory=list)  # a SliceOutcome per slice, in order
     final: Mask = field(init=False)
 
     def __post_init__(self):
@@ -399,8 +397,8 @@ def segment_case(case: LabeledCase, ensemble: PatchEnsemble | None = None,
     mvo_v = np.zeros(img.shape, dtype=bool)
     mvo_v[done] = include_mvo(hyper_v[done], case.endocardium.data[done], myo[done])
 
-    outcomes = [SliceOutcome(k, *flags) for k, flags in enumerate(zip(
-        gated.tolist(), empty.tolist(), degenerate.tolist(), refined.tolist()))]
+    outcomes = [SliceOutcome(*flags) for flags in zip(
+        gated.tolist(), empty.tolist(), degenerate.tolist(), refined.tolist())]
     spacing = case.volume.spacing
     return SegmentationResult(
         case_id=case.case_id,

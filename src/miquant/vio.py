@@ -303,6 +303,8 @@ def encode_array(arr: np.ndarray) -> dict:
 def decode_array(doc: dict) -> np.ndarray:
     try:
         raw = base64.b64decode(doc["data_b64"])
+        if not all(isinstance(n, int) and n >= 0 for n in doc["shape"]):
+            raise FormatError(f"an array's shape is a list of sizes, not {doc['shape']!r}")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         return arr.reshape(doc["shape"])
     except (KeyError, TypeError, ValueError) as exc:  # no key, bad type, bad base64 or size

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from miquant import baselines, phantom, preprocess
-from miquant.errors import AlignmentError, ConfigError, DegenerateData
+from miquant.errors import AlignmentError, ConfigError, DegenerateData, EmptyMask, EmptyRegion
 from miquant.volcore import LabeledCase, Mask, Volume
 
 
@@ -135,6 +135,31 @@ def test_fwhm_on_constant_myocardial_intensities_is_degenerate():
     for level in (0.0, 37.0):
         with pytest.raises(DegenerateData):
             baselines.fwhm_segment(np.full(myo.shape, level), myo)
+
+
+@pytest.mark.parametrize("method,error", [
+    (lambda img, myo: baselines.auto_remote_region(img, myo, myo), EmptyMask),
+    (lambda img, myo: baselines.nsd_segment(img, myo, myo, 2), EmptyRegion),
+    (baselines.fwhm_segment, EmptyMask),
+    (baselines.otsu_segment, EmptyMask),
+], ids=["remote", "n-SD", "FWHM", "Otsu"])
+def test_each_method_rejects_an_empty_myocardium(method, error):
+    img = np.random.default_rng(0).uniform(0.0, 255.0, (6, 6))
+    with pytest.raises(error):
+        method(img, np.zeros((6, 6), dtype=bool))
+
+
+@pytest.mark.parametrize("values,threshold,match", [
+    (np.linspace(0.0, 0.4, 20), None, "histogram"),  # every value rounds to level 0
+    # Otsu leaves a level on each side of its split; a threshold above every
+    # level stands in for one that does not
+    (np.arange(20.0), 255, "empty class"),
+], ids=["one level", "one side of the split empty"])
+def test_gmm_fit_without_an_otsu_split_is_degenerate(monkeypatch, values, threshold, match):
+    if threshold is not None:
+        monkeypatch.setattr(baselines, "otsu_threshold", lambda x: threshold)
+    with pytest.raises(DegenerateData, match=match):
+        baselines.gmm_fit(values)
 
 
 def test_run_baselines_gives_nine_empty_masks_where_normalization_zeroed_the_slice():

@@ -10,6 +10,7 @@ from miquant.errors import (
     DataError,
     EmptyDenominator,
     EmptyMask,
+    FormatError,
     LengthMismatch,
     SingleClassError,
     Unachievable,
@@ -187,6 +188,13 @@ def test_operating_point_bad_target():
         detect.pick_operating_point(roc, 0.0)
 
 
+def test_operating_point_only_an_infinite_threshold_reaches_is_unachievable():
+    # a positive slice without an epicardium scores -inf
+    roc = detect.roc_curve([0.5, -np.inf], [0, 1])
+    with pytest.raises(Unachievable):
+        detect.pick_operating_point(roc, 1.0)
+
+
 # --- fitting and prediction ---
 
 def test_detect_fit_separates_phantoms(mixed_cases, tiny_detect_cfg):
@@ -219,20 +227,35 @@ def test_detect_fit_deterministic(mixed_cases, tiny_detect_cfg):
 
 def test_detect_model_roundtrip(tmp_path, tiny_detector, mixed_cases):
     path = str(tmp_path / "det.json")
-    tiny_detector.save(path)
-    back = detect.DetectionModel.load(path)
+    vio.save_model(tiny_detector, path)
+    back = vio.load_model(path, detect.DetectionModel)
     for case in mixed_cases:
         np.testing.assert_array_equal(
             detect.detect_scores(back, case), detect.detect_scores(tiny_detector, case)
         )
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(net=doc["pca"]),
+    lambda doc: doc.update(pca={"mean": 1.0}),
+    lambda doc: doc.update(margin=doc["net"]),
+    lambda doc: doc.update(tau="0.5"),
+], ids=["a PCA model as net", "a plain object as PCA", "a net as margin", "tau a string"])
+def test_detect_model_load_rejects_a_part_of_the_wrong_kind(tmp_path, tiny_detector, edit):
+    doc = vio.encode_model(tiny_detector)
+    edit(doc)
+    path = str(tmp_path / "det.json")
+    vio.write_json(doc, path)
+    with pytest.raises(FormatError):
+        vio.load_model(path, detect.DetectionModel)
+
+
 def test_detect_model_file_keeps_the_margin_objective_trace(tmp_path, tiny_detector):
     trace = tiny_detector.margin.objective_trace
     assert len(trace) > 0
     path = str(tmp_path / "det.json")
-    tiny_detector.save(path)
-    assert detect.DetectionModel.load(path).margin.objective_trace == trace
+    vio.save_model(tiny_detector, path)
+    assert vio.load_model(path, detect.DetectionModel).margin.objective_trace == trace
 
 
 PINNED_MODEL = os.path.join(os.path.dirname(__file__), "data", "detection_model.json")
@@ -247,15 +270,15 @@ def test_model_file_format_is_pinned(tmp_path):
         pca = ll.PcaModel(mean=np.array([0.5, -0.25]), axes=np.array([[0.6], [0.8]]),
                           variances=np.array([2.0]), k=1)
         margin = ll.MarginModel(w=np.array([1.5]), b=-0.125, lam=1e-3)
-        detect.DetectionModel(net=net, pca=pca, margin=margin, tau=0.25,
-                              meta={"seed": 0}).save(path)
+        vio.save_model(detect.DetectionModel(net=net, pca=pca, margin=margin, tau=0.25,
+                                             meta={"seed": 0}), path)
 
     It must load and re-encode to the same document, plus the margin's
     ``objective_trace`` field (added later; a file without it loads with an
     empty trace), and that document must be written byte for byte, both
     from the loaded model and from the snippet.
     """
-    model = detect.DetectionModel.load(PINNED_MODEL)
+    model = vio.load_model(PINNED_MODEL, detect.DetectionModel)
     doc = vio.read_json(PINNED_MODEL)
     assert "objective_trace" not in doc["margin"]
     doc["margin"]["objective_trace"] = []
@@ -270,14 +293,14 @@ def test_model_file_format_is_pinned(tmp_path):
         assert (tmp_path / "as_read.json").read_bytes() == fh.read()
     vio.write_json(doc, str(tmp_path / "pinned.json"))
     pinned = (tmp_path / "pinned.json").read_bytes()
-    model.save(str(tmp_path / "again.json"))
+    vio.save_model(model, str(tmp_path / "again.json"))
     net = ll.build_net((1, 2, 1), [("flatten",), ("dense", 2), ("dropout", 0.5),
                                    ("dense", 2), ("softmax",)], seed=0, feature_layer=2)
     pca = ll.PcaModel(mean=np.array([0.5, -0.25]), axes=np.array([[0.6], [0.8]]),
                       variances=np.array([2.0]), k=1)
     margin = ll.MarginModel(w=np.array([1.5]), b=-0.125, lam=1e-3)
-    detect.DetectionModel(net=net, pca=pca, margin=margin, tau=0.25,
-                          meta={"seed": 0}).save(str(tmp_path / "fresh.json"))
+    vio.save_model(detect.DetectionModel(net=net, pca=pca, margin=margin, tau=0.25,
+                                         meta={"seed": 0}), str(tmp_path / "fresh.json"))
     for name in ("again.json", "fresh.json"):
         assert (tmp_path / name).read_bytes() == pinned
 

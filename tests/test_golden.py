@@ -10,7 +10,7 @@ a change pass; a change that is meant to move them says so and why.
 import numpy as np
 import pytest
 
-from miquant import baselines, metrics, phantom, preprocess, segment
+from miquant import baselines, metrics, phantom, segment
 from miquant.volcore import Mask
 
 CORPUS = phantom.CorpusSpec(n_cases=6, diseased_fraction=4 / 6, mvo_fraction=0.5,
@@ -33,10 +33,9 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def golden_rows():
+def golden_rows(golden_cases):
     rows = []
-    for raw in phantom.generate_corpus(CORPUS):
-        case = preprocess.preprocess_case(raw)
+    for case in golden_cases:
         seg = segment.segment_case(case)
         masks = dict(baselines.run_baselines(case), paper=seg.final)
         gt = case.gt_scar

@@ -5,6 +5,7 @@ import oracles
 from miquant import learnlib as ll, vio
 from miquant.errors import (
     ConfigError,
+    DegenerateData,
     DivergenceError,
     EmptyClassError,
     ShapeError,
@@ -128,6 +129,29 @@ def test_logits_without_softmax_head_raises_shape_error():
     net = ll.build_net((1, 3, 1), [("flatten",), ("dense", 2)], seed=0)
     with pytest.raises(ShapeError):
         net.logits(np.zeros((1, 1, 3, 1)))
+
+
+@pytest.mark.parametrize("size,widths", [(5, (4,)), (12, (4, 8, 8))],
+                         ids=["pool after the 5x5 conv", "third conv"])
+def test_build_classifier_rejects_an_input_too_small_for_a_stage(size, widths):
+    # every width is a stage: none is dropped to fit the input
+    with pytest.raises(ShapeError):
+        ll.build_classifier(size, seed=0, widths=widths)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: MaxPool2().forward(np.zeros((1, 1, 4, 1))),
+    lambda: Dense(np.zeros((3, 2)), np.zeros(2)).forward(np.zeros((1, 4))),
+    lambda: ll.build_net((1, 3, 1), [("flatten",), ("dense", 2)], seed=0).features(
+        np.zeros((1, 1, 3, 1))),
+    lambda: ll.build_net((4, 4, 1), [("mystery",)], seed=0),
+    lambda: ll.build_net((4, 4, 1), [("conv", 5, 2)], seed=0),
+    lambda: ll.build_net((1, 1, 1), [("maxpool",)], seed=0),
+], ids=["pool input too small", "dense width mismatch", "features without a head",
+        "unknown layer tag", "conv larger than its input", "pool larger than its input"])
+def test_a_net_that_cannot_take_its_input_raises_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()
 
 
 # --- windowed inference ---
@@ -841,3 +865,14 @@ def test_balance_seed_contract():
 def test_balance_empty_class_error():
     with pytest.raises(EmptyClassError):
         ll.balance_classes(np.zeros((4, 1)), np.zeros(4), seed=10)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: ll.pca_fit(np.zeros((1, 3))), DegenerateData),
+    # np.unique keeps one NaN class, which no label equals
+    (lambda: ll.balance_classes(np.zeros((3, 1)), np.array([0.0, np.nan, np.nan]), seed=0),
+     EmptyClassError),
+], ids=["PCA of one row", "a NaN class"])
+def test_a_sample_with_nothing_to_fit_raises_its_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -225,6 +225,15 @@ def test_paired_statistics_reject_series_of_unequal_length(stat):
         stat([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mx.spearman([1.0, 2.0], [2.0, 1.0]),
+    lambda: mx.mann_whitney_u([1.0], [1.0, 2.0]),
+], ids=["two pairs for Spearman", "one value for Mann-Whitney U"])
+def test_statistics_reject_too_few_values(call):
+    with pytest.raises(LengthMismatch):
+        call()
+
+
 # --- mann-whitney ---
 
 def test_mwu_identical_samples():

@@ -84,6 +84,15 @@ def test_spec_validation_errors():
         phantom.generate_case(phantom.PhantomSpec(scar=True, scar_mu=20.0), seed=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"scar": True, "scar_extent_deg": 0.0},
+    {"scar": True, "mvo": True, "mvo_depth_frac": 1.0},
+], ids=["no scar extent", "MVO as deep as the scar"])
+def test_spec_out_of_range_is_a_spec_error(fields):
+    with pytest.raises(SpecError):
+        phantom.generate_case(phantom.PhantomSpec(**fields), seed=0)
+
+
 def test_corpus_mix_and_determinism():
     corpus = phantom.CorpusSpec(n_cases=8, diseased_fraction=0.5, mvo_fraction=0.5, seed=9)
     cases = phantom.generate_corpus(corpus)

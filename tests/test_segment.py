@@ -12,6 +12,7 @@ from miquant.errors import (
     ConfigError,
     DataError,
     EmptyClassError,
+    EmptyMask,
     FormatError,
     NoGroundTruth,
     ShapeError,
@@ -129,6 +130,13 @@ def test_coarse_segment_and_refine_reject_slices_of_different_shapes(tiny_ensemb
         segment.refine(img, square, tiny_ensemble, wide)
     with pytest.raises(AlignmentError):
         segment.refine(img, wide, tiny_ensemble, square)
+
+
+def test_coarse_segment_rejects_a_slice_with_an_empty_myocardium():
+    myo = np.zeros((2, 20, 20), dtype=bool)
+    myo[0, 5:15, 5:15] = True
+    with pytest.raises(EmptyMask):
+        segment.coarse_segment(np.zeros((2, 20, 20)), myo)
 
 
 def test_refine_matches_voting_each_band_patch_alone(diseased_cases, tiny_ensemble):
@@ -578,8 +586,8 @@ def test_ensemble_training_skips_case_whose_lattice_misses_a_class(diseased_case
 
 def test_ensemble_file_roundtrip_votes_bit_identically(tmp_path, tiny_ensemble, diseased_cases):
     path = str(tmp_path / "ens.json")
-    tiny_ensemble.save(path)
-    back = segment.PatchEnsemble.load(path)
+    vio.save_model(tiny_ensemble, path)
+    back = vio.load_model(path, segment.PatchEnsemble)
     assert vio.encode_model(back) == vio.encode_model(tiny_ensemble)
     img, ys, xs = _band(diseased_cases[4])
     vote = tiny_ensemble.vote(ys, xs, img)
@@ -589,9 +597,9 @@ def test_ensemble_file_roundtrip_votes_bit_identically(tmp_path, tiny_ensemble, 
 
 def test_ensemble_file_stores_its_mean_as_a_float(tmp_path, tiny_ensemble):
     path = str(tmp_path / "ens.json")
-    tiny_ensemble.save(path)
+    vio.save_model(tiny_ensemble, path)
     assert type(vio.read_json(path)["mean_patch"]) is float
-    back = segment.PatchEnsemble.load(path)
+    back = vio.load_model(path, segment.PatchEnsemble)
     assert type(back.mean_patch) is float and back.mean_patch == tiny_ensemble.mean_patch
 
 
@@ -604,13 +612,13 @@ def test_ensemble_load_rejects_a_mean_that_is_not_one_finite_scalar(tmp_path, ti
         doc["mean_patch"] = vio.encode_array(mean) if np.ndim(mean) else mean
 
     with pytest.raises(ConfigError):
-        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+        vio.load_model(_save_edited(tmp_path, tiny_ensemble, edit), segment.PatchEnsemble)
 
 
 def test_ensemble_load_rejects_a_detection_file():
     path = os.path.join(os.path.dirname(__file__), "data", "detection_model.json")
     with pytest.raises(FormatError):
-        segment.PatchEnsemble.load(path)
+        vio.load_model(path, segment.PatchEnsemble)
 
 
 def _save_edited(tmp_path, ensemble, edit):
@@ -627,7 +635,7 @@ def _save_edited(tmp_path, ensemble, edit):
 ], ids=["top level", "member"])
 def test_ensemble_load_rejects_an_unknown_kind(tmp_path, tiny_ensemble, edit):
     with pytest.raises(FormatError):
-        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+        vio.load_model(_save_edited(tmp_path, tiny_ensemble, edit), segment.PatchEnsemble)
 
 
 def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
@@ -635,12 +643,16 @@ def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
         doc["members"][1]["layers"][1]["spec"][0] = "mystery"
 
     with pytest.raises(ShapeError):
-        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+        vio.load_model(_save_edited(tmp_path, tiny_ensemble, edit), segment.PatchEnsemble)
 
 
 def _dense(doc):
     """Member 0's first dense layer."""
     return next(layer for layer in doc["members"][0]["layers"] if layer["spec"][0] == "dense")
+
+
+_PCA_DOC = vio.encode_model(ll.PcaModel(mean=np.zeros(2), axes=np.eye(2)[:, :1],
+                                        variances=np.ones(1), k=1))
 
 
 @pytest.mark.parametrize("edit", [
@@ -663,14 +675,22 @@ def _dense(doc):
     lambda doc: doc["members"][0]["layers"][0].update(b=vio.encode_array(np.zeros(3))),
     lambda doc: _dense(doc)["w"].update(shape=[*_dense(doc)["w"]["shape"], 1]),
     lambda doc: _dense(doc).update(b=vio.encode_array(np.zeros(_dense(doc)["spec"][1] + 1))),
+    lambda doc: doc["members"][0]["layers"].append(5),
+    # a -1 would let numpy infer conv1's output channels
+    lambda doc: doc["members"][0]["layers"][0]["w"].update(shape=[5, 5, 1, -1]),
+    lambda doc: doc["members"].__setitem__(1, _PCA_DOC),
+    lambda doc: doc["members"].__setitem__(1, {"layers": 5}),
+    lambda doc: doc.update(members={"only": doc["members"][0]}),
 ], ids=["invalid base64", "payload size", "missing parameter", "empty spec",
         "spec not a list", "spec lacks its argument", "spec has an extra argument",
         "spec differs from the parameters", "array without payload",
         "shape not a list", "layers not a list", "rank-1 conv weights", "rank-5 conv weights",
-        "conv bias of another width", "rank-3 dense weights", "dense bias of another width"])
+        "conv bias of another width", "rank-3 dense weights", "dense bias of another width",
+        "a non-layer in the layers", "a -1 in a shape", "a PCA model as member",
+        "a plain object as member", "members an object"])
 def test_ensemble_load_rejects_a_malformed_layer(tmp_path, tiny_ensemble, edit):
     with pytest.raises(FormatError):
-        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+        vio.load_model(_save_edited(tmp_path, tiny_ensemble, edit), segment.PatchEnsemble)
 
 
 @pytest.mark.parametrize("edit", [
@@ -679,4 +699,4 @@ def test_ensemble_load_rejects_a_malformed_layer(tmp_path, tiny_ensemble, edit):
 ], ids=["mean patch", "members"])
 def test_ensemble_load_rejects_a_mis_shaped_ensemble(tmp_path, tiny_ensemble, edit):
     with pytest.raises(ConfigError):
-        segment.PatchEnsemble.load(_save_edited(tmp_path, tiny_ensemble, edit))
+        vio.load_model(_save_edited(tmp_path, tiny_ensemble, edit), segment.PatchEnsemble)

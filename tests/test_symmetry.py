@@ -60,11 +60,6 @@ def raw_cases():
 
 
 @pytest.fixture(scope="module")
-def golden_cases(raw_cases):
-    return [preprocess.preprocess_case(c) for c in raw_cases]
-
-
-@pytest.fixture(scope="module")
 def golden_masks(golden_cases):
     return [_masks(c) for c in golden_cases]
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from miquant import vio
-from miquant.errors import FormatError, ManifestError
+from miquant.errors import FormatError, ManifestError, UnsupportedElementType
+from miquant.learnlib import NetModel
 from miquant.volcore import LabeledCase, Mask, Volume
 
 
@@ -206,9 +207,68 @@ def test_malformed_manifest_is_a_manifest_error(tmp_path, edit):
     with pytest.raises(ManifestError):
         vio.read_manifest(manifest_path)
 
+
+def _append(path, text):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _edit_manifest(d, edit):
+    path = str(d / "manifest.json")
+    doc = vio.read_json(path)
+    edit(doc)
+    vio.write_json(doc, path)
+
+
+def _read_volume(d):
+    return vio.read_volume(str(d / "volume.mhd"))
+
+
+def _read_manifest(d):
+    return vio.read_manifest(str(d / "manifest.json"))
+
+
+@pytest.mark.parametrize("edit,read,error", [
+    (lambda d: _append(d / "volume.mhd", "no equals sign\n"), _read_volume, FormatError),
+    (lambda d: _rewrite_header_field(d / "volume.mhd", "ElementType", "MET_SHORT"),
+     _read_volume, UnsupportedElementType),
+    (lambda d: None, lambda d: vio.read_mask(str(d / "volume.mhd")), FormatError),
+    (lambda d: _append(d / "manifest.json", "}"), _read_manifest, ManifestError),
+    (lambda d: _edit_manifest(d, lambda doc: doc.pop("case_id")), _read_manifest, ManifestError),
+    (lambda d: _edit_manifest(d, lambda doc: doc["masks"].pop("endocardium")),
+     _read_manifest, ManifestError),
+    (lambda d: os.remove(d / "volume.mhd"), _read_manifest, ManifestError),
+    (lambda d: os.remove(d / "epicardium.mhd"), _read_manifest, ManifestError),
+    (lambda d: _rewrite_header_field(d / "myocardium.mhd", "ElementSpacing", "1.25 1.25 9.0"),
+     _read_manifest, ManifestError),
+    (lambda d: _edit_manifest(d, lambda doc: doc.update(per_slice_labels=["healthy", "sick"])),
+     _read_manifest, ManifestError),
+    (lambda d: _append(d / "model.json", "{"),
+     lambda d: vio.load_model(str(d / "model.json"), NetModel), FormatError),
+    (lambda d: _append(d / "report.csv", "case,method\n"),
+     lambda d: vio.read_report(str(d / "report.csv")), FormatError),
+], ids=["malformed header line", "unsupported element type", "a float volume read as a mask",
+        "invalid manifest JSON", "missing manifest key", "missing mask role",
+        "missing volume file", "missing mask file", "mask spacing mismatch",
+        "unknown slice labels", "invalid model JSON", "unexpected report columns"])
+def test_each_malformed_file_raises_its_error(tmp_path, edit, read, error):
+    vio.write_case(_toy_case(), str(tmp_path))
+    edit(tmp_path)
+    with pytest.raises(error):
+        read(tmp_path)
+
+
 def test_array_codec_roundtrip():
     arr = np.random.default_rng(3).normal(size=(3, 4, 2))
     np.testing.assert_array_equal(vio.decode_array(vio.encode_array(arr)), arr)
+
+
+@pytest.mark.parametrize("shape", [[-1], [2, -1]])
+def test_array_codec_rejects_a_shape_that_is_not_sizes(shape):
+    doc = vio.encode_array(np.zeros(4))
+    doc["shape"] = shape
+    with pytest.raises(FormatError):
+        vio.decode_array(doc)
 
 
 def test_report_empty_is_header_only(tmp_path):
