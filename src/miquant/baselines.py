@@ -8,7 +8,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, DegenerateHistogram, EmptyMask, EmptyRegion
+from .errors import (
+    ConfigError,
+    DataError,
+    DegenerateData,
+    DegenerateHistogram,
+    EmptyMask,
+    EmptyRegion,
+)
 from .volcore import (
     LabeledCase,
     Mask,
@@ -133,8 +140,11 @@ class Gmm2:
 
 def _gmm_init(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x, pi, mu, sd): the sample as float64 and the mixture parameters of
-    its Otsu split; raises DegenerateData when there is no mixture to fit."""
+    its Otsu split; raises DegenerateData with no mixture to fit, DataError
+    on a NaN or an infinity."""
     x = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(x).all():
+        raise DataError("GMM needs finite intensities")
     if x.size < 10 or float(x.std()) == 0.0:
         raise DegenerateData("GMM needs >= 10 samples with nonzero variance")
     try:

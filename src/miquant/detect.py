@@ -19,10 +19,9 @@ from .errors import (
     SingleClassError,
     Unachievable,
 )
-from .volcore import LabeledCase, extract_patches
+from .volcore import INPUT_SCALE, LabeledCase, extract_patches
 
 DETECT_INPUT_SIZE = 89
-INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] crops for the feature net
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
 
 

@@ -8,6 +8,8 @@ import numpy as np
 from .. import vio
 from ..errors import DegenerateData
 
+VAR_FRAC = 0.95  # the share of the total variance the retained axes keep
+
 
 @vio.model_kind("pca")
 @dataclass
@@ -18,9 +20,9 @@ class PcaModel:
     k: int
 
 
-def pca_fit(x: np.ndarray, var_frac: float = 0.95) -> PcaModel:
+def pca_fit(x: np.ndarray) -> PcaModel:
     """Eigendecomposition of the sample covariance; K is minimal with
-    cumulative variance fraction >= var_frac.
+    cumulative variance fraction >= ``VAR_FRAC``.
 
     Axis signs are fixed (largest-magnitude component positive) so fits
     are reproducible.
@@ -39,7 +41,7 @@ def pca_fit(x: np.ndarray, var_frac: float = 0.95) -> PcaModel:
     if total <= 0.0:
         raise DegenerateData("all observations are identical")
     cum = np.cumsum(evals) / total
-    k = int(np.searchsorted(cum, var_frac - 1e-12) + 1)
+    k = int(np.searchsorted(cum, VAR_FRAC - 1e-12) + 1)
     axes = evecs[:, :k]
     flip = axes[np.abs(axes).argmax(axis=0), np.arange(k)] < 0
     # C order, as a loaded model has it: BLAS rounds the projection by layout

@@ -19,6 +19,11 @@ from .volcore import LabeledCase, Mask, Volume
 
 @dataclass(frozen=True)
 class PhantomSpec:
+    """One phantom; the MVO core's size in the scar sector is two constants."""
+
+    mvo_depth_frac = 0.5    # of the scar's transmural depth
+    mvo_angle_margin = 0.25  # of the scar's extent, left free on each side
+
     dims: tuple[int, int, int] = (96, 96, 3)  # (nx, ny, nz)
     spacing: tuple[float, float, float] = (1.25, 1.25, 8.0)
     inner_radius_mm: float = 14.0
@@ -29,8 +34,6 @@ class PhantomSpec:
     scar_extent_deg: float = 100.0
     scar_transmural: float = 0.8
     mvo: bool = False
-    mvo_depth_frac: float = 0.5    # of the scar's transmural depth
-    mvo_angle_margin: float = 0.25  # angular margin on each sector side
     healthy_sigma: float = 40.0    # Rayleigh scale of normal myocardium
     scar_mu: float = 180.0
     scar_sigma: float = 25.0
@@ -53,8 +56,6 @@ class PhantomSpec:
                 raise SpecError("scar extent must be in (0, 360] degrees")
             if self.scar_mu <= self.healthy_sigma:
                 raise SpecError("scar mean must exceed the healthy intensity mode")
-        if self.mvo and not (0.0 < self.mvo_depth_frac < 1.0):
-            raise SpecError("MVO depth fraction must be in (0, 1)")
 
 
 def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> LabeledCase:
@@ -125,16 +126,17 @@ def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> Lab
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Randomized corpus: per-case geometry drawn from ranges."""
+    """Randomized corpus: each case's geometry is drawn from constant ranges."""
+
+    inner_radius_range = (12.0, 16.0)
+    thickness_range = (9.0, 13.0)
+    extent_range = (80.0, 150.0)
+    transmural_range = (0.6, 1.0)
 
     n_cases: int = 30
     diseased_fraction: float = 1.0
     mvo_fraction: float = 0.4    # of diseased cases
     base: PhantomSpec = PhantomSpec()
-    inner_radius_range: tuple[float, float] = (12.0, 16.0)
-    thickness_range: tuple[float, float] = (9.0, 13.0)
-    extent_range: tuple[float, float] = (80.0, 150.0)
-    transmural_range: tuple[float, float] = (0.6, 1.0)
     seed: int = 0
 
 

@@ -141,45 +141,45 @@ def denoise_nlm(stack: np.ndarray, sigmas, box=None) -> np.ndarray:
     return out
 
 
-def _reslice(grid, target_spacing, sample, box=None):
-    """Resample grid in-plane to the target sx, sy with sample(data, rows,
-    cols), where rows and cols are the source coordinates of the target
-    grid, clipped to the slice. Same spacing (within the tolerances below):
-    an unchanged copy on the target spacing. Only the target pixels of
-    ``box = (y0, y1, x0, x1)`` are computed and returned (None: the whole
-    grid); each depends only on its own coordinates.
+def _reslice(grid, sample, box=None):
+    """Resample grid in-plane to CANONICAL_SPACING's sx, sy with
+    sample(data, rows, cols), where rows and cols are the source coordinates
+    of the canonical grid, clipped to the slice. Same spacing (within the
+    tolerances below): an unchanged copy on the canonical spacing. Only the
+    target pixels of ``box = (y0, y1, x0, x1)`` are computed and returned
+    (None: the whole grid); each depends only on its own coordinates.
     """
     sx, sy, sz = grid.spacing
-    tx, ty, tz = target_spacing
+    tx, ty, tz = CANONICAL_SPACING
     if abs(sz - tz) > 1e-9:
         raise SpacingError(f"through-plane resampling required ({sz} mm vs {tz} mm)")
     nx, ny, _ = grid.dims
     if abs(sx - tx) < 1e-12 and abs(sy - ty) < 1e-12:
         y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
-        return type(grid)(target_spacing, grid.data[:, y0:y1, x0:x1].copy())
+        return type(grid)(CANONICAL_SPACING, grid.data[:, y0:y1, x0:x1].copy())
     rows = np.arange(max(1, int(round(ny * sy / ty)))) * ty / sy
     cols = np.arange(max(1, int(round(nx * sx / tx)))) * tx / sx
     if box is not None:
         y0, y1, x0, x1 = box
         rows, cols = rows[y0:y1], cols[x0:x1]
     data = sample(grid.data, np.clip(rows, 0, ny - 1), np.clip(cols, 0, nx - 1))
-    return type(grid)(target_spacing, data)
+    return type(grid)(CANONICAL_SPACING, data)
 
 
-def reslice(volume: Volume, target_spacing=CANONICAL_SPACING, box=None) -> Volume:
-    """In-plane bilinear resample to the target sx, sy; z grid untouched.
-    With ``box = (y0, y1, x0, x1)`` in target pixels, the volume holds only
-    that part of the resampled slices.
+def reslice(volume: Volume, box=None) -> Volume:
+    """In-plane bilinear resample to CANONICAL_SPACING's sx, sy; z grid
+    untouched. With ``box = (y0, y1, x0, x1)`` in target pixels, the volume
+    holds only that part of the resampled slices.
 
-    Raises SpacingError when sz differs from the target (through-plane
-    resampling is out of scope).
+    Raises SpacingError when sz differs from CANONICAL_SPACING's
+    (through-plane resampling is out of scope).
     """
-    return _reslice(volume, target_spacing, _bilinear, box)
+    return _reslice(volume, _bilinear, box)
 
 
-def reslice_mask(mask: Mask, target_spacing=CANONICAL_SPACING) -> Mask:
-    """Nearest-neighbor reslice; keeps masks binary."""
-    return _reslice(mask, target_spacing, _nearest)
+def reslice_mask(mask: Mask) -> Mask:
+    """Nearest-neighbor reslice to CANONICAL_SPACING; keeps masks binary."""
+    return _reslice(mask, _nearest)
 
 
 def _bilinear(data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .errors import (
     NoGroundTruth,
 )
 from .volcore import (
+    INPUT_SCALE,
     LabeledCase,
     Mask,
     binary_dilate,
@@ -37,7 +38,7 @@ from .volcore import (
     make_bar_se,
     make_disk_se,
     otsu_threshold,
-    patch_region,
+    pad_for_patches,
     white_tophat,
 )
 
@@ -49,7 +50,6 @@ TRAINING_BAND_RADIUS = 5
 PATCH_SIZE = 49
 PATCH_STRIDE = 3
 ENSEMBLE_MEMBERS = 7
-INPUT_SCALE = 1.0 / 255.0  # conditions [0, 255] patches for the nets
 
 _BAR_SES = tuple(make_bar_se(BAR_LENGTH, theta) for theta in BAR_ANGLES_DEG)
 
@@ -163,7 +163,8 @@ class PatchEnsemble:
         xs[i]), zero-padded as ``extract_patches`` crops it; True means
         scar. Each member runs its trunk once, as one stride-1 scan of the
         box that holds the patches it votes on, with its kernels dilated
-        after each pool (``NetModel.forward_windows``).
+        after each pool (``NetModel.forward_windows``); on the padded slice
+        (``pad_for_patches``) a patch's top-left corner is its centre.
 
         The vote stops early where it is settled: once one class holds
         (M + 1) // 2 of the M votes on a patch, the members still to come
@@ -173,17 +174,16 @@ class PatchEnsemble:
         cannot change, so the result is the full tally's (a member's output
         on a patch does not depend on the other patches in the call, up to
         the rounding noted in ``learnlib.net``)."""
-        region, oy, ox = patch_region(img, ys, xs, self.patch_size)
-        region = region * INPUT_SCALE
+        padded = pad_for_patches(img, self.patch_size) * INPUT_SCALE
         offset = self.mean_patch * INPUT_SCALE
         need = (len(self.members) + 1) // 2
-        scar = np.zeros(len(oy), dtype=np.int64)
-        open_ = np.arange(len(oy))
+        scar = np.zeros(len(ys), dtype=np.int64)
+        open_ = np.arange(len(ys))
         for cast, member in enumerate(self.members, start=1):
             if not len(open_):
                 break
             scar[open_] += member.forward_windows(
-                region, oy[open_], ox[open_], offset).argmax(axis=1)
+                padded, ys[open_], xs[open_], offset).argmax(axis=1)
             tally = scar[open_]
             open_ = open_[(tally < need) & (cast - tally < need)]
         return scar >= need

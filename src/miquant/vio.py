@@ -147,7 +147,8 @@ def write_mask(mask: Mask, path: str) -> None:
 # case manifests
 # ---------------------------------------------------------------------------
 
-_REQUIRED_MASKS = ("myocardium", "endocardium", "epicardium")
+# manifest mask roles, named as LabeledCase fields; the first three are required
+_ROLES = ("myocardium", "endocardium", "epicardium", "gt_scar", "gt_mvo")
 
 
 @dataclass
@@ -186,7 +187,7 @@ def read_manifest(path: str) -> CaseManifest:
     if not os.path.exists(volume_path):
         raise ManifestError(f"{path}: volume file not found: {doc['volume']}")
     mask_paths = {}
-    for role in _REQUIRED_MASKS:
+    for role in _ROLES[:3]:
         if role not in masks:
             raise ManifestError(f"{path}: missing mask role {role!r}")
     for role, rel in masks.items():
@@ -225,34 +226,20 @@ def _validate_manifest(manifest: CaseManifest, path: str) -> None:
 
 
 def load_case(manifest: CaseManifest) -> LabeledCase:
+    """Read every file the manifest lists; a role outside ``_ROLES`` is then dropped."""
     masks = {role: read_mask(p) for role, p in manifest.mask_paths.items()}
-    return LabeledCase(
-        case_id=manifest.case_id,
-        volume=read_volume(manifest.volume_path),
-        myocardium=masks["myocardium"],
-        endocardium=masks["endocardium"],
-        epicardium=masks["epicardium"],
-        gt_scar=masks.get("gt_scar"),
-        gt_mvo=masks.get("gt_mvo"),
-        per_slice_labels=manifest.per_slice_labels,
-    )
+    return LabeledCase(manifest.case_id, read_volume(manifest.volume_path),
+                       **{role: masks.get(role) for role in _ROLES},
+                       per_slice_labels=manifest.per_slice_labels)
 
 
 def write_case(case: LabeledCase, directory: str) -> str:
     """Write a case's volume, masks, and manifest; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
     write_volume(case.volume, os.path.join(directory, "volume.mhd"))
-    roles = {
-        "myocardium": case.myocardium,
-        "endocardium": case.endocardium,
-        "epicardium": case.epicardium,
-    }
-    if case.gt_scar is not None:
-        roles["gt_scar"] = case.gt_scar
-    if case.gt_mvo is not None:
-        roles["gt_mvo"] = case.gt_mvo
-    for role, mask in roles.items():
-        write_mask(mask, os.path.join(directory, f"{role}.mhd"))
+    roles = [role for role in _ROLES if getattr(case, role) is not None]
+    for role in roles:
+        write_mask(getattr(case, role), os.path.join(directory, f"{role}.mhd"))
     doc = {
         "case_id": case.case_id,
         "volume": "volume.mhd",
@@ -379,7 +366,7 @@ def decode_model(doc):
         raise FormatError(f"a layer stored as {spec} rebuilds as {list(layer.spec())}")
     if "kind" in doc:
         kind = doc["kind"]
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise FormatError(f"unknown model kind {kind!r}")
         values = {key: decode_model(value) for key, value in doc.items() if key != "kind"}
         try:

@@ -19,6 +19,7 @@ from scipy import ndimage as ndi
 from .errors import AlignmentError, ConfigError, DataError, DegenerateHistogram
 
 HIST_LEVELS = 256
+INPUT_SCALE = 1.0 / (HIST_LEVELS - 1)  # conditions [0, 255] crops for the nets
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +279,22 @@ def bounding_box(mask: np.ndarray, margin: int) -> tuple[int, int, int, int]:
             max(int(cols[0]) - margin, 0), min(int(cols[-1]) + 1 + margin, nx))
 
 
-def patch_region(img: np.ndarray, ys, xs, size: int):
-    """(region, oy, ox): the zero-padded part of img that holds the size x
-    size crop around every (ys[i], xs[i]), and the top-left corner of crop i
-    in it. Crop i spans rows ys[i] - size // 2 up to, not including, that
-    plus size, and likewise columns: odd sizes are centred.
-    """
-    ys = np.asarray(ys, dtype=np.intp)
-    xs = np.asarray(xs, dtype=np.intp)
+def pad_for_patches(img: np.ndarray, size: int) -> np.ndarray:
+    """img zero-padded so that the size x size crop centred on (y, x), rows
+    y - size // 2 up to, not including, that plus size and likewise columns,
+    has its top-left corner at (y, x)."""
     half = size // 2
-    padded = np.pad(img, ((half, size - 1 - half),) * 2)
-    y0, x0 = (int(v.min()) if len(v) else 0 for v in (ys, xs))
-    region = padded[y0 : ys.max(initial=0) + size, x0 : xs.max(initial=0) + size]
-    return region, ys - y0, xs - x0
+    return np.pad(img, ((half, size - 1 - half),) * 2)
 
 
 def extract_patches(img: np.ndarray, ys, xs, size: int) -> np.ndarray:
-    """Zero-padded size x size crops of img, one per (ys[i], xs[i]), stacked
-    as (n, size, size); see ``patch_region``."""
-    region, oy, ox = patch_region(img, ys, xs, size)
-    return sliding_window_view(region, (size, size))[oy, ox]
+    """Zero-padded size x size crops of img, one centred on each (ys[i],
+    xs[i]), stacked as (n, size, size); see ``pad_for_patches``. Raises
+    DataError when a centre lies off the slice."""
+    if np.size(ys) and not (0 <= np.min(ys) <= np.max(ys) < img.shape[0]
+                            and 0 <= np.min(xs) <= np.max(xs) < img.shape[1]):
+        raise DataError("a patch centre lies off the slice")
+    return sliding_window_view(pad_for_patches(img, size), (size, size))[ys, xs]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,10 @@ def otsu_threshold(values: np.ndarray) -> int:
     the 256-bin histogram of ``intensity_levels(values)``.
 
     Ties break toward the smaller t; foreground is levels strictly above t.
+    Raises DataError when a sample is NaN or infinite.
     """
+    if not np.isfinite(values).all():
+        raise DataError("Otsu's threshold needs finite intensities")
     counts = np.bincount(intensity_levels(values).ravel(), minlength=HIST_LEVELS).astype(float)
     total = counts.sum()
     if total < 2 or np.count_nonzero(counts) < 2:

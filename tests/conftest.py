@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from miquant import detect, learnlib as ll, phantom, preprocess, segment

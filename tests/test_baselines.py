@@ -5,8 +5,15 @@ import pytest
 
 import oracles
 from miquant import baselines, phantom, preprocess
-from miquant.errors import AlignmentError, ConfigError, DegenerateData, EmptyMask, EmptyRegion
-from miquant.volcore import LabeledCase, Mask, Volume
+from miquant.errors import (
+    AlignmentError,
+    ConfigError,
+    DataError,
+    DegenerateData,
+    EmptyMask,
+    EmptyRegion,
+)
+from miquant.volcore import LabeledCase, Mask, Volume, otsu_threshold
 
 
 def test_remote_outside_myocardium_falls_back_to_auto(diseased_cases):
@@ -160,6 +167,21 @@ def test_gmm_fit_without_an_otsu_split_is_degenerate(monkeypatch, values, thresh
         monkeypatch.setattr(baselines, "otsu_threshold", lambda x: threshold)
     with pytest.raises(DegenerateData, match=match):
         baselines.gmm_fit(values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["NaN", "+inf", "-inf"])
+@pytest.mark.parametrize("method", [
+    lambda img, myo: otsu_threshold(img[myo]),
+    baselines.otsu_segment,
+    lambda img, myo: baselines.gmm_fit(img[myo]),
+], ids=["otsu_threshold", "otsu_segment", "gmm_fit"])
+def test_a_non_finite_intensity_is_a_data_error(method, bad):
+    # a NaN used to reach np.bincount through the level cast, and an
+    # infinity was binned at level 0 or 255
+    img = np.random.default_rng(8).uniform(0.0, 255.0, (12, 12))
+    img[5, 6] = bad
+    with pytest.raises(DataError, match="finite"):
+        method(img, np.ones(img.shape, dtype=bool))
 
 
 def test_run_baselines_gives_nine_empty_masks_where_normalization_zeroed_the_slice():

@@ -19,7 +19,6 @@ from miquant.learnlib.net import (
     MaxPool2,
     NetModel,
     ReLU,
-    Softmax,
     _pool_dilated,
 )
 
@@ -678,7 +677,7 @@ def test_pca_rank_one_data():
 def test_pca_isotropic_needs_both_axes():
     rng = np.random.default_rng(29)
     x = rng.normal(size=(4000, 2))
-    model = ll.pca_fit(x, var_frac=0.95)
+    model = ll.pca_fit(x)
     # sampling keeps eigenvalues near-equal, so one axis holds < 95%
     assert model.k == 2
 
@@ -686,7 +685,7 @@ def test_pca_isotropic_needs_both_axes():
 def test_pca_projections_are_decorrelated():
     rng = np.random.default_rng(30)
     x = rng.normal(size=(200, 6)) @ rng.normal(size=(6, 6))
-    model = ll.pca_fit(x, var_frac=1.0)
+    model = ll.pca_fit(x)
     proj = ll.pca_project(model, x)
     cov = np.cov(proj, rowvar=False)
     off = cov - np.diag(np.diag(cov))
@@ -699,7 +698,7 @@ def test_pca_projections_are_decorrelated():
 def test_pca_k_is_minimal():
     rng = np.random.default_rng(31)
     base = rng.normal(size=(300, 3)) * np.array([10.0, 3.0, 0.1])
-    model = ll.pca_fit(base, var_frac=0.95)
+    model = ll.pca_fit(base)
     total = np.linalg.eigvalsh(np.cov(base, rowvar=False)).sum()
     kept = model.variances.sum()
     assert kept / total >= 0.95
@@ -708,7 +707,7 @@ def test_pca_k_is_minimal():
 
 
 def test_pca_degenerate_identical_rows():
-    with pytest.raises(Exception):
+    with pytest.raises(DegenerateData):
         ll.pca_fit(np.ones((10, 4)))
 
 

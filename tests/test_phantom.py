@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from miquant import phantom
 from miquant.errors import SpecError
@@ -86,8 +85,7 @@ def test_spec_validation_errors():
 
 @pytest.mark.parametrize("fields", [
     {"scar": True, "scar_extent_deg": 0.0},
-    {"scar": True, "mvo": True, "mvo_depth_frac": 1.0},
-], ids=["no scar extent", "MVO as deep as the scar"])
+], ids=["no scar extent"])
 def test_spec_out_of_range_is_a_spec_error(fields):
     with pytest.raises(SpecError):
         phantom.generate_case(phantom.PhantomSpec(**fields), seed=0)

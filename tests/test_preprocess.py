@@ -303,8 +303,8 @@ def test_reslice_identity_when_canonical():
 def test_reslice_downsample_preserves_ramp_samples():
     nx = 16
     ramp = np.tile(np.arange(nx, dtype=float), (1, nx, 1))
-    vol = Volume((1.25, 1.25, 8.0), ramp)
-    out = pp.reslice(vol, (2.5, 2.5, 8.0))
+    vol = Volume((0.625, 0.625, 8.0), ramp)
+    out = pp.reslice(vol)
     assert out.dims == (8, 8, 1)
     np.testing.assert_allclose(out.data[0, 0], np.arange(8) * 2.0)
 
@@ -315,7 +315,7 @@ def test_reslice_upsample_matches_affine_oracle():
     yy, xx = np.mgrid[0:n, 0:n].astype(float)
     plane = 3.0 * xx - 2.0 * yy + 5.0
     vol = Volume((1.91, 1.91, 8.0), plane[None])
-    out = pp.reslice(vol, (1.25, 1.25, 8.0))
+    out = pp.reslice(vol)
     nx2 = round(n * 1.91 / 1.25)
     assert out.dims[0] == nx2
     u = np.clip(np.arange(nx2) * 1.25 / 1.91, 0, n - 1)

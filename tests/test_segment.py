@@ -24,7 +24,7 @@ from miquant.volcore import (
     Volume,
     bounding_box,
     extract_patches,
-    patch_region,
+    pad_for_patches,
 )
 
 
@@ -188,11 +188,11 @@ def test_each_member_votes_like_its_float64_forward_on_every_band_window(
     for k in range(case.nz):
         img, myo = case.volume.data[k], case.myocardium.data[k]
         ys, xs = np.nonzero(segment.boundary_region(_coarse(img, myo)))
-        region, oy, ox = patch_region(img, ys, xs, size)
+        padded = pad_for_patches(img, size)
         crops = (extract_patches(img, ys, xs, size) - tiny_ensemble.mean_patch) * segment.INPUT_SCALE
         for member in tiny_ensemble.members:
             expected = member.forward(crops[..., None])
-            got = member.forward_windows(region * segment.INPUT_SCALE, oy, ox, offset)
+            got = member.forward_windows(padded * segment.INPUT_SCALE, ys, xs, offset)
             np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-5)
             labels.append(expected.argmax(axis=1))
@@ -632,7 +632,9 @@ def _save_edited(tmp_path, ensemble, edit):
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.update(kind="mystery"),
     lambda doc: doc["members"][0].update(kind="mystery"),
-], ids=["top level", "member"])
+    lambda doc: doc["members"][0].update(kind={}),
+    lambda doc: doc["members"][0].update(kind=[]),
+], ids=["top level", "member", "member kind a dict", "member kind a list"])
 def test_ensemble_load_rejects_an_unknown_kind(tmp_path, tiny_ensemble, edit):
     with pytest.raises(FormatError):
         vio.load_model(_save_edited(tmp_path, tiny_ensemble, edit), segment.PatchEnsemble)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from miquant import vio
-from miquant.errors import FormatError, ManifestError, UnsupportedElementType
+from miquant.errors import FormatError, IoError, ManifestError, UnsupportedElementType
 from miquant.learnlib import NetModel
 from miquant.volcore import LabeledCase, Mask, Volume
 
@@ -99,6 +99,19 @@ def test_case_roundtrip_and_manifest_load(tmp_path):
     assert back.gt_mvo is None
     # labels were derived from gt at write time
     assert back.per_slice_labels == ["healthy", "diseased"]
+
+
+def test_case_with_an_mvo_core_roundtrips_every_mask(tmp_path):
+    case = _toy_case()
+    mvo = np.zeros(case.volume.data.shape, dtype=bool)
+    mvo[1, 2, 1] = True  # beside the scar, not in it
+    case.gt_mvo = Mask(case.volume.spacing, mvo)
+    manifest = vio.read_manifest(vio.write_case(case, str(tmp_path / "c")))
+    assert sorted(manifest.mask_paths) == ["endocardium", "epicardium", "gt_mvo", "gt_scar",
+                                           "myocardium"]
+    back = vio.load_case(manifest)
+    for role in manifest.mask_paths:
+        np.testing.assert_array_equal(getattr(back, role).data, getattr(case, role).data)
 
 
 def test_manifest_healthy_case_without_gt_is_valid(tmp_path):
@@ -256,6 +269,29 @@ def test_each_malformed_file_raises_its_error(tmp_path, edit, read, error):
     edit(tmp_path)
     with pytest.raises(error):
         read(tmp_path)
+
+
+def _read_without_payload(d):
+    os.remove(d / "volume.raw")
+    return _read_volume(d)
+
+
+@pytest.mark.parametrize("act", [
+    lambda d: vio.read_volume(str(d / "absent.mhd")),
+    _read_without_payload,
+    lambda d: vio.read_manifest(str(d / "absent.json")),
+    lambda d: vio.read_json(str(d / "absent.json")),
+    lambda d: vio.read_report(str(d / "absent.csv")),
+    lambda d: vio.write_volume(_toy_case().volume, str(d / "absent" / "volume.mhd")),
+    lambda d: vio.write_json({}, str(d / "absent" / "doc.json")),
+    lambda d: vio.write_report(vio.MetricsReport(), str(d / "absent" / "report.csv")),
+], ids=["header", "payload", "manifest", "JSON", "report", "write volume", "write JSON",
+        "write report"])
+def test_each_filesystem_failure_is_an_io_error(tmp_path, act):
+    vio.write_case(_toy_case(), str(tmp_path))
+    with pytest.raises(IoError) as info:
+        act(tmp_path)
+    assert isinstance(info.value.__cause__, OSError)
 
 
 def test_array_codec_roundtrip():

@@ -218,6 +218,27 @@ def test_fill_is_extensive_and_idempotent():
         np.testing.assert_array_equal(vc.fill_holes_2d(out), out)
 
 
+# --- patches ---
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_patches_are_zero_padded_crops_around_each_centre(size):
+    img = np.arange(1.0, 43.0).reshape(6, 7)
+    ys, xs = np.nonzero(np.ones(img.shape, dtype=bool))
+    patches = vc.extract_patches(img, ys, xs, size)
+    for y, x, patch in zip(ys, xs, patches):
+        for i, j in np.ndindex(size, size):
+            sy, sx = y - size // 2 + i, x - size // 2 + j
+            inside = 0 <= sy < img.shape[0] and 0 <= sx < img.shape[1]
+            assert patch[i, j] == (img[sy, sx] if inside else 0.0)
+
+
+@pytest.mark.parametrize("y,x", [(-1, 3), (3, -1), (6, 3), (3, 7)])
+def test_a_patch_centre_off_the_slice_is_a_data_error(y, x):
+    # unchecked, a negative centre would index the padded slice from its far end
+    with pytest.raises(DataError, match="off the slice"):
+        vc.extract_patches(np.ones((6, 7)), [2, y], [2, x], 5)
+
+
 # --- Otsu ---
 
 def test_otsu_two_point_tie_break():
