@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import vio
-from ..errors import ShapeError, SingleClassError
+from ..errors import DataError, LengthMismatch, ShapeError, SingleClassError
 
 
 @vio.model_kind("margin")
@@ -38,10 +38,15 @@ def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
     and iterate averaging; the returned model is the averaged iterate.
 
     The per-epoch objective of the running average is stored on the model
-    as ``objective_trace``, which a model file keeps.
+    as ``objective_trace``, which a model file keeps. Raises DataError on a
+    non-finite sample and LengthMismatch unless ``y`` has one label a row.
     """
     x = _samples(x)
     y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DataError("margin training needs finite samples")
+    if y.shape != x.shape[:1]:
+        raise LengthMismatch(f"labels of shape {y.shape} for {len(x)} samples")
     classes = np.unique(y)
     if not (len(classes) == 2 and set(classes) == {-1.0, 1.0}):
         raise SingleClassError(f"labels must contain both -1 and +1, got {classes}")

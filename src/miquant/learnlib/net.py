@@ -49,6 +49,18 @@ added onto the input window that the tap read. No zero-padded copy of dY
 is built or multiplied. The input gradient, and so trained weights, equal
 those of a full correlation over the zero-padded dY to rounding (about
 1e-14 relative), not bit for bit.
+
+A convolution adds its bias inside its one matrix product, as Caffe does
+(Jia et al. 2014, arXiv:1408.5093): ``_im2col`` ends every patch row with a
+one, the bias tap, and the product with the kernel matrix whose last row is
+the bias gives the biased output. Its last term is 1*b, which the product
+rounds once, as a separate add would. A BLAS kernel that orders the terms
+differently can still round an output differently, by an ulp: on OpenBLAS
+0.3.31 some kernels at output widths below 16 did, none at 16, 32 or 64.
+The backward's one product of the patch matrix's transpose with dY gives dW
+in its first rows and db in its last, so db sums dY in the BLAS's order. It
+agrees with a row-by-row sum to rounding (about 1e-14 relative), not bit
+for bit. SGD updates each parameter in place.
 """
 from __future__ import annotations
 
@@ -58,7 +70,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import vio
-from ..errors import ConfigError, DivergenceError, ShapeError
+from ..errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    LengthMismatch,
+    ShapeError,
+)
 
 INFER_CHUNK = 32  # samples per trunk pass at inference
 
@@ -68,13 +86,16 @@ INFER_CHUNK = 32  # samples per trunk pass at inference
 # ---------------------------------------------------------------------------
 
 def _im2col(x: np.ndarray, kh: int, kw: int, d: int = 1) -> np.ndarray:
-    """(N, H, W, C) -> (N*OH*OW, kh*kw*C) patch matrix for valid stride-1,
-    with the taps ``d`` px apart."""
+    """(N, H, W, C) -> (N*OH*OW, kh*kw*C + 1) patch matrix for valid
+    stride-1, with the taps ``d`` px apart; the last column is ones, the
+    bias tap, so one product with ``[W; b]`` adds the bias."""
     windows = sliding_window_view(x, (d * (kh - 1) + 1, d * (kw - 1) + 1), axis=(1, 2))
     windows = windows[..., ::d, ::d]  # (N, OH, OW, C, kh, kw)
-    n, oh, ow = windows.shape[:3]
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(n * oh * ow, kh * kw * x.shape[3]), (n, oh, ow)
+    n, oh, ow, c = windows.shape[:4]
+    cols = np.empty((n * oh * ow, kh * kw * c + 1), dtype=x.dtype)
+    cols[:, :-1].reshape(n, oh, ow, kh, kw, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
+    cols[:, -1] = 1.0
+    return cols, (n, oh, ow)
 
 
 def _no_forward(layer):
@@ -96,7 +117,7 @@ class Conv2D:
     def forward(self, x, train=False, rng=None, dilation=1):
         """Valid convolution in the dtype of ``x`` (the weights are cast to
         it; a no-op for 64-bit input), its taps ``dilation`` px apart; only
-        inference dilates."""
+        inference dilates. The bias is the patch matrix's last tap."""
         kh, kw, cin, cout = self.w.shape
         if train and dilation != 1:
             raise ShapeError(f"training runs undilated convolutions, not dilation {dilation}")
@@ -104,8 +125,7 @@ class Conv2D:
                 or x.shape[2] < dilation * (kw - 1) + 1):
             raise ShapeError(f"conv {self.w.shape} dilated by {dilation} cannot take input {x.shape}")
         cols, (n, oh, ow) = _im2col(x, kh, kw, dilation)
-        out = cols @ self.w.reshape(-1, cout).astype(x.dtype, copy=False)
-        out += self.b.astype(x.dtype, copy=False)
+        out = cols @ np.vstack([self.w.reshape(-1, cout), self.b], dtype=x.dtype)
         if train:
             self._cols = cols
         return out.reshape(n, oh, ow, cout)
@@ -119,8 +139,9 @@ class Conv2D:
         kh, kw, cin, cout = self.w.shape
         n, oh, ow, _ = dout.shape
         dmat = dout.reshape(-1, cout)
-        self.dw = (self._cols.T @ dmat).reshape(kh, kw, cin, cout)
-        self.db = dmat.sum(axis=0)
+        grads = self._cols.T @ dmat  # the bias tap's row is db
+        self.dw = grads[:-1].reshape(kh, kw, cin, cout)
+        self.db = grads[-1]
         self._cols = None
         if not need_dx:
             return None
@@ -351,7 +372,21 @@ class NetModel:
     def __post_init__(self):
         if not all(type(layer) in LAYER_TYPES.values() for layer in self.layers):
             raise TypeError(f"a net's layers must be {sorted(LAYER_TYPES)} layers")
-        self.input_shape = tuple(self.input_shape)
+        shape = self.input_shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 3 and all(
+                isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
+                for s in shape)):
+            raise ShapeError(f"a net's input shape is three positive integers, not {shape!r}")
+        self.input_shape = tuple(int(s) for s in shape)
+        first = next((i for i, l in enumerate(self.layers) if isinstance(l, Dense)), None)
+        if first is not None:
+            trunk = self.layers[:first]
+            h, w, c = self.input_shape
+            fh, fw = _trunk_extent(trunk, h, 0), _trunk_extent(trunk, w, 1)
+            c = next((l.w.shape[3] for l in reversed(trunk) if isinstance(l, Conv2D)), c)
+            if min(fh, fw) < 1 or fh * fw * c != self.layers[first].w.shape[0]:
+                raise ShapeError(f"input {self.input_shape} reaches the first dense layer as "
+                                 f"{fh}x{fw}x{c}, not its {self.layers[first].w.shape[0]} rows")
 
     def forward(self, x, train=False, rng=None, n_layers=None):
         x = np.asarray(x, dtype=np.float64)
@@ -548,18 +583,37 @@ def net_loss(model: NetModel, x, labels, train=False, rng=None):
     return loss, dlogits
 
 
+def _labels(x: np.ndarray, y) -> np.ndarray:
+    """``y`` as int64 class labels, one 0 or 1 per sample of a non-empty ``x``."""
+    y = np.asarray(y)
+    if not len(x):
+        raise DataError("training needs at least one sample")
+    if y.ndim != 1:
+        raise DataError(f"labels must be a 1-D array, got shape {y.shape}")
+    if len(y) != len(x):
+        raise LengthMismatch(f"{len(y)} labels for {len(x)} samples")
+    if y.dtype.kind not in "biuf" or not np.all((y == 0) | (y == 1)):
+        raise DataError(f"labels must be the classes 0 and 1, got {np.unique(y)}")
+    return y.astype(np.int64)
+
+
 def net_train(x: np.ndarray, y: np.ndarray, model: NetModel, cfg: TrainConfig) -> NetModel:
     """SGDM training: v <- m*v - lr*(grad + l2*w); w <- w + v.
 
     Shuffles every epoch with a seeded generator; dropout is active only
-    here. Mutates and returns the model, recording the per-epoch loss
+    here. Each step runs in place, through one preallocated buffer per
+    parameter. Mutates and returns the model, recording the per-epoch loss
     trace in train_meta.
+
+    Raises DataError unless ``x`` holds at least one sample and ``y`` holds
+    a label 0 or 1 per sample, and LengthMismatch when their lengths differ.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = _labels(x, y)
     rng = np.random.default_rng(cfg.seed)
-    velocity = {id(l): {n: np.zeros_like(getattr(l, n)) for n in l.param_names}
-                for l in model.layers}
+    params = list(model.parameters())
+    velocity = [np.zeros_like(getattr(l, n)) for l, n in params]
+    step = [np.empty_like(v) for v in velocity]  # lr*(grad + l2*w), built in place
     trace = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
@@ -570,14 +624,17 @@ def net_train(x: np.ndarray, y: np.ndarray, model: NetModel, cfg: TrainConfig) -
             if not np.isfinite(loss):
                 raise DivergenceError(f"training loss became {loss}")
             model.backward_from_logits(dlogits)
-            for layer, name in model.parameters():
-                grad = getattr(layer, "d" + name)
+            for (layer, name), v, buf in zip(params, velocity, step):
+                w, grad = getattr(layer, name), getattr(layer, "d" + name)
                 if name == "w" and cfg.l2 > 0:
-                    grad = grad + cfg.l2 * getattr(layer, name)
-                v = velocity[id(layer)][name]
+                    np.multiply(w, cfg.l2, out=buf)
+                    buf += grad
+                else:
+                    buf[...] = grad
+                buf *= cfg.learning_rate
                 v *= cfg.momentum
-                v -= cfg.learning_rate * grad
-                getattr(layer, name)[...] += v
+                v -= buf
+                w += v
             epoch_loss += loss * len(batch)
         trace.append(epoch_loss / len(x))
     model.train_meta = dict(model.train_meta)
@@ -588,4 +645,3 @@ def net_train(x: np.ndarray, y: np.ndarray, model: NetModel, cfg: TrainConfig) -
         }
     )
     return model
-

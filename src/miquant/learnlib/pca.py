@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import vio
-from ..errors import DegenerateData
+from ..errors import DataError, DegenerateData
 
 VAR_FRAC = 0.95  # the share of the total variance the retained axes keep
 
@@ -25,11 +25,13 @@ def pca_fit(x: np.ndarray) -> PcaModel:
     cumulative variance fraction >= ``VAR_FRAC``.
 
     Axis signs are fixed (largest-magnitude component positive) so fits
-    are reproducible.
+    are reproducible. Raises DataError on a non-finite sample.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DegenerateData("PCA needs an N x D matrix with N >= 2")
+    if not np.isfinite(x).all():
+        raise DataError("PCA needs finite samples")
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / (x.shape[0] - 1)

@@ -371,7 +371,7 @@ def decode_model(doc):
         values = {key: decode_model(value) for key, value in doc.items() if key != "kind"}
         try:
             return _KINDS[kind](**values)
-        except TypeError as exc:
+        except (TypeError, ShapeError) as exc:
             raise FormatError(f"bad {kind!r} model: {exc}") from exc
     return {key: decode_model(value) for key, value in doc.items()}
 

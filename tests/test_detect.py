@@ -305,6 +305,19 @@ def test_model_file_format_is_pinned(tmp_path):
         assert (tmp_path / name).read_bytes() == pinned
 
 
+@pytest.mark.parametrize("shape", [
+    [1, 2], ["a", 2, 1], [-1, 2, 1], [1, 2, 1, 1], [1.5, 2, 1], [0, 2, 1], [2, 2, 1],
+], ids=["two axes", "a string", "negative", "four axes", "a float", "zero",
+        "4 rows for a 2-row dense layer"])
+def test_a_net_input_shape_that_does_not_fit_the_layers_fails_at_load(tmp_path, shape):
+    doc = vio.read_json(PINNED_MODEL)
+    doc["net"]["input_shape"] = shape
+    path = str(tmp_path / "edited.json")
+    vio.write_json(doc, path)
+    with pytest.raises(FormatError):
+        vio.load_model(path, detect.DetectionModel)
+
+
 def test_predict_threshold_limits(tiny_detector, mixed_cases):
     case = mixed_cases[0]
     low = detect.DetectionModel(

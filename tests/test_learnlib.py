@@ -5,9 +5,11 @@ import oracles
 from miquant import learnlib as ll, vio
 from miquant.errors import (
     ConfigError,
+    DataError,
     DegenerateData,
     DivergenceError,
     EmptyClassError,
+    LengthMismatch,
     ShapeError,
     SingleClassError,
 )
@@ -59,6 +61,26 @@ def naive_conv(x, w, b):
     return out
 
 
+def naive_conv_grads(x, dout, kh, kw):
+    """(dW, db) of a valid stride-1 convolution of ``x`` that received the
+    output gradient ``dout``, one output pixel at a time."""
+    n, oh, ow, cout = dout.shape
+    cin = x.shape[3]
+    dw = np.zeros((kh, kw, cin, cout))
+    db = np.zeros(cout)
+    for s in range(n):
+        for i in range(oh):
+            for j in range(ow):
+                for f in range(cout):
+                    g = dout[s, i, j, f]
+                    db[f] += g
+                    for k in range(kh):
+                        for l in range(kw):
+                            for c in range(cin):
+                                dw[k, l, c, f] += x[s, i + k, j + l, c] * g
+    return dw, db
+
+
 def test_conv_matches_naive_nested_loop_oracle():
     rng = np.random.default_rng(2)
     w = rng.normal(size=(3, 3, 2, 4))
@@ -66,6 +88,26 @@ def test_conv_matches_naive_nested_loop_oracle():
     conv = Conv2D(w.copy(), b.copy())
     x = rng.normal(size=(2, 5, 6, 2))
     np.testing.assert_allclose(conv.forward(x), naive_conv(x, w, b), atol=1e-10)
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["real", "integer-valued"])
+def test_conv_parameter_gradients_match_nested_loop_oracle(integer):
+    # integer-valued sums are exact in every order, so they match bit for bit
+    rng = np.random.default_rng(50)
+    draw = (lambda shape: rng.integers(-4, 5, shape).astype(np.float64)) if integer \
+        else (lambda shape: rng.normal(size=shape))
+    conv = Conv2D(draw((3, 2, 2, 3)), draw(3))
+    x = draw((2, 6, 7, 2))
+    dout = draw((2, 4, 6, 3))
+    conv.forward(x, train=True)
+    conv.backward(dout, need_dx=False)
+    dw, db = naive_conv_grads(x, dout, 3, 2)
+    if integer:
+        np.testing.assert_array_equal(conv.dw, dw)
+        np.testing.assert_array_equal(conv.db, db)
+    else:
+        np.testing.assert_allclose(conv.dw, dw, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(conv.db, db, rtol=1e-12, atol=0)
 
 
 def test_dense_computes_in_its_input_dtype():
@@ -330,6 +372,49 @@ def test_sgdm_update_matches_hand_iteration():
     # differs from the hand loop by float associativity only
     np.testing.assert_allclose(trained.layers[1].w, dense.w, rtol=0, atol=1e-12)
     np.testing.assert_allclose(trained.layers[1].b, dense.b, rtol=0, atol=1e-12)
+
+
+def test_sgdm_update_of_a_conv_net_matches_hand_iteration_bit_for_bit():
+    # one sample, so shuffling cannot reorder a gradient sum
+    x = np.random.default_rng(51).normal(size=(1, 13, 13, 1))
+    y = np.array([1])
+    cfg = ll.TrainConfig(learning_rate=0.05, momentum=0.6, batch_size=4,
+                         l2=0.01, epochs=3, dropout=0.0, seed=52)
+    trained = ll.build_classifier(13, seed=53, widths=(4, 6), fc=8, dropout=0.0)
+    manual = ll.build_classifier(13, seed=53, widths=(4, 6), fc=8, dropout=0.0)
+    ll.net_train(x, y, trained, cfg)
+
+    velocity = {(id(l), n): np.zeros_like(getattr(l, n)) for l, n in manual.parameters()}
+    for _ in range(cfg.epochs):
+        _, dlogits = ll.net_loss(manual, x, y, train=True)
+        manual.backward_from_logits(dlogits)
+        for layer, name in manual.parameters():
+            grad = getattr(layer, "d" + name)
+            if name == "w":
+                grad = grad + cfg.l2 * layer.w
+            v = cfg.momentum * velocity[id(layer), name] - cfg.learning_rate * grad
+            velocity[id(layer), name] = v
+            setattr(layer, name, getattr(layer, name) + v)
+    for (a, name), (b, _) in zip(trained.parameters(), manual.parameters()):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("n,y,error", [
+    (8, np.zeros(5, dtype=int), LengthMismatch),
+    (8, np.zeros(12, dtype=int), LengthMismatch),
+    (8, np.array([0, 1, 2, 0, 1, 0, 1, 0]), DataError),
+    (8, np.array([0, 1, -1, 0, 1, 0, 1, 0]), DataError),
+    (8, np.array([0, 1, 0.5, 0, 1, 0, 1, 0]), DataError),
+    (8, np.zeros((8, 1), dtype=int), DataError),
+    (0, np.zeros(0, dtype=int), DataError),
+], ids=["5 labels", "12 labels", "label 2", "label -1", "label 0.5", "2-D labels",
+        "no samples"])
+def test_net_train_rejects_labels_that_do_not_fit_its_samples(n, y, error):
+    net = ll.build_classifier(13, seed=54, widths=(4, 6), fc=8)
+    x = np.random.default_rng(55).normal(size=(n, 13, 13, 1))
+    with pytest.raises(DataError) as raised:
+        ll.net_train(x, y, net, ll.TrainConfig(epochs=1, batch_size=4, seed=56))
+    assert raised.type is error
 
 
 def test_fc_net_solves_linearly_separable_toy():
@@ -779,6 +864,29 @@ def test_margin_close_to_grid_search_optimum():
 def test_margin_single_class_error():
     with pytest.raises(SingleClassError):
         ll.margin_train(np.ones((4, 2)), np.ones(4), lam=0.1, epochs=10)
+
+
+def _with(x, index, value):
+    x = x.copy()
+    x[index] = value
+    return x
+
+
+_XS = np.random.default_rng(57).normal(size=(6, 2))
+_YS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: ll.margin_train(_with(_XS, (2, 1), np.nan), _YS), DataError),
+    (lambda: ll.margin_train(_with(_XS, (0, 0), np.inf), _YS), DataError),
+    (lambda: ll.margin_train(_XS, _YS[:4]), LengthMismatch),
+    (lambda: ll.pca_fit(_with(_XS, (2, 1), np.nan)), DataError),
+    (lambda: ll.pca_fit(_with(_XS, (0, 0), np.inf)), DataError),
+], ids=["margin NaN", "margin inf", "margin short labels", "PCA NaN", "PCA inf"])
+def test_fits_reject_non_finite_samples_and_unpaired_labels(call, error):
+    with pytest.raises(DataError) as raised:
+        call()
+    assert raised.type is error
 
 
 # --- augmentation ---
