@@ -77,5 +77,9 @@ def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
 
 
 def margin_decide(model: MarginModel, x: np.ndarray) -> np.ndarray:
-    """Signed decision value of each (N, D) row; the ROC-sweepable score."""
-    return _samples(x) @ model.w + model.b
+    """Signed decision value of each (N, D) row; the ROC-sweepable score.
+    Raises ShapeError unless D is the model's width."""
+    x = _samples(x)
+    if x.shape[1] != len(model.w):
+        raise ShapeError(f"samples of shape {x.shape} for a {len(model.w)}-wide margin model")
+    return x @ model.w + model.b

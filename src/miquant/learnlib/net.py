@@ -14,8 +14,9 @@ commute exactly, so such a net gives the same values and gradients (a block
 with a positive max has the same first max in x and in ReLU(x); any other
 block gets no gradient in either order). Only its ReLU runs on a map 4x
 larger. Pooling takes pairwise maxima over a 2x2 block
-view of its input; training also compares the four phases of that view
-with the maximum and keeps a first-max mask per phase, so the backward
+view of its input; training also compares three phases of that view
+with the maximum and keeps a first-max mask per phase (the fourth phase's
+is the blocks the first three miss), so the backward
 pass writes each phase of the input gradient with one product. Inference
 (``forward(train=False)``) keeps no masks, and runs the convolutional trunk
 over chunks of ``INFER_CHUNK`` samples so that each im2col matrix stays
@@ -61,6 +62,15 @@ The backward's one product of the patch matrix's transpose with dY gives dW
 in its first rows and db in its last, so db sums dY in the BLAS's order. It
 agrees with a row-by-row sum to rounding (about 1e-14 relative), not bit
 for bit. SGD updates each parameter in place.
+
+A one-channel input, the first convolution of every net, gets its patch
+matrix tap-major, as Caffe keeps it: ``_im2col`` fills a (kh*kw + 1,
+N*OH*OW) buffer, one block copy of the input per tap and the ones of the
+bias tap last, and hands the products its transpose. The values are the
+row-major matrix's; only the copy is cheaper (whole rows of pixels instead
+of runs of kw), and dW's product gets a C-ordered operand. More channels
+keep the row-major matrix: a channel-first tap-major one measured slower.
+BLAS may round the two layouts' products differently, by an ulp.
 """
 from __future__ import annotations
 
@@ -88,7 +98,20 @@ INFER_CHUNK = 32  # samples per trunk pass at inference
 def _im2col(x: np.ndarray, kh: int, kw: int, d: int = 1) -> np.ndarray:
     """(N, H, W, C) -> (N*OH*OW, kh*kw*C + 1) patch matrix for valid
     stride-1, with the taps ``d`` px apart; the last column is ones, the
-    bias tap, so one product with ``[W; b]`` adds the bias."""
+    bias tap, so one product with ``[W; b]`` adds the bias.
+
+    A one-channel ``x`` fills a tap-major (kh*kw + 1, N*OH*OW) buffer, one
+    block copy of ``x`` per tap, and returns its transpose view: the same
+    values in Fortran order, copied faster (see the module docstring)."""
+    if x.shape[3] == 1:
+        n, h, w, _ = x.shape
+        oh, ow = h - d * (kh - 1), w - d * (kw - 1)
+        taps = np.empty((kh * kw + 1, n, oh, ow), dtype=x.dtype)
+        for t in range(kh * kw):
+            i, j = divmod(t, kw)
+            taps[t] = x[:, i * d : i * d + oh, j * d : j * d + ow, 0]
+        taps[-1] = 1.0
+        return taps.reshape(kh * kw + 1, -1).T, (n, oh, ow)
     windows = sliding_window_view(x, (d * (kh - 1) + 1, d * (kw - 1) + 1), axis=(1, 2))
     windows = windows[..., ::d, ::d]  # (N, OH, OW, C, kh, kw)
     n, oh, ow, c = windows.shape[:4]
@@ -182,7 +205,9 @@ _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))  # a 2x2 block in row-major order
 class MaxPool2:
     """2x2 max pooling, stride 2. Gradient routes to the first max of each
     block in row-major order; only training keeps the four first-max masks
-    that routing needs."""
+    that routing needs. The first three compare their phase with the max;
+    the fourth is the blocks none of them holds, since a block's max is one
+    of its four values (a NaN stops training before any backward)."""
 
     param_names = ()
     _masks = None
@@ -200,11 +225,12 @@ class MaxPool2:
         phases = [blocks[:, :, a, :, b] for a, b in _PHASES]
         seen = phases[0] == out
         self._masks = [seen]
-        for phase in phases[1:]:
+        for phase in phases[1:3]:
             first = phase == out
             first &= ~seen
             seen = seen | first
             self._masks.append(first)
+        self._masks.append(~seen)
         self._xshape = x.shape
         return out
 
@@ -605,11 +631,14 @@ def net_train(x: np.ndarray, y: np.ndarray, model: NetModel, cfg: TrainConfig) -
     parameter. Mutates and returns the model, recording the per-epoch loss
     trace in train_meta.
 
-    Raises DataError unless ``x`` holds at least one sample and ``y`` holds
-    a label 0 or 1 per sample, and LengthMismatch when their lengths differ.
+    Raises DataError unless ``x`` holds at least one sample, all finite,
+    and ``y`` holds a label 0 or 1 per sample, and LengthMismatch when their
+    lengths differ.
     """
     x = np.asarray(x, dtype=np.float64)
     y = _labels(x, y)
+    if not np.isfinite(x).all():
+        raise DataError("net training needs finite samples")
     rng = np.random.default_rng(cfg.seed)
     params = list(model.parameters())
     velocity = [np.zeros_like(getattr(l, n)) for l, n in params]

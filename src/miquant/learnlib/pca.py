@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import vio
-from ..errors import DataError, DegenerateData
+from ..errors import DataError, DegenerateData, ShapeError
 
 VAR_FRAC = 0.95  # the share of the total variance the retained axes keep
 
@@ -52,6 +52,9 @@ def pca_fit(x: np.ndarray) -> PcaModel:
 
 
 def pca_project(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Project a vector or an (N, D) batch onto the retained axes."""
+    """Project a vector or an (N, D) batch onto the retained axes. Raises
+    ShapeError unless the sample width is the model's D."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != len(model.mean):
+        raise ShapeError(f"samples of shape {x.shape} for a {len(model.mean)}-wide PCA model")
     return (x - model.mean) @ model.axes

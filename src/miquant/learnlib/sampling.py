@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyClassError
+from ..errors import ConfigError, EmptyClassError
 
 ROTATION_MAX_DEG = 20.0
 SHEAR_MAX = 0.1
@@ -86,8 +86,10 @@ def augment_dataset(x: np.ndarray, y: np.ndarray, copies: int, seed: int):
 def balance_classes(x: np.ndarray, y: np.ndarray, seed: int, cap: int | None = None):
     """Subsample both classes to the minority count, or to ``cap`` when
     that is smaller, keeping the original ordering; deterministic under
-    seed.
+    seed. Raises ConfigError for a ``cap`` below 1.
     """
+    if cap is not None and cap < 1:
+        raise ConfigError(f"the per-class cap must be >= 1, not {cap}")
     y = np.asarray(y)
     classes = np.unique(y)
     if len(classes) != 2:

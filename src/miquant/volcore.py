@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage as ndi
 
-from .errors import AlignmentError, ConfigError, DataError, DegenerateHistogram
+from .errors import AlignmentError, ConfigError, DataError, DegenerateHistogram, LengthMismatch
 
 HIST_LEVELS = 256
 INPUT_SCALE = 1.0 / (HIST_LEVELS - 1)  # conditions [0, 255] crops for the nets
@@ -290,11 +290,23 @@ def pad_for_patches(img: np.ndarray, size: int) -> np.ndarray:
 def extract_patches(img: np.ndarray, ys, xs, size: int) -> np.ndarray:
     """Zero-padded size x size crops of img, one centred on each (ys[i],
     xs[i]), stacked as (n, size, size); see ``pad_for_patches``. Raises
-    DataError when a centre lies off the slice."""
-    if np.size(ys) and not (0 <= np.min(ys) <= np.max(ys) < img.shape[0]
-                            and 0 <= np.min(xs) <= np.max(xs) < img.shape[1]):
+    DataError for an image that is not 2-D, a size below 1, and centres that
+    are not integers or lie off the slice; LengthMismatch when ``ys`` and
+    ``xs`` differ in shape."""
+    ys, xs = np.asarray(ys), np.asarray(xs)
+    if np.ndim(img) != 2:
+        raise DataError(f"patches are cut from a 2-D image, not shape {np.shape(img)}")
+    if size < 1:
+        raise DataError(f"a patch is at least 1 px wide, not {size}")
+    if ys.shape != xs.shape:
+        raise LengthMismatch(f"patch centre rows {ys.shape} and columns {xs.shape} do not pair up")
+    if ys.size and not (ys.dtype.kind in "iu" and xs.dtype.kind in "iu"):
+        raise DataError(f"patch centres must be integers, not {ys.dtype} and {xs.dtype}")
+    if ys.size and not (0 <= np.min(ys) <= np.max(ys) < img.shape[0]
+                        and 0 <= np.min(xs) <= np.max(xs) < img.shape[1]):
         raise DataError("a patch centre lies off the slice")
-    return sliding_window_view(pad_for_patches(img, size), (size, size))[ys, xs]
+    windows = sliding_window_view(pad_for_patches(img, size), (size, size))
+    return windows[ys.astype(np.intp, copy=False), xs.astype(np.intp, copy=False)]
 
 
 # ---------------------------------------------------------------------------

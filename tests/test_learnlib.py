@@ -21,6 +21,7 @@ from miquant.learnlib.net import (
     MaxPool2,
     NetModel,
     ReLU,
+    _im2col,
     _pool_dilated,
 )
 
@@ -108,6 +109,42 @@ def test_conv_parameter_gradients_match_nested_loop_oracle(integer):
     else:
         np.testing.assert_allclose(conv.dw, dw, rtol=1e-12, atol=0)
         np.testing.assert_allclose(conv.db, db, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("cin", [1, 3])
+def test_im2col_equals_the_per_pixel_patch_oracle(cin, d, dtype):
+    # one-channel input takes the tap-major buffer, more channels the
+    # row-major one; both hold each pixel's taps, then the bias tap's one
+    rng = np.random.default_rng(10 * cin + d)
+    x = rng.normal(size=(2, 11, 10, cin)).astype(dtype)
+    kh, kw = 3, 2
+    cols, (n, oh, ow) = _im2col(x, kh, kw, d)
+    assert (n, oh, ow) == (2, 11 - d * (kh - 1), 10 - d * (kw - 1))
+    want = np.empty((n * oh * ow, kh * kw * cin + 1), dtype=dtype)
+    for row, (s, i, j) in enumerate(np.ndindex(n, oh, ow)):
+        want[row] = [x[s, i + k * d, j + l * d, c]
+                     for k in range(kh) for l in range(kw) for c in range(cin)] + [1.0]
+    assert cols.dtype == dtype
+    np.testing.assert_array_equal(cols, want)
+
+
+@pytest.mark.parametrize("cout", [1, 4, 16])
+def test_one_channel_conv_forward_and_weight_gradient_match_nested_loop_oracles(cout):
+    # BLAS rounds the tap-major and row-major layouts differently at some
+    # output widths, so this bounds the error instead of asking for bits
+    rng = np.random.default_rng(60 + cout)
+    w, b = rng.normal(size=(5, 5, 1, cout)), rng.normal(size=cout)
+    conv = Conv2D(w.copy(), b.copy())
+    x = rng.normal(size=(3, 10, 9, 1))
+    out = conv.forward(x, train=True)
+    np.testing.assert_allclose(out, naive_conv(x, w, b), rtol=1e-12, atol=1e-12)
+    dout = rng.normal(size=out.shape)
+    conv.backward(dout, need_dx=False)
+    dw, db = naive_conv_grads(x, dout, 5, 5)
+    np.testing.assert_allclose(conv.dw, dw, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv.db, db, rtol=1e-12, atol=1e-12)
 
 
 def test_dense_computes_in_its_input_dtype():
@@ -417,6 +454,15 @@ def test_net_train_rejects_labels_that_do_not_fit_its_samples(n, y, error):
     assert raised.type is error
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["NaN", "+inf", "-inf"])
+def test_net_train_rejects_a_non_finite_sample(value):
+    net = ll.build_classifier(13, seed=54, widths=(4, 6), fc=8)
+    x = np.random.default_rng(55).normal(size=(8, 13, 13, 1))
+    x[3, 6, 2, 0] = value
+    with pytest.raises(DataError, match="finite"):
+        ll.net_train(x, np.array([0, 1] * 4), net, ll.TrainConfig(epochs=1, batch_size=4, seed=56))
+
+
 def test_fc_net_solves_linearly_separable_toy():
     rng = np.random.default_rng(11)
     n = 60
@@ -551,6 +597,30 @@ def test_pool_backward_matches_argmax_oracle(shape):
     assert ((quads == out).sum(axis=0) > 1).any()  # the test inputs tie
     dout = rng.normal(size=out.shape)
     np.testing.assert_array_equal(pool.backward(dout), oracle.backward(dout))
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 6, 1), (3, 7, 9, 2), (2, 17, 13, 4)])
+def test_pool_masks_equal_the_four_comparison_first_max_oracle(shape):
+    # the fourth mask is taken as "no earlier max"; on tie-heavy blocks it
+    # must equal comparing the fourth phase too, and route one gradient
+    rng = np.random.default_rng(sum(shape) + 7)
+    x = rng.choice([-1.0, -0.0, 0.0, 0.0, 0.0, 2.0], size=shape)
+    n, h, w, c = shape
+    x[:, :4, :4] = 3.0  # constant blocks
+    x[:, 2:4] = rng.choice([0.0, -0.0], size=x[:, 2:4].shape)  # zero runs, signed
+    pool = MaxPool2()
+    out = pool.forward(x, train=True)
+    oh, ow = h // 2, w // 2
+    seen = np.zeros(out.shape, dtype=bool)
+    for (a, b), mask in zip(((0, 0), (0, 1), (1, 0), (1, 1)), pool._masks):
+        first = (x[:, a : 2 * oh : 2, b : 2 * ow : 2] == out) & ~seen
+        seen |= first
+        np.testing.assert_array_equal(mask, first)
+    assert seen.all()
+    dx = pool.backward(np.ones(out.shape))
+    routed = dx[:, : 2 * oh, : 2 * ow].reshape(n, oh, 2, ow, 2, c)
+    np.testing.assert_array_equal((routed != 0).sum(axis=(2, 4)), 1)
+    assert not dx[:, 2 * oh :].any() and not dx[:, :, 2 * ow :].any()
 
 
 _POOL_SHAPES = [(2, 3, 3, 1), (3, 5, 9, 2), (2, 17, 13, 4), (2, 41, 39, 3)]
@@ -889,6 +959,22 @@ def test_fits_reject_non_finite_samples_and_unpaired_labels(call, error):
     assert raised.type is error
 
 
+_PCA = ll.pca_fit(_XS)
+_MARGIN = ll.margin_train(_XS, _YS, epochs=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ll.pca_project(_PCA, np.ones(3)),
+    lambda: ll.pca_project(_PCA, np.ones((4, 1))),
+    lambda: ll.pca_project(_PCA, np.ones((4, 2, 1))),
+    lambda: ll.margin_decide(_MARGIN, np.ones((4, 3))),
+    lambda: ll.margin_decide(_MARGIN, np.ones((1, 1))),
+], ids=["PCA vector of 3", "PCA rows of 1", "PCA 3-D", "margin rows of 3", "margin row of 1"])
+def test_a_sample_width_other_than_the_models_is_a_shape_error(call):
+    with pytest.raises(ShapeError, match="wide"):
+        call()
+
+
 # --- augmentation ---
 
 def test_identity_params_reproduce_patch_exactly():
@@ -967,6 +1053,12 @@ def test_balance_seed_contract():
     assert len(ya) == len(yb) == 20
     xa2, _ = ll.balance_classes(x, y, seed=8)
     np.testing.assert_array_equal(xa, xa2)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_balance_rejects_a_cap_below_one(cap):
+    with pytest.raises(ConfigError, match="cap"):
+        ll.balance_classes(np.arange(6).reshape(6, 1), np.array([0, 1] * 3), seed=0, cap=cap)
 
 
 def test_balance_empty_class_error():

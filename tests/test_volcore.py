@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from miquant import segment, volcore as vc
-from miquant.errors import ConfigError, DataError, DegenerateHistogram
+from miquant.errors import ConfigError, DataError, DegenerateHistogram, LengthMismatch
 
 import oracles
 
@@ -237,6 +237,24 @@ def test_a_patch_centre_off_the_slice_is_a_data_error(y, x):
     # unchecked, a negative centre would index the padded slice from its far end
     with pytest.raises(DataError, match="off the slice"):
         vc.extract_patches(np.ones((6, 7)), [2, y], [2, x], 5)
+
+
+@pytest.mark.parametrize("img,ys,xs,size,error", [
+    (np.ones((6, 7)), np.array([2.0]), np.array([3.0]), 5, DataError),
+    (np.ones((6, 7)), np.array([True]), np.array([False]), 5, DataError),
+    (np.ones(7), [2], [3], 5, DataError),
+    (np.ones((6, 7)), [2], [3], 0, DataError),
+    (np.ones((6, 7)), [1, 2], [3], 5, LengthMismatch),
+], ids=["float centres", "bool centres", "1-D image", "size 0", "2 rows for 1 column"])
+def test_patches_reject_what_they_cannot_crop(img, ys, xs, size, error):
+    with pytest.raises(DataError) as raised:
+        vc.extract_patches(img, ys, xs, size)
+    assert raised.type is error
+
+
+@pytest.mark.parametrize("centres", [[], np.zeros(0, dtype=np.intp)], ids=["list", "intp"])
+def test_no_patch_centres_give_an_empty_stack(centres):
+    assert vc.extract_patches(np.ones((6, 7)), centres, centres, 5).shape == (0, 5, 5)
 
 
 # --- Otsu ---
