@@ -51,12 +51,15 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray, endo: np.ndarray) -> np
     centroid comes from the whole reference mask; the sectors are built on
     ``bounding_box(myo, 0)`` only, in slice coordinates, so each myocardial
     pixel gets its whole-slice angle and each sector's intensities keep
-    their order.
+    their order. Raises DataError unless img, myo and endo are 2-D.
     """
     myo = np.asarray(myo, dtype=bool)
+    endo = np.asarray(endo, dtype=bool)
+    if not np.ndim(img) == myo.ndim == endo.ndim == 2:
+        raise DataError(f"remote selection takes 2-D slices, not shapes "
+                        f"{np.shape(img)}, {myo.shape} and {endo.shape}")
     if not myo.any():
         raise EmptyMask("remote selection needs a non-empty myocardium")
-    endo = np.asarray(endo, dtype=bool)
     ref = endo if endo.any() else myo
     coords = np.argwhere(ref)
     cy, cx = coords.mean(axis=0)
@@ -80,13 +83,16 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray, endo: np.ndarray) -> np
 
 def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: np.ndarray, n: int) -> np.ndarray:
     """Threshold at mean + n * SD of the intensities under the bool mask
-    ``remote`` (strict >)."""
+    ``remote`` (strict >). Raises DataError when one of them is NaN or
+    infinite."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     img = np.asarray(img, dtype=np.float64)
     values = img[np.asarray(remote, dtype=bool)]
     if values.size == 0:
         raise EmptyRegion("remote region is empty")
+    if not np.isfinite(values).all():
+        raise DataError("the n-SD threshold needs finite remote intensities")
     t = float(values.mean()) + n * float(values.std(ddof=0))
     return (img > t) & np.asarray(myo, dtype=bool)
 

@@ -71,6 +71,22 @@ row-major matrix's; only the copy is cheaper (whole rows of pixels instead
 of runs of kw), and dW's product gets a C-ordered operand. More channels
 keep the row-major matrix: a channel-first tap-major one measured slower.
 BLAS may round the two layouts' products differently, by an ulp.
+
+A net's bottom stage, its one-channel convolution and the pool after it
+(behind a ReLU in relu-first model files), runs in pool-phase order in
+training and in ``forward`` and ``features``; ``NetModel`` finds it by the
+layers' spec tags. Unrolled convolution leaves the order of the patch rows
+free (Chellapilla, Puri and Simard 2006; Jia et al. 2014), so ``_im2col``
+writes each tap over the even part of the output grid as four phase blocks
+(a, b) stacked on the batch axis, and the convolution returns a (4N, OH/2,
+OW/2, C) map without the odd row and column that the pool drops. The pool
+takes the same maxima in the same operand order over four contiguous
+slabs, keeps contiguous masks, and returns its gradient in that layout,
+which the convolution multiplies into dW; a bottom layer needs no input
+gradient. Pooled values equal the layer-by-layer chain's wherever BLAS
+rounds a patch row alike in both matrices (every row at output widths 16,
+32 and 64 on OpenBLAS 0.3.31); dW sums its rows in another order, to
+about 1e-15 relative. Windowed inference keeps the plain order.
 """
 from __future__ import annotations
 
@@ -95,23 +111,35 @@ INFER_CHUNK = 32  # samples per trunk pass at inference
 # layers
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, d: int = 1) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, d: int = 1, phases: bool = False):
     """(N, H, W, C) -> (N*OH*OW, kh*kw*C + 1) patch matrix for valid
-    stride-1, with the taps ``d`` px apart; the last column is ones, the
-    bias tap, so one product with ``[W; b]`` adds the bias.
+    stride-1, with the taps ``d`` px apart, and its (N, OH, OW); the last
+    column is ones, the bias tap, so one product with ``[W; b]`` adds the
+    bias.
 
     A one-channel ``x`` fills a tap-major (kh*kw + 1, N*OH*OW) buffer, one
     block copy of ``x`` per tap, and returns its transpose view: the same
-    values in Fortran order, copied faster (see the module docstring)."""
+    values in Fortran order, copied faster (see the module docstring). With
+    ``phases`` it holds only the even OH x OW part of the output grid, its
+    rows in pool-phase order: the pixels (2y + a, 2x + b) of phase (a, b)
+    form one (N, OH/2, OW/2) block, and the four blocks stack in
+    ``_PHASES`` order, so the (N, OH, OW) returned is (4N, OH/2, OW/2)."""
     if x.shape[3] == 1:
         n, h, w, _ = x.shape
         oh, ow = h - d * (kh - 1), w - d * (kw - 1)
-        taps = np.empty((kh * kw + 1, n, oh, ow), dtype=x.dtype)
+        if phases:  # the rows and columns that a 2x2 pool reads
+            oh, ow = oh - oh % 2, ow - ow % 2
+        taps = np.empty((kh * kw + 1, n * oh * ow), dtype=x.dtype)
         for t in range(kh * kw):
             i, j = divmod(t, kw)
-            taps[t] = x[:, i * d : i * d + oh, j * d : j * d + ow, 0]
+            tap = x[:, i * d : i * d + oh, j * d : j * d + ow, 0]
+            if phases:  # pixel (2y + a, 2x + b) to [a, b, :, y, x]
+                tap = tap.reshape(n, oh // 2, 2, ow // 2, 2).transpose(2, 4, 0, 1, 3)
+            taps[t].reshape(tap.shape)[...] = tap
         taps[-1] = 1.0
-        return taps.reshape(kh * kw + 1, -1).T, (n, oh, ow)
+        return taps.T, ((4 * n, oh // 2, ow // 2) if phases else (n, oh, ow))
+    if phases:
+        raise ShapeError(f"only a one-channel input runs in pool-phase order, not {x.shape}")
     windows = sliding_window_view(x, (d * (kh - 1) + 1, d * (kw - 1) + 1), axis=(1, 2))
     windows = windows[..., ::d, ::d]  # (N, OH, OW, C, kh, kw)
     n, oh, ow, c = windows.shape[:4]
@@ -136,29 +164,41 @@ class Conv2D:
         self.dw = None
         self.db = None
         self._cols = None
+        self._phases = False
 
-    def forward(self, x, train=False, rng=None, dilation=1):
+    def forward(self, x, train=False, rng=None, dilation=1, phases=False):
         """Valid convolution in the dtype of ``x`` (the weights are cast to
         it; a no-op for 64-bit input), its taps ``dilation`` px apart; only
-        inference dilates. The bias is the patch matrix's last tap."""
+        inference dilates. The bias is the patch matrix's last tap.
+
+        With ``phases`` a one-channel convolution computes only the pixels
+        that a 2x2 pool reads, in pool-phase order (``_im2col``): the
+        output is (4N, OH/2, OW/2, cout), which ``MaxPool2`` pools with
+        ``phases``. Its backward then gives no input gradient."""
         kh, kw, cin, cout = self.w.shape
-        if train and dilation != 1:
-            raise ShapeError(f"training runs undilated convolutions, not dilation {dilation}")
-        if (x.shape[3] != cin or x.shape[1] < dilation * (kh - 1) + 1
-                or x.shape[2] < dilation * (kw - 1) + 1):
+        if (train or phases) and dilation != 1:
+            raise ShapeError(f"training and pool-phase order run undilated convolutions, "
+                             f"not dilation {dilation}")
+        least = 2 if phases else 1  # output pixels per axis
+        if (x.shape[3] != cin or x.shape[1] < dilation * (kh - 1) + least
+                or x.shape[2] < dilation * (kw - 1) + least):
             raise ShapeError(f"conv {self.w.shape} dilated by {dilation} cannot take input {x.shape}")
-        cols, (n, oh, ow) = _im2col(x, kh, kw, dilation)
+        cols, (n, oh, ow) = _im2col(x, kh, kw, dilation, phases)
         out = cols @ np.vstack([self.w.reshape(-1, cout), self.b], dtype=x.dtype)
         if train:
             self._cols = cols
+            self._phases = phases
         return out.reshape(n, oh, ow, cout)
 
     def backward(self, dout, need_dx=True):
         """Parameter gradients, and the input gradient taken per kernel tap:
         tap (i, j) read the input window at offset (i, j), so its share
-        dY @ W[i, j].T is added back onto that window."""
+        dY @ W[i, j].T is added back onto that window. ``dout`` is in the
+        forward's layout, so dW takes a pool-phase one as it is."""
         if self._cols is None:
             raise _no_forward(self)
+        if need_dx and self._phases:
+            raise ShapeError("a convolution run in pool-phase order has no input gradient")
         kh, kw, cin, cout = self.w.shape
         n, oh, ow, _ = dout.shape
         dmat = dout.reshape(-1, cout)
@@ -203,46 +243,61 @@ _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))  # a 2x2 block in row-major order
 
 
 class MaxPool2:
-    """2x2 max pooling, stride 2. Gradient routes to the first max of each
-    block in row-major order; only training keeps the four first-max masks
-    that routing needs. The first three compare their phase with the max;
-    the fourth is the blocks none of them holds, since a block's max is one
-    of its four values (a NaN stops training before any backward)."""
+    """2x2 max pooling, stride 2: the max of each block column's two rows,
+    then the max of the two columns. Gradient routes to the first max of
+    each block in row-major order; only training keeps the four first-max
+    masks that routing needs. The first three compare their phase with the
+    max; the fourth is the blocks none of them holds, since a block's max is
+    one of its four values (a NaN stops training before any backward).
+
+    With ``phases`` the input is a pool-phase-order conv output (see
+    ``Conv2D.forward``), (4N, OH, OW, C): phase (a, b) of every block in its
+    own contiguous slab. The pool then reads and masks whole slabs, and its
+    backward returns the gradient in that layout."""
 
     param_names = ()
     _masks = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, phases=False):
         n, h, w, c = x.shape
-        oh, ow = h // 2, w // 2
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
-        blocks = x[:, : oh * 2, : ow * 2, :].reshape(n, oh, 2, ow, 2, c)
-        rows = np.maximum(blocks[:, :, 0], blocks[:, :, 1])
-        out = np.maximum(rows[:, :, :, 0], rows[:, :, :, 1])
+        if phases:
+            if n % 4:
+                raise ShapeError(f"pool-phase input {x.shape} is not four phase slabs")
+            quads = x.reshape(2, 2, n // 4, h, w, c)  # [a, b]: phase (a, b)
+        else:
+            oh, ow = h // 2, w // 2
+            if oh < 1 or ow < 1:
+                raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
+            blocks = x[:, : oh * 2, : ow * 2, :].reshape(n, oh, 2, ow, 2, c)
+            quads = blocks.transpose(2, 4, 0, 1, 3, 5)
+        rows = np.maximum(quads[0], quads[1])
+        out = np.maximum(rows[0], rows[1])
         if not train:
             return out
-        phases = [blocks[:, :, a, :, b] for a, b in _PHASES]
-        seen = phases[0] == out
+        seen = quads[0, 0] == out
         self._masks = [seen]
-        for phase in phases[1:3]:
-            first = phase == out
+        for a, b in _PHASES[1:3]:
+            first = quads[a, b] == out
             first &= ~seen
             seen = seen | first
             self._masks.append(first)
         self._masks.append(~seen)
-        self._xshape = x.shape
+        self._xshape, self._phases = x.shape, phases
         return out
 
     def backward(self, dout):
         if self._masks is None:
             raise _no_forward(self)
-        oh, ow = self._xshape[1] // 2, self._xshape[2] // 2
         dx = np.empty(self._xshape)
-        dx[:, 2 * oh :] = 0.0  # odd remainders take no gradient
-        dx[:, :, 2 * ow :] = 0.0
+        if self._phases:
+            quads = dx.reshape(2, 2, *dout.shape)
+        else:
+            oh, ow = dout.shape[1:3]
+            dx[:, 2 * oh :] = 0.0  # odd remainders take no gradient
+            dx[:, :, 2 * ow :] = 0.0
+            quads = [[dx[:, a : 2 * oh : 2, b : 2 * ow : 2] for b in (0, 1)] for a in (0, 1)]
         for (a, b), mask in zip(_PHASES, self._masks):
-            np.multiply(dout, mask, out=dx[:, a : 2 * oh : 2, b : 2 * ow : 2])
+            np.multiply(dout, mask, out=quads[a][b])
         self._masks = None
         return dx
 
@@ -366,8 +421,27 @@ vio.register_layers(LAYER_TYPES)
 # model
 # ---------------------------------------------------------------------------
 
+def _phase_stage(layers):
+    """The length of the bottom stage that runs in pool-phase order: a
+    one-channel conv, then a pool, or a ReLU and then a pool (2 or 3
+    layers); 0 when ``layers`` do not start with one. The layers are told
+    apart by their spec tags."""
+    tags = tuple(layer.spec()[0] for layer in layers[:3])
+    if tags[:1] != ("conv",) or layers[0].w.shape[2] != 1:
+        return 0
+    if tags[1:2] == ("maxpool",):
+        return 2
+    return 3 if tags[1:3] == ("relu", "maxpool") else 0
+
+
 def _run(layers, x, train=False, rng=None):
-    for layer in layers:
+    stage = _phase_stage(layers)
+    if stage:  # the ReLU between, if any, is element-wise and takes any layout
+        x = layers[0].forward(x, train=train, phases=True)
+        for layer in layers[1 : stage - 1]:
+            x = layer.forward(x, train=train, rng=rng)
+        x = layers[stage - 1].forward(x, train=train, phases=True)
+    for layer in layers[stage:]:
         x = layer.forward(x, train=train, rng=rng)
     return x
 

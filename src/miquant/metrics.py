@@ -78,8 +78,12 @@ class _Reference:
         distance transform over the bounding box of prediction | reference
         and reads it at the reference's voxels: every voxel of either mask
         lies in that box, so its nearest voxel in the other mask does too.
+        A prediction that holds every reference voxel is at distance 0 from
+        each, so that direction needs no transform.
         """
         h_pr = self.edt[pred].max()
+        if pred[self.coords].all():
+            return float(h_pr)
         sub = tuple(slice(min(p.start, r.start), max(p.stop, r.stop))
                     for p, r in zip(_box(pred), self.inner_box))
         dist = distance_transform_edt(~pred[sub], sampling=self.sampling)

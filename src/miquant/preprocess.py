@@ -205,6 +205,7 @@ def normalize_slice(img: np.ndarray, myo: np.ndarray, bloodpool: np.ndarray) -> 
     The P_LO percentile of myocardial intensities goes to 0 and the P_HI
     percentile of blood-pool intensities to 255; everything is clamped, and
     pixels outside the epicardium (myo union blood pool) are zeroed.
+    Raises DataError when a reference intensity is NaN or infinite.
     """
     img = np.asarray(img, dtype=np.float64)
     myo = np.asarray(myo, dtype=bool)
@@ -213,6 +214,8 @@ def normalize_slice(img: np.ndarray, myo: np.ndarray, bloodpool: np.ndarray) -> 
         raise EmptyRegion("myocardium reference region is empty")
     if not bloodpool.any():
         raise EmptyRegion("blood-pool reference region is empty")
+    if not np.isfinite(img[myo | bloodpool]).all():
+        raise DataError("normalization needs finite reference intensities")
     lo = float(np.percentile(img[myo], P_LO))
     hi = float(np.percentile(img[bloodpool], P_HI))
     if hi <= lo:

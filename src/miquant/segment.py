@@ -94,6 +94,8 @@ def coarse_segment(img: np.ndarray, myo: np.ndarray):
     differ in shape.
     """
     _check_shapes(img=img, myo=myo)
+    if np.ndim(img) != 3:
+        raise DataError(f"coarse segmentation takes a stack of slices, not shape {np.shape(img)}")
     myo = np.asarray(myo, dtype=bool)
     if not myo.any(axis=(-2, -1)).all():
         raise EmptyMask("coarse segmentation needs a non-empty myocardium on every slice")
@@ -115,7 +117,11 @@ def coarse_segment(img: np.ndarray, myo: np.ndarray):
 
 
 def boundary_region(mask: np.ndarray, radius: int = BOUNDARY_RADIUS) -> np.ndarray:
-    """Dilated mask minus eroded mask (disk structuring element)."""
+    """Dilated mask minus eroded mask (disk structuring element), of a
+    slice or of each slice of a stack. Raises DataError on fewer than two
+    axes."""
+    if np.ndim(mask) < 2:
+        raise DataError(f"a boundary region is of a slice or a stack, not shape {np.shape(mask)}")
     se = make_disk_se(radius)
     return binary_dilate(mask, se) & ~binary_erode(mask, se)
 
@@ -200,26 +206,47 @@ def sample_training_patches(case: LabeledCase, seed: int = 0):
     without scar ground truth and EmptyClassError when either class gets
     no patch.
     """
+    centres = _training_centres(case, seed)
+    return _cut_patches(case.volume.data, centres[:, :3]), centres[:, 3].copy()
+
+
+def _training_centres(case: LabeledCase, seed: int) -> np.ndarray:
+    """The centres of ``sample_training_patches``'s patches, in its order,
+    as rows (slice, row, column, label): the class balance is drawn on the
+    centres, so no patch is cut before it is kept."""
     if case.gt_scar is None or case.gt_scar.count() == 0:
         raise NoGroundTruth(f"case {case.case_id} has no scar ground truth")
-    patches, labels = [], []
+    centres = []
     for k in range(case.nz):
         gt = case.gt_scar.data[k]
         if not gt.any():
             continue
+        # the dilation reaches no further than GT's box grown by the
+        # radius, and where that box is clipped its border is the slice's,
+        # so the band cut from it is the whole-slice one
+        y0, y1, x0, x1 = bounding_box(gt, TRAINING_BAND_RADIUS)
+        gt = gt[y0:y1, x0:x1]
         band = boundary_region(gt, TRAINING_BAND_RADIUS)
-        img = case.volume.data[k]
-        for centers, label in ((band & ~gt, 0), (band & gt, 1)):
-            ys, xs = np.nonzero(centers)
+        for in_band, label in ((band & ~gt, 0), (band & gt, 1)):
+            ys, xs = np.nonzero(in_band)
+            ys, xs = ys + y0, xs + x0
             keep = (ys % PATCH_STRIDE == 0) & (xs % PATCH_STRIDE == 0)
-            patches.append(extract_patches(img, ys[keep], xs[keep], PATCH_SIZE))
-            labels.append(np.full(keep.sum(), label, dtype=np.int64))
-    y = np.concatenate(labels)
-    if len(np.unique(y)) < 2:
+            centres.append(np.column_stack([np.full(keep.sum(), k), ys[keep], xs[keep],
+                                            np.full(keep.sum(), label)]))
+    centres = np.concatenate(centres)
+    if len(np.unique(centres[:, 3])) < 2:
         raise EmptyClassError(
             f"case {case.case_id}: the stride-{PATCH_STRIDE} lattice misses a class")
-    x = np.concatenate(patches)[..., None]
-    return ll.balance_classes(x, y, seed=seed)
+    keep, _ = ll.balance_classes(np.arange(len(centres)), centres[:, 3], seed=seed)
+    return centres[keep]
+
+
+def _cut_patches(volume: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """(n, PATCH_SIZE, PATCH_SIZE, 1) patches of a stack of slices at rows
+    (slice, row, column) whose slices do not decrease, in their order."""
+    k, ys, xs = centres.T
+    return np.concatenate([extract_patches(volume[s], ys[k == s], xs[k == s], PATCH_SIZE)
+                           for s in np.unique(k)])[..., None]
 
 
 @dataclass(frozen=True)
@@ -251,27 +278,32 @@ def train_patch_ensemble(cases: list[LabeledCase], cfg: EnsembleConfig, seed: in
     intensity of the pool, so that overlapping patches see the same input
     at a shared pixel and refine can scan each member's trunk densely (see
     ``NetModel.forward_windows``). Cases without scar ground truth, or
-    whose stride lattice misses a class, are skipped.
+    whose stride lattice misses a class, are skipped. The per-case balance
+    and the cap are drawn on patch centres, so only the kept patches are
+    cut.
     """
     ss = np.random.SeedSequence(seed)
     case_seeds = ss.spawn(len(cases))
-    xs, ys = [], []
-    for case, child in zip(cases, case_seeds):
+    kept = []  # rows (case, slice, row, column, label)
+    for i, (case, child) in enumerate(zip(cases, case_seeds)):
         try:
-            x, y = sample_training_patches(case, seed=int(child.generate_state(1)[0]))
+            centres = _training_centres(case, seed=int(child.generate_state(1)[0]))
         except (NoGroundTruth, EmptyClassError):
             continue
-        xs.append(x)
-        ys.append(y)
-    if not xs:
+        kept.append(np.column_stack([np.full(len(centres), i), centres]))
+    if not kept:
         raise NoGroundTruth("no case provided patches of both classes")
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    kept = np.concatenate(kept)
 
     _, cap_child, order_child = ss.spawn(3)
     if cfg.max_patches_per_class is not None:
-        x, y = ll.balance_classes(x, y, seed=int(cap_child.generate_state(1)[0]),
-                                  cap=cfg.max_patches_per_class)
+        keep, _ = ll.balance_classes(np.arange(len(kept)), kept[:, 4],
+                                     seed=int(cap_child.generate_state(1)[0]),
+                                     cap=cfg.max_patches_per_class)
+        kept = kept[keep]
+    x = np.concatenate([_cut_patches(cases[i].volume.data, kept[kept[:, 0] == i, 1:4])
+                        for i in np.unique(kept[:, 0])])
+    y = kept[:, 4].copy()
 
     mean = float(x.mean())
     xc = (x - mean) * INPUT_SCALE
@@ -321,10 +353,13 @@ def include_mvo(hyper: np.ndarray, endo: np.ndarray, myo: np.ndarray) -> np.ndar
     its 1-px ring and all beyond it is one background frame that touches
     the slice border, so a background pixel of the crop reaches the crop's
     border exactly when it reaches the slice's: each filled slice is the
-    whole-slice one, and nothing outside the crop is a hole. An empty union gives no MVO. Raises AlignmentError when hyper,
-    endo and myo differ in shape.
+    whole-slice one, and nothing outside the crop is a hole. An empty union
+    gives no MVO. Raises AlignmentError when hyper, endo and myo differ in
+    shape, and DataError unless their slices are 2-D with pixels.
     """
     _check_shapes(hyper=hyper, endo=endo, myo=myo)
+    if np.ndim(hyper) < 2 or 0 in np.shape(hyper)[-2:]:
+        raise DataError(f"MVO inclusion takes slices with pixels, not shape {np.shape(hyper)}")
     union = np.asarray(endo, dtype=bool) | np.asarray(hyper, dtype=bool)
     mvo = np.zeros(union.shape, dtype=bool)
     y0, y1, x0, x1 = bounding_box(union.reshape((-1,) + union.shape[-2:]).any(axis=0), 1)

@@ -259,8 +259,11 @@ _FOUR_CONNECTED = ndi.generate_binary_structure(2, 1)
 
 def fill_holes_2d(mask: np.ndarray) -> np.ndarray:
     """Add background regions not 4-connected to the slice border, on a
-    slice or on each slice of a stack (..., ny, nx) alone."""
+    slice or on each slice of a stack (..., ny, nx) alone. Raises DataError
+    on fewer than two axes."""
     mask = np.asarray(mask, dtype=bool)
+    if mask.ndim < 2:
+        raise DataError(f"holes are filled in a slice or a stack, not shape {mask.shape}")
     structure = _FOUR_CONNECTED.reshape((1,) * (mask.ndim - 2) + (3, 3))
     return ndi.binary_fill_holes(mask, structure=structure)
 
@@ -268,8 +271,10 @@ def fill_holes_2d(mask: np.ndarray) -> np.ndarray:
 def bounding_box(mask: np.ndarray, margin: int) -> tuple[int, int, int, int]:
     """(y0, y1, x0, x1): the half-open bounding box of a 2-D mask grown by
     margin pixels on every side and clipped to the slice; (0, 0, 0, 0) for
-    an empty mask."""
+    an empty mask. Raises DataError unless the mask is 2-D."""
     mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise DataError(f"a bounding box is taken of a 2-D mask, not shape {mask.shape}")
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))
     if not len(rows):

@@ -16,7 +16,9 @@ takes a convolution's input gradient as the full correlation over the
 zero-padded output gradient, which the package computed before it took
 that gradient per kernel tap. ``one_sample_em`` is the mixture fit's EM
 loop on one sample, which the package ran per slice before it fitted every
-slice of a case in one loop.
+slice of a case in one loop. ``cut_every_training_patch`` samples a case's
+training patches as the package did before it drew the class balance on the
+patch centres: it cuts every lattice patch of the whole-slice band first.
 """
 from collections import deque
 
@@ -31,12 +33,13 @@ from miquant.errors import (
     EmptyRegion,
     ShapeError,
 )
-from miquant.learnlib import net_loss
+from miquant.learnlib import balance_classes, net_loss
 from miquant.learnlib.net import Conv2D
 from miquant.volcore import (
     LabeledCase,
     Volume,
     binary_opening,
+    extract_patches,
     intensity_levels,
     make_disk_se,
     otsu_threshold,
@@ -299,6 +302,26 @@ def rank_spearman(x, y):
     return float((rx * ry).sum() / np.sqrt((rx**2).sum() * (ry**2).sum()))
 
 
+# --- training patches: every lattice patch cut, then balanced ---
+
+def cut_every_training_patch(case, seed):
+    """``segment.sample_training_patches``'s (x, y) from every lattice
+    patch of each slice's whole-slice band, balanced after cutting."""
+    patches, labels = [], []
+    for k in range(case.nz):
+        gt = case.gt_scar.data[k]
+        if not gt.any():
+            continue
+        band = segment.boundary_region(gt, segment.TRAINING_BAND_RADIUS)
+        for centres, label in ((band & ~gt, 0), (band & gt, 1)):
+            ys, xs = np.nonzero(centres)
+            keep = (ys % segment.PATCH_STRIDE == 0) & (xs % segment.PATCH_STRIDE == 0)
+            patches.append(extract_patches(case.volume.data[k], ys[keep], xs[keep],
+                                           segment.PATCH_SIZE))
+            labels.append(np.full(keep.sum(), label, dtype=np.int64))
+    return balance_classes(np.concatenate(patches)[..., None], np.concatenate(labels), seed=seed)
+
+
 # --- Gaussian mixture: the one-sample EM loop ---
 
 def one_sample_em(values):
@@ -368,31 +391,38 @@ def allpairs_hausdorff(a_coords, b_coords, spacing_zyx):
 
 class ArgmaxPool2:
     """2x2 stride-2 max pooling that routes the gradient to each block's
-    first argmax through index arrays. It is not a ``MaxPool2``, so a net
-    that holds it runs it after its ReLU, in stored order."""
+    first argmax through index arrays. A net runs it in stored order, and,
+    like ``MaxPool2``, with ``phases`` at the bottom stage: the input is
+    then four phase slabs (4N, OH, OW, C), phase (a, b) in slab 2a + b, and
+    the gradient goes back in that layout."""
 
     param_names = ()
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, phases=False):
         n, h, w, c = x.shape
-        oh, ow = h // 2, w // 2
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
-        quads = (
-            x[:, : oh * 2, : ow * 2, :]
-            .reshape(n, oh, 2, ow, 2, c)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(n, oh, ow, c, 4)
-        )
+        self._xshape, self._phases = x.shape, phases
+        if phases:
+            quads = np.moveaxis(x.reshape(4, n // 4, h, w, c), 0, -1)
+        else:
+            oh, ow = h // 2, w // 2
+            if oh < 1 or ow < 1:
+                raise ShapeError(f"input {x.shape} too small for 2x2 pooling")
+            quads = (
+                x[:, : oh * 2, : ow * 2, :]
+                .reshape(n, oh, 2, ow, 2, c)
+                .transpose(0, 1, 3, 5, 2, 4)
+                .reshape(n, oh, ow, c, 4)
+            )
         self._idx = np.argmax(quads, axis=-1)
-        self._xshape = x.shape
         return np.take_along_axis(quads, self._idx[..., None], axis=-1)[..., 0]
 
     def backward(self, dout):
         n, h, w, c = self._xshape
-        oh, ow = h // 2, w // 2
-        grads = np.zeros((n, oh, ow, c, 4))
+        grads = np.zeros((*dout.shape, 4))
         np.put_along_axis(grads, self._idx[..., None], dout[..., None], axis=-1)
+        if self._phases:
+            return np.moveaxis(grads, -1, 0).reshape(n, h, w, c)
+        oh, ow = h // 2, w // 2
         dx = np.zeros((n, h, w, c))
         dx[:, : oh * 2, : ow * 2, :] = (
             grads.reshape(n, oh, ow, c, 2, 2)

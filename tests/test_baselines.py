@@ -35,6 +35,23 @@ def test_nsd_needs_n_of_one_or_more(diseased_cases):
         baselines.nsd_segment(img, myo, remote, 0)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_nsd_rejects_a_non_finite_remote_intensity(value):
+    img = np.arange(64.0).reshape(8, 8)
+    myo = np.zeros((8, 8), dtype=bool)
+    myo[2:6, 1:7] = True
+    img[3, 3] = value
+    with pytest.raises(DataError):
+        baselines.nsd_segment(img, myo, myo, 2)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 5, 5)])
+def test_remote_selection_takes_only_2d_slices(shape):
+    mask = np.ones(shape, dtype=bool)
+    with pytest.raises(DataError):
+        baselines.auto_remote_region(np.ones(shape), mask, mask)
+
+
 def _per_slice(img, myo, endo, remote=None):
     """Each method's mask on one slice, from its own segment function; the
     n-SD reference is remote within the myocardium or, where that is empty,

@@ -183,16 +183,120 @@ def _train_chain(layers, x):
 
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
 def test_inference_path_bit_identical_to_training_chain(n):
-    # 49 px: conv5 -> 45, and the 45 -> 22 pool drops an odd remainder
-    net = ll.build_classifier(49, seed=36, dropout=0.0)
-    rng = np.random.default_rng(37)
+    # 49 px: conv5 -> 45, and the 45 -> 22 pool drops an odd remainder;
+    # 89 px, the detector's input: 85 -> 42
+    for size in (49, 89):
+        net = ll.build_classifier(size, seed=36, dropout=0.0)
+        rng = np.random.default_rng(37)
+        for layer in net.layers:
+            if isinstance(layer, (Conv2D, Dense)):
+                layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
+        x = rng.normal(size=(n, size, size, 1))
+        np.testing.assert_array_equal(net.forward(x), _train_chain(net.layers, x))
+        np.testing.assert_array_equal(
+            net.features(x), _train_chain(net.layers[: net.feature_layer], x))
+
+
+# --- the bottom stage in pool-phase order ---
+
+def _phase_slabs(z):
+    """The (4N, OH, OW, C) pool-phase layout of an (N, H, W, C) map: phase
+    (a, b) of every 2x2 block, in slab 2a + b; odd remainders dropped."""
+    oh, ow = z.shape[1] // 2, z.shape[2] // 2
+    return np.concatenate([z[:, a : 2 * oh : 2, b : 2 * ow : 2] for a in (0, 1) for b in (0, 1)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 13, 13, 1), (1, 14, 11, 1), (0, 13, 13, 1)])
+def test_phase_ordered_im2col_holds_the_pooled_pixels_phase_by_phase(shape, dtype):
+    # the same patch rows as the plain matrix, only reordered, and without
+    # the odd row and column that the pool drops
+    x = np.random.default_rng(sum(shape)).normal(size=shape).astype(dtype)
+    cols, (n, oh, ow) = _im2col(x, 5, 3)
+    phased, dims = _im2col(x, 5, 3, phases=True)
+    assert dims == (4 * n, oh // 2, ow // 2) and phased.dtype == dtype
+    rows = np.arange(n * oh * ow).reshape(n, oh, ow, 1)
+    np.testing.assert_array_equal(phased, cols[_phase_slabs(rows).ravel()])
+
+
+def test_phase_order_needs_one_undilated_channel_and_four_slabs():
+    conv = Conv2D(np.ones((3, 3, 2, 4)), np.zeros(4))
+    with pytest.raises(ShapeError):  # two channels
+        conv.forward(np.ones((1, 9, 9, 2)), phases=True)
+    conv = Conv2D(np.ones((3, 3, 1, 4)), np.zeros(4))
+    with pytest.raises(ShapeError):
+        conv.forward(np.ones((1, 9, 9, 1)), phases=True, dilation=2)
+    with pytest.raises(ShapeError):  # a 1 x 2 output holds no 2 x 2 block
+        conv.forward(np.ones((1, 3, 4, 1)), phases=True)
+    conv.forward(np.ones((1, 9, 9, 1)), train=True, phases=True)
+    with pytest.raises(ShapeError):  # the stage gives no input gradient
+        conv.backward(np.ones((4, 3, 3, 4)))
+    with pytest.raises(ShapeError):
+        MaxPool2().forward(np.ones((6, 3, 3, 4)), phases=True)
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 6, 1), (3, 7, 9, 2), (2, 17, 13, 4)])
+def test_phase_pool_routes_one_gradient_per_tied_block_as_the_argmax_oracle(shape):
+    # flat corners and signed zero runs tie whole blocks; the phase slabs
+    # pool bit for bit as the map does, and each block routes one gradient,
+    # to its first max in row-major order
+    rng = np.random.default_rng(sum(shape) + 11)
+    z = rng.choice([-1.0, -0.0, 0.0, 0.0, 0.0, 2.0], size=shape)
+    z[:, :4, :4] = 3.0
+    z[:, 2:4] = rng.choice([0.0, -0.0], size=z[:, 2:4].shape)
+    x = _phase_slabs(z)
+    pool, oracle, spatial = MaxPool2(), oracles.ArgmaxPool2(), MaxPool2()
+    out = pool.forward(x, train=True, phases=True)
+    want = spatial.forward(z, train=True)
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
+    np.testing.assert_array_equal(out, oracle.forward(x, train=True, phases=True))
+    dout = rng.normal(size=out.shape)
+    dx = pool.backward(dout)
+    assert dx.shape == x.shape
+    np.testing.assert_array_equal(dx, oracle.backward(dout))
+    np.testing.assert_array_equal(dx, _phase_slabs(spatial.backward(dout)))
+    np.testing.assert_array_equal((dx != 0).reshape(4, *out.shape).sum(axis=0), 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 33])
+@pytest.mark.parametrize("size", [13, 49, 89])
+def test_phase_stage_equals_the_layer_by_layer_chain(size, n):
+    # conv1 maps of 9, 45 and 85 px: odd, so pool1 drops a remainder
+    widths = (16, 32) if size == 13 else (16, 32, 64)
+    net = ll.build_classifier(size, seed=size + n, widths=widths, dropout=0.0)
+    rng = np.random.default_rng(size + n)
     for layer in net.layers:
         if isinstance(layer, (Conv2D, Dense)):
             layer.b[...] = rng.normal(0.0, 0.1, layer.b.shape)
-    x = rng.normal(size=(n, 49, 49, 1))
-    np.testing.assert_array_equal(net.forward(x), _train_chain(net.layers, x))
+    x = rng.normal(size=(n, size, size, 1))
+    chain = _train_chain(net.layers, x)
+    np.testing.assert_array_equal(net.forward(x), chain)
+    np.testing.assert_array_equal(net.forward(x, train=True), chain)
     np.testing.assert_array_equal(
         net.features(x), _train_chain(net.layers[: net.feature_layer], x))
+    # a net cut before pool1 has no stage, and returns conv1's map as it is
+    np.testing.assert_array_equal(net.forward(x, n_layers=1), net.layers[0].forward(x))
+
+
+@pytest.mark.parametrize("cout", [1, 4, 16])
+@pytest.mark.parametrize("size", [13, 14])
+def test_phase_stage_weight_gradient_matches_nested_loop_oracle(size, cout):
+    # the pooled gradient, scattered to the spatial map, gives the oracle's
+    # dW; the stage sums the same products in another row order
+    rng = np.random.default_rng(10 * size + cout)
+    conv, pool = Conv2D(rng.normal(size=(5, 5, 1, cout)), rng.normal(size=cout)), MaxPool2()
+    x = rng.normal(size=(3, size, size, 1))
+    z = conv.forward(x, train=True, phases=True)
+    out = pool.forward(z, train=True, phases=True)
+    spatial = MaxPool2()
+    want = spatial.forward(naive_conv(x, conv.w, conv.b), train=True)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    dout = rng.normal(size=out.shape)
+    conv.backward(pool.backward(dout), need_dx=False)
+    dw, db = naive_conv_grads(x, spatial.backward(dout), 5, 5)
+    np.testing.assert_allclose(conv.dw, dw, rtol=0, atol=1e-13 * np.abs(dw).max())
+    np.testing.assert_allclose(conv.db, db, rtol=0, atol=1e-13 * np.abs(db).max())
 
 
 def test_forward_empty_batch_returns_empty_rows():

@@ -117,6 +117,29 @@ def test_hausdorff_matches_allpairs_oracle():
     assert checked >= 50
 
 
+@pytest.mark.parametrize("extra", ["nothing", "a far blob", "a voxel on another slice"])
+def test_hausdorff_of_a_prediction_covering_the_reference_needs_one_transform(extra, monkeypatch):
+    # every reference voxel is predicted, so reference to prediction is 0 mm
+    # and only the reference's own distance transform runs
+    gt = np.zeros((4, 16, 18), dtype=bool)
+    gt[1:3, 4:9, 5:11] = True
+    gt[2, 6, 11] = True
+    pred = gt.copy()
+    if extra == "a far blob":
+        pred[0:2, 13:15, 14:17] = True
+    elif extra == "a voxel on another slice":
+        pred[3, 0, 0] = True
+    spacing = (1.25, 1.5, 8.0)
+    calls = []
+    edt = mx.distance_transform_edt
+    monkeypatch.setattr(mx, "distance_transform_edt", lambda *a, **k: calls.append(1) or edt(*a, **k))
+    got = mx.hausdorff3d(Mask(spacing, pred), Mask(spacing, gt))
+    ref = oracles.allpairs_hausdorff(np.argwhere(pred), np.argwhere(gt), spacing[::-1])
+    assert got == pytest.approx(ref, abs=1e-12)
+    assert (got == 0.0) == (extra == "nothing")
+    assert len(calls) == 1
+
+
 def test_hausdorff_symmetry_and_triangle():
     rng = np.random.default_rng(5)
     for _ in range(10):

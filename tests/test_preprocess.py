@@ -388,6 +388,19 @@ def test_normalize_empty_region():
         pp.normalize_slice(np.zeros((12, 12)), np.zeros_like(myo), pool)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("region", ["myocardium", "blood pool"])
+def test_normalize_rejects_a_non_finite_reference_intensity(region, value):
+    # +-inf made np.percentile subtract inf from inf (a RuntimeWarning)
+    myo, pool = _refs()
+    img = np.zeros((12, 12))
+    img[myo] = 10.0
+    img[pool] = 90.0
+    img[tuple(np.argwhere(myo if region == "myocardium" else pool)[0])] = value
+    with pytest.raises(DataError):
+        pp.normalize_slice(img, myo, pool)
+
+
 def test_normalize_preserves_order():
     rng = np.random.default_rng(6)
     myo, pool = _refs()

@@ -317,6 +317,20 @@ def test_ensemble_config_needs_a_patch_cap_of_one_or_more(max_patches_per_class)
     assert segment.EnsembleConfig(max_patches_per_class=None).max_patches_per_class is None
 
 
+@pytest.mark.parametrize("call", [
+    lambda: segment.coarse_segment(np.ones((8, 8)), np.ones((8, 8), dtype=bool)),
+    lambda: segment.include_mvo(*[np.zeros((0, 0), dtype=bool)] * 3),
+    lambda: segment.include_mvo(*[np.zeros((2, 4, 0), dtype=bool)] * 3),
+    lambda: segment.include_mvo(*[np.zeros(5, dtype=bool)] * 3),
+    lambda: segment.boundary_region(np.ones((), dtype=bool)),
+    lambda: segment.boundary_region(np.ones(5, dtype=bool)),
+], ids=["coarse on one slice", "MVO on a 0x0 slice", "MVO on 4x0 slices", "MVO on 1-D",
+        "band of 0-D", "band of 1-D"])
+def test_arrays_of_the_wrong_rank_or_no_pixels_are_data_errors(call):
+    with pytest.raises(DataError):
+        call()
+
+
 @pytest.mark.parametrize("radius", [1, segment.BOUNDARY_RADIUS, 3])
 def test_boundary_region_is_dilation_minus_erosion(radius):
     rng = np.random.default_rng(radius)
@@ -564,6 +578,33 @@ def test_training_centres_match_the_distance_transform_oracle(monkeypatch):
     half = segment.PATCH_SIZE // 2
     np.testing.assert_array_equal(x[:, half, half, 0], np.concatenate(want_ids))
     np.testing.assert_array_equal(y, np.concatenate(want_labels))
+
+
+def test_training_patches_equal_every_lattice_patch_cut_then_balanced(diseased_cases):
+    for seed, case in enumerate(diseased_cases):
+        x, y = segment.sample_training_patches(case, seed=seed)
+        want_x, want_y = oracles.cut_every_training_patch(case, seed)
+        assert x.dtype == want_x.dtype and y.dtype == want_y.dtype
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(y, want_y)
+
+
+def test_ensemble_pool_is_the_capped_pool_of_every_cut_patch(diseased_cases):
+    # the pool's mean, the ensemble's centring, sums exactly the kept patches
+    cases = diseased_cases[:3]
+    cfg = segment.EnsembleConfig(
+        members=3, widths=(2,), fc=4,
+        train=ll.TrainConfig(batch_size=64, epochs=1, seed=0), max_patches_per_class=30,
+    )
+    ss = np.random.SeedSequence(4)
+    parts = [oracles.cut_every_training_patch(case, int(child.generate_state(1)[0]))
+             for case, child in zip(cases, ss.spawn(len(cases)))]
+    _, cap_child, _ = ss.spawn(3)
+    x, y = ll.balance_classes(np.concatenate([p[0] for p in parts]),
+                              np.concatenate([p[1] for p in parts]),
+                              seed=int(cap_child.generate_state(1)[0]), cap=30)
+    assert (y == 0).sum() == (y == 1).sum() == 30
+    assert segment.train_patch_ensemble(cases, cfg, seed=4).mean_patch == float(x.mean())
 
 
 def test_ensemble_training_skips_case_whose_lattice_misses_a_class(diseased_cases):

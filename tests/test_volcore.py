@@ -209,6 +209,17 @@ def test_fill_matches_bfs_oracle():
                                       expected.reshape(2, -1, *shape))
 
 
+@pytest.mark.parametrize("shape", [(), (5,), (2, 5, 5)])
+def test_boxes_and_hole_fills_reject_a_mask_of_the_wrong_rank(shape):
+    # a bounding box is of one slice; holes are filled in a slice or a stack
+    mask = np.ones(shape, dtype=bool)
+    with pytest.raises(DataError):
+        vc.bounding_box(mask, 1)
+    if len(shape) < 2:
+        with pytest.raises(DataError):
+            vc.fill_holes_2d(mask)
+
+
 def test_fill_is_extensive_and_idempotent():
     rng = np.random.default_rng(23)
     for _ in range(30):
