@@ -21,6 +21,7 @@ from .volcore import (
     Mask,
     bounding_box,
     check_aligned,
+    check_shapes,
     intensity_levels,
     otsu_threshold,
 )
@@ -51,8 +52,10 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray, endo: np.ndarray) -> np
     centroid comes from the whole reference mask; the sectors are built on
     ``bounding_box(myo, 0)`` only, in slice coordinates, so each myocardial
     pixel gets its whole-slice angle and each sector's intensities keep
-    their order. Raises DataError unless img, myo and endo are 2-D.
+    their order. Raises AlignmentError when img, myo and endo differ in
+    shape and DataError unless they are 2-D.
     """
+    check_shapes(img=img, myo=myo, endo=endo)
     myo = np.asarray(myo, dtype=bool)
     endo = np.asarray(endo, dtype=bool)
     if not np.ndim(img) == myo.ndim == endo.ndim == 2:
@@ -84,9 +87,10 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray, endo: np.ndarray) -> np
 def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: np.ndarray, n: int) -> np.ndarray:
     """Threshold at mean + n * SD of the intensities under the bool mask
     ``remote`` (strict >). Raises DataError when one of them is NaN or
-    infinite."""
+    infinite, and AlignmentError when img, myo and remote differ in shape."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    check_shapes(img=img, myo=myo, remote=remote)
     img = np.asarray(img, dtype=np.float64)
     values = img[np.asarray(remote, dtype=bool)]
     if values.size == 0:
@@ -100,7 +104,8 @@ def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: np.ndarray, n: int) ->
 def fwhm_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
     """Threshold at half the maximum myocardial intensity (inclusive).
     Raises DegenerateData on constant myocardial intensities, where every
-    voxel would pass."""
+    voxel would pass, and AlignmentError when img and myo differ in shape."""
+    check_shapes(img=img, myo=myo)
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("FWHM needs a non-empty myocardium")
@@ -114,7 +119,9 @@ def fwhm_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
 
 
 def otsu_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
-    """Otsu threshold of the raw (un-enhanced) myocardial histogram."""
+    """Otsu threshold of the raw (un-enhanced) myocardial histogram. Raises
+    AlignmentError when img and myo differ in shape."""
+    check_shapes(img=img, myo=myo)
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("Otsu needs a non-empty myocardium")

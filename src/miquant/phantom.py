@@ -8,6 +8,8 @@ myocardium is Rayleigh distributed.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,11 +47,38 @@ class PhantomSpec:
     blur_sigma_px: float = 0.8
 
     def validate(self) -> None:
-        if self.inner_radius_mm <= 0 or self.inner_radius_mm >= self.outer_radius_mm:
-            raise SpecError("need 0 < inner radius < outer radius")
+        """Raise SpecError unless the spec describes a phantom that can be
+        drawn. The rules:
+
+        - ``dims`` is three ints >= 1 and ``spacing`` three finite
+          values > 0;
+        - 0 < ``inner_radius_mm`` < ``outer_radius_mm``, both finite;
+        - ``center_jitter_mm``, ``blur_sigma_px`` and the five intensity
+          scales (the ``*_sigma`` fields) are finite and >= 0, and the
+          three ``*_mu`` means are finite;
+        - ``mvo`` needs ``scar``;
+        - with ``scar``: ``scar_start_deg`` is finite, ``scar_transmural``
+          is in (0, 1], ``scar_extent_deg`` in (0, 360], and ``scar_mu``
+          exceeds ``healthy_sigma``.
+        """
+        if len(self.dims) != 3 or not all(_is_int_from(d, 1) for d in self.dims):
+            raise SpecError(f"dims must be three ints >= 1, got {self.dims}")
+        if len(self.spacing) != 3 or not all(0.0 < s < math.inf for s in self.spacing):
+            raise SpecError(f"spacing must be three finite values > 0, got {self.spacing}")
+        if not (0.0 < self.inner_radius_mm < self.outer_radius_mm < math.inf):
+            raise SpecError("need 0 < inner radius < outer radius, both finite")
+        for name in ("center_jitter_mm", "blur_sigma_px", "healthy_sigma", "scar_sigma",
+                     "bloodpool_sigma", "mvo_sigma", "background_sigma"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise SpecError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("scar_mu", "bloodpool_mu", "mvo_mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mvo and not self.scar:
             raise SpecError("MVO requires a scar")
         if self.scar:
+            if not math.isfinite(self.scar_start_deg):
+                raise SpecError(f"scar start must be finite, got {self.scar_start_deg}")
             if not (0.0 < self.scar_transmural <= 1.0):
                 raise SpecError("transmural fraction must be in (0, 1]")
             if not (0.0 < self.scar_extent_deg <= 360.0):
@@ -58,12 +87,41 @@ class PhantomSpec:
                 raise SpecError("scar mean must exceed the healthy intensity mode")
 
 
+def _is_int_from(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def _heart_span(centre: float, reach_px: float, n: int) -> slice:
+    """The pixels of one axis that can lie within ``reach_px`` of
+    ``centre``, with one pixel to spare on each side, clipped to [0, n)."""
+    lo = min(max(math.floor(centre - reach_px) - 1, 0), n)
+    hi = min(max(math.ceil(centre + reach_px) + 2, lo), n)
+    return slice(lo, hi)
+
+
 def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> LabeledCase:
-    """Deterministic labeled case for (spec, seed); the seed is required."""
+    """Deterministic labeled case for (spec, seed); the seed is required.
+
+    Each slice draws from one generator in a fixed order: the two centre
+    jitter uniforms, then whole-slice background, healthy, bright (scar),
+    blood-pool and dark (MVO) fields, all five even where the spec reads
+    fewer. Any change to that order changes every later slice.
+
+    A slice's geometry is computed only on its heart box, the pixels that
+    can lie within ``outer_radius_mm`` of the slice's centre (see
+    ``_heart_span``): the radius map on the box, and the sector angle only
+    where scar can lie (myocardium within the scar's depth). Every mask is
+    False off the box, and each field is copied into the background where
+    its mask holds, myocardium, scar, MVO, then blood pool.
+    """
     spec.validate()
     rng = np.random.default_rng(seed)
     nx, ny, nz = spec.dims
     sx, sy, sz = spec.spacing
+    r_in, r_out = spec.inner_radius_mm, spec.outer_radius_mm
+    depth = spec.scar_transmural * (r_out - r_in)
+    margin = spec.mvo_angle_margin * spec.scar_extent_deg
+    core_depth = spec.mvo_depth_frac * depth
 
     vol = np.empty((nz, ny, nx))
     myo = np.zeros((nz, ny, nx), dtype=bool)
@@ -71,28 +129,27 @@ def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> Lab
     scar = np.zeros((nz, ny, nx), dtype=bool)
     mvo = np.zeros((nz, ny, nx), dtype=bool)
 
-    yy, xx = np.mgrid[0:ny, 0:nx]
     for k in range(nz):
         jx, jy = rng.uniform(-spec.center_jitter_mm, spec.center_jitter_mm, size=2)
         cx = (nx - 1) / 2.0 + jx / sx
         cy = (ny - 1) / 2.0 + jy / sy
+        box = ys, xs = _heart_span(cy, r_out / sy, ny), _heart_span(cx, r_out / sx, nx)
+        yy = np.arange(ys.start, ys.stop)[:, None]
+        xx = np.arange(xs.start, xs.stop)
         rho = np.hypot((xx - cx) * sx, (yy - cy) * sy)
-        endo_k = rho <= spec.inner_radius_mm
-        myo_k = (rho > spec.inner_radius_mm) & (rho <= spec.outer_radius_mm)
+        endo_k = rho <= r_in
+        myo_k = (rho > r_in) & (rho <= r_out)
         scar_k = np.zeros_like(myo_k)
         mvo_k = np.zeros_like(myo_k)
         if spec.scar:
-            angle = np.degrees(np.arctan2(yy - cy, xx - cx)) % 360.0
+            iy, ix = np.nonzero(myo_k & (rho <= r_in + depth))
+            angle = np.degrees(np.arctan2(iy + ys.start - cy, ix + xs.start - cx)) % 360.0
             rel = (angle - spec.scar_start_deg) % 360.0
-            thickness = spec.outer_radius_mm - spec.inner_radius_mm
-            depth = spec.scar_transmural * thickness
             in_sector = rel < spec.scar_extent_deg
-            scar_k = myo_k & in_sector & (rho <= spec.inner_radius_mm + depth)
+            scar_k[iy, ix] = in_sector
             if spec.mvo:
-                margin = spec.mvo_angle_margin * spec.scar_extent_deg
                 core_sector = (rel >= margin) & (rel < spec.scar_extent_deg - margin)
-                core_depth = spec.mvo_depth_frac * depth
-                mvo_k = scar_k & core_sector & (rho <= spec.inner_radius_mm + core_depth)
+                mvo_k[iy, ix] = in_sector & core_sector & (rho[iy, ix] <= r_in + core_depth)
 
         background = rng.rayleigh(spec.background_sigma, size=(ny, nx))
         healthy = rng.rayleigh(spec.healthy_sigma, size=(ny, nx))
@@ -101,15 +158,13 @@ def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> Lab
         dark = rng.normal(spec.mvo_mu, spec.mvo_sigma, size=(ny, nx))
 
         img = background
-        img[myo_k] = healthy[myo_k]
-        img[scar_k] = bright[scar_k]
-        img[mvo_k] = dark[mvo_k]
-        img[endo_k] = pool[endo_k]
+        for field, mask in ((healthy, myo_k), (bright, scar_k), (dark, mvo_k), (pool, endo_k)):
+            np.copyto(img[box], field[box], where=mask)
         if spec.blur_sigma_px > 0:
             img = gaussian_filter(img, spec.blur_sigma_px, mode="nearest")
-        vol[k] = np.clip(img, 0.0, None)
-        myo[k], endo[k] = myo_k, endo_k
-        scar[k], mvo[k] = scar_k & ~mvo_k, mvo_k
+        np.clip(img, 0.0, None, out=vol[k])
+        myo[k][box], endo[k][box] = myo_k, endo_k
+        scar[k][box], mvo[k][box] = scar_k & ~mvo_k, mvo_k
 
     labels = ["diseased" if scar[k].any() else "healthy" for k in range(nz)]
     return LabeledCase(
@@ -139,9 +194,21 @@ class CorpusSpec:
     base: PhantomSpec = PhantomSpec()
     seed: int = 0
 
+    def validate(self) -> None:
+        """Raise SpecError unless ``n_cases`` is an int >= 1, both fractions
+        are in [0, 1] and ``seed`` is an int >= 0."""
+        if not _is_int_from(self.n_cases, 1):
+            raise SpecError(f"n_cases must be an int >= 1, got {self.n_cases}")
+        for name in ("diseased_fraction", "mvo_fraction"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise SpecError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not _is_int_from(self.seed, 0):
+            raise SpecError(f"seed must be an int >= 0, got {self.seed}")
+
 
 def generate_corpus(corpus: CorpusSpec) -> list[LabeledCase]:
     """Deterministic list of cases; diseased ones first carry MVO cores."""
+    corpus.validate()
     rng = np.random.default_rng(corpus.seed)
     n_diseased = int(round(corpus.n_cases * corpus.diseased_fraction))
     n_mvo = int(round(n_diseased * corpus.mvo_fraction))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, DegenerateRange, EmptyRegion, SpacingError
-from .volcore import LabeledCase, Mask, Volume, bounding_box
+from .volcore import LabeledCase, Mask, Volume, bounding_box, check_shapes
 
 CANONICAL_SPACING = (1.25, 1.25, 8.0)
 GAMMA = 1.5
@@ -205,8 +205,10 @@ def normalize_slice(img: np.ndarray, myo: np.ndarray, bloodpool: np.ndarray) -> 
     The P_LO percentile of myocardial intensities goes to 0 and the P_HI
     percentile of blood-pool intensities to 255; everything is clamped, and
     pixels outside the epicardium (myo union blood pool) are zeroed.
-    Raises DataError when a reference intensity is NaN or infinite.
+    Raises DataError when a reference intensity is NaN or infinite, and
+    AlignmentError when img, myo and bloodpool differ in shape.
     """
+    check_shapes(img=img, myo=myo, bloodpool=bloodpool)
     img = np.asarray(img, dtype=np.float64)
     myo = np.asarray(myo, dtype=bool)
     bloodpool = np.asarray(bloodpool, dtype=bool)

@@ -16,7 +16,6 @@ import numpy as np
 from . import learnlib as ll
 from . import vio
 from .errors import (
-    AlignmentError,
     ConfigError,
     DataError,
     DegenerateHistogram,
@@ -32,6 +31,7 @@ from .volcore import (
     binary_erode,
     binary_opening,
     bounding_box,
+    check_shapes,
     extract_patches,
     fill_holes_2d,
     intensity_levels,
@@ -67,13 +67,6 @@ def tophat_enhance(img: np.ndarray, box) -> np.ndarray:
     return np.clip(acc, 0.0, 255.0)
 
 
-def _check_shapes(**slices) -> None:
-    """Raise AlignmentError unless the named slices or stacks share one shape."""
-    shapes = {name: np.shape(a) for name, a in slices.items()}
-    if len(set(shapes.values())) > 1:
-        raise AlignmentError(f"slice shapes differ: {shapes}")
-
-
 def coarse_segment(img: np.ndarray, myo: np.ndarray):
     """Coarse scar masks of a stack of slices (nz, ny, nx): per slice, the
     Otsu threshold of the enhanced myocardial intensities, then a binary
@@ -93,7 +86,7 @@ def coarse_segment(img: np.ndarray, myo: np.ndarray):
     when a slice's myocardium is empty and AlignmentError when img and myo
     differ in shape.
     """
-    _check_shapes(img=img, myo=myo)
+    check_shapes(img=img, myo=myo)
     if np.ndim(img) != 3:
         raise DataError(f"coarse segmentation takes a stack of slices, not shape {np.shape(img)}")
     myo = np.asarray(myo, dtype=bool)
@@ -334,7 +327,7 @@ def refine(img: np.ndarray, coarse: np.ndarray, ensemble: PatchEnsemble,
     dilated mask stay background; the output is limited to the myocardium.
     Raises AlignmentError when img, coarse and myo differ in shape.
     """
-    _check_shapes(img=img, coarse=coarse, myo=myo)
+    check_shapes(img=img, coarse=coarse, myo=myo)
     band = boundary_region(coarse)
     out = coarse & ~band  # the eroded core
     for k in np.ndindex(band.shape[:-2]):
@@ -357,7 +350,7 @@ def include_mvo(hyper: np.ndarray, endo: np.ndarray, myo: np.ndarray) -> np.ndar
     gives no MVO. Raises AlignmentError when hyper, endo and myo differ in
     shape, and DataError unless their slices are 2-D with pixels.
     """
-    _check_shapes(hyper=hyper, endo=endo, myo=myo)
+    check_shapes(hyper=hyper, endo=endo, myo=myo)
     if np.ndim(hyper) < 2 or 0 in np.shape(hyper)[-2:]:
         raise DataError(f"MVO inclusion takes slices with pixels, not shape {np.shape(hyper)}")
     union = np.asarray(endo, dtype=bool) | np.asarray(hyper, dtype=bool)

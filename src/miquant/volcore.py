@@ -87,6 +87,13 @@ def check_aligned(*grids) -> None:
             )
 
 
+def check_shapes(**arrays) -> None:
+    """Raise AlignmentError unless the named slices or stacks share one shape."""
+    shapes = {name: np.shape(a) for name, a in arrays.items()}
+    if len(set(shapes.values())) > 1:
+        raise AlignmentError(f"slice shapes differ: {shapes}")
+
+
 @dataclass
 class LabeledCase:
     """A volume plus aligned contour masks and optional ground truth.

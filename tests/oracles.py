@@ -19,11 +19,15 @@ loop on one sample, which the package ran per slice before it fitted every
 slice of a case in one loop. ``cut_every_training_patch`` samples a case's
 training patches as the package did before it drew the class balance on the
 patch centres: it cuts every lattice patch of the whole-slice band first.
+``whole_slice_phantom`` is ``phantom.generate_case`` as it was before it
+computed each slice's geometry on the heart box only: radius and angle maps
+over the whole slice, and the fields written by boolean-index assignment.
 """
 from collections import deque
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import gaussian_filter
 
 from miquant import baselines, preprocess, segment
 from miquant.errors import (
@@ -37,6 +41,7 @@ from miquant.learnlib import balance_classes, net_loss
 from miquant.learnlib.net import Conv2D
 from miquant.volcore import (
     LabeledCase,
+    Mask,
     Volume,
     binary_opening,
     extract_patches,
@@ -320,6 +325,75 @@ def cut_every_training_patch(case, seed):
                                            segment.PATCH_SIZE))
             labels.append(np.full(keep.sum(), label, dtype=np.int64))
     return balance_classes(np.concatenate(patches)[..., None], np.concatenate(labels), seed=seed)
+
+
+# --- phantoms: whole-slice geometry ---
+
+def whole_slice_phantom(spec, seed, case_id="phantom"):
+    """``phantom.generate_case(spec, seed, case_id)`` with every slice's
+    geometry computed over the whole slice."""
+    spec.validate()
+    rng = np.random.default_rng(seed)
+    nx, ny, nz = spec.dims
+    sx, sy, sz = spec.spacing
+
+    vol = np.empty((nz, ny, nx))
+    myo = np.zeros((nz, ny, nx), dtype=bool)
+    endo = np.zeros((nz, ny, nx), dtype=bool)
+    scar = np.zeros((nz, ny, nx), dtype=bool)
+    mvo = np.zeros((nz, ny, nx), dtype=bool)
+
+    yy, xx = np.mgrid[0:ny, 0:nx]
+    for k in range(nz):
+        jx, jy = rng.uniform(-spec.center_jitter_mm, spec.center_jitter_mm, size=2)
+        cx = (nx - 1) / 2.0 + jx / sx
+        cy = (ny - 1) / 2.0 + jy / sy
+        rho = np.hypot((xx - cx) * sx, (yy - cy) * sy)
+        endo_k = rho <= spec.inner_radius_mm
+        myo_k = (rho > spec.inner_radius_mm) & (rho <= spec.outer_radius_mm)
+        scar_k = np.zeros_like(myo_k)
+        mvo_k = np.zeros_like(myo_k)
+        if spec.scar:
+            angle = np.degrees(np.arctan2(yy - cy, xx - cx)) % 360.0
+            rel = (angle - spec.scar_start_deg) % 360.0
+            thickness = spec.outer_radius_mm - spec.inner_radius_mm
+            depth = spec.scar_transmural * thickness
+            in_sector = rel < spec.scar_extent_deg
+            scar_k = myo_k & in_sector & (rho <= spec.inner_radius_mm + depth)
+            if spec.mvo:
+                margin = spec.mvo_angle_margin * spec.scar_extent_deg
+                core_sector = (rel >= margin) & (rel < spec.scar_extent_deg - margin)
+                core_depth = spec.mvo_depth_frac * depth
+                mvo_k = scar_k & core_sector & (rho <= spec.inner_radius_mm + core_depth)
+
+        background = rng.rayleigh(spec.background_sigma, size=(ny, nx))
+        healthy = rng.rayleigh(spec.healthy_sigma, size=(ny, nx))
+        bright = rng.normal(spec.scar_mu, spec.scar_sigma, size=(ny, nx))
+        pool = rng.normal(spec.bloodpool_mu, spec.bloodpool_sigma, size=(ny, nx))
+        dark = rng.normal(spec.mvo_mu, spec.mvo_sigma, size=(ny, nx))
+
+        img = background
+        img[myo_k] = healthy[myo_k]
+        img[scar_k] = bright[scar_k]
+        img[mvo_k] = dark[mvo_k]
+        img[endo_k] = pool[endo_k]
+        if spec.blur_sigma_px > 0:
+            img = gaussian_filter(img, spec.blur_sigma_px, mode="nearest")
+        vol[k] = np.clip(img, 0.0, None)
+        myo[k], endo[k] = myo_k, endo_k
+        scar[k], mvo[k] = scar_k & ~mvo_k, mvo_k
+
+    labels = ["diseased" if scar[k].any() else "healthy" for k in range(nz)]
+    return LabeledCase(
+        case_id=case_id,
+        volume=Volume(spec.spacing, vol),
+        myocardium=Mask(spec.spacing, myo),
+        endocardium=Mask(spec.spacing, endo),
+        epicardium=Mask(spec.spacing, myo | endo),
+        gt_scar=Mask(spec.spacing, scar),
+        gt_mvo=Mask(spec.spacing, mvo) if spec.mvo else None,
+        per_slice_labels=labels,
+    )
 
 
 # --- Gaussian mixture: the one-sample EM loop ---

@@ -173,6 +173,20 @@ def test_each_method_rejects_an_empty_myocardium(method, error):
         method(img, np.zeros((6, 6), dtype=bool))
 
 
+@pytest.mark.parametrize("method", [
+    lambda img, myo: baselines.auto_remote_region(img, myo, myo),
+    lambda img, myo: baselines.nsd_segment(img, myo, myo, 2),
+    baselines.fwhm_segment,
+    baselines.otsu_segment,
+], ids=["remote", "n-SD", "FWHM", "Otsu"])
+def test_each_method_rejects_masks_of_another_shape(method):
+    img = np.random.default_rng(0).uniform(0.0, 255.0, (8, 8))
+    myo = np.zeros((5, 5), dtype=bool)
+    myo[1:4, 1:4] = True
+    with pytest.raises(AlignmentError):
+        method(img, myo)
+
+
 @pytest.mark.parametrize("values,threshold,match", [
     (np.linspace(0.0, 0.4, 20), None, "histogram"),  # every value rounds to level 0
     # Otsu leaves a level on each side of its split; a threshold above every

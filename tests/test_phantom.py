@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from miquant import phantom
 from miquant.errors import SpecError
 from miquant.volcore import fill_holes_2d
@@ -83,12 +84,81 @@ def test_spec_validation_errors():
         phantom.generate_case(phantom.PhantomSpec(scar=True, scar_mu=20.0), seed=0)
 
 
+@pytest.mark.filterwarnings("error")  # rejected before any arithmetic warns
 @pytest.mark.parametrize("fields", [
     {"scar": True, "scar_extent_deg": 0.0},
-], ids=["no scar extent"])
+    {"dims": (-1, 96, 2)},
+    {"dims": (96.5, 96, 2)},
+    {"dims": (0, 96, 2)},
+    {"healthy_sigma": -1.0},
+    {"scar_sigma": -1.0},
+    {"bloodpool_sigma": -1.0},
+    {"mvo_sigma": -1.0},
+    {"background_sigma": -1.0},
+    {"bloodpool_mu": np.nan},
+    {"center_jitter_mm": -1.0},
+    {"center_jitter_mm": np.nan},
+    {"blur_sigma_px": np.inf},
+    {"blur_sigma_px": np.nan},
+    {"blur_sigma_px": -1.0},
+    {"inner_radius_mm": np.nan},
+    {"outer_radius_mm": np.inf},
+    {"scar": True, "scar_start_deg": np.nan},
+    {"spacing": (0.0, 1.25, 8.0)},
+    {"spacing": (1.25, -1.0, 8.0)},
+    {"spacing": (1.25, 1.25, np.nan)},
+], ids=["no scar extent", "negative dim", "fractional dim", "zero dim",
+        "negative healthy sigma", "negative scar sigma", "negative pool sigma",
+        "negative MVO sigma", "negative background sigma", "NaN pool mean",
+        "negative jitter", "NaN jitter", "infinite blur", "NaN blur", "negative blur",
+        "NaN inner radius", "infinite outer radius", "NaN scar start",
+        "zero spacing", "negative spacing", "NaN spacing"])
 def test_spec_out_of_range_is_a_spec_error(fields):
     with pytest.raises(SpecError):
         phantom.generate_case(phantom.PhantomSpec(**fields), seed=0)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_cases": 2.5},
+    {"n_cases": 0},
+    {"diseased_fraction": np.nan},
+    {"diseased_fraction": 2.0},
+    {"mvo_fraction": np.inf},
+    {"mvo_fraction": -1.0},
+    {"seed": -1},
+], ids=["fractional count", "no cases", "NaN diseased fraction",
+        "diseased fraction above 1", "infinite MVO fraction", "negative MVO fraction",
+        "negative seed"])
+def test_corpus_spec_out_of_range_is_a_spec_error(fields):
+    corpus = phantom.CorpusSpec(**{"n_cases": 1, "base": phantom.PhantomSpec(dims=(24, 24, 1)),
+                                   **fields})
+    with pytest.raises(SpecError):
+        phantom.generate_corpus(corpus)
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    {"scar": True},
+    {"scar": True, "mvo": True},
+    {"scar": True, "mvo": True, "spacing": (1.5625, 1.5625, 8.0)},
+    {"scar": True, "mvo": True, "dims": (72, 56, 2), "spacing": (1.1, 1.6, 8.0)},
+    {"scar": True, "mvo": True, "dims": (24, 24, 2)},
+    {"scar": True, "scar_extent_deg": 360.0, "scar_transmural": 1.0},
+    {"scar": True, "mvo": True, "blur_sigma_px": 0.0},
+    {"scar": True, "mvo": True, "center_jitter_mm": 0.0},
+], ids=["healthy", "scar", "scar and MVO", "coarse spacing", "non-square, sx != sy",
+        "heart cut by the border", "full transmural ring", "no blur", "no jitter"])
+def test_generate_case_matches_the_whole_slice_generator(fields):
+    spec = phantom.PhantomSpec(**{"dims": (64, 64, 2), **fields})
+    for seed in (0, 1, 2):
+        case = phantom.generate_case(spec, seed=seed)
+        expected = oracles.whole_slice_phantom(spec, seed=seed)
+        for name in ("volume", "myocardium", "endocardium", "epicardium", "gt_scar", "gt_mvo"):
+            got, want = getattr(case, name), getattr(expected, name)
+            assert (got is None) == (want is None), name
+            if got is not None:
+                np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+        assert case.per_slice_labels == expected.per_slice_labels
 
 
 def test_corpus_mix_and_determinism():

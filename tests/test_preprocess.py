@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from miquant import phantom, preprocess as pp
-from miquant.errors import DataError, DegenerateRange, EmptyRegion, SpacingError
+from miquant.errors import AlignmentError, DataError, DegenerateRange, EmptyRegion, SpacingError
 from miquant.volcore import LabeledCase, Mask, Volume, bounding_box
 
 
@@ -386,6 +386,12 @@ def test_normalize_empty_region():
     myo, pool = _refs()
     with pytest.raises(EmptyRegion):
         pp.normalize_slice(np.zeros((12, 12)), np.zeros_like(myo), pool)
+
+
+def test_normalize_rejects_masks_of_another_shape():
+    myo, pool = _refs(5)
+    with pytest.raises(AlignmentError):
+        pp.normalize_slice(np.zeros((8, 8)), myo, pool)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
