@@ -60,10 +60,10 @@ class DetectionModel:
 def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_SIZE) -> np.ndarray:
     """Centroid-centered crop of slice k, masked within the myocardium.
 
-    The crop is centered on the epicardial-mask centroid, zero-padded where
-    it leaves the slice.
+    The crop is centered on the centroid of the epicardium (myocardium and
+    blood pool), zero-padded where it leaves the slice.
     """
-    epi = case.epicardium.data[k]
+    epi = case.myocardium.data[k] | case.endocardium.data[k]
     if not epi.any():
         raise EmptyMask(f"slice {k} has an empty epicardial mask")
     coords = np.argwhere(epi)
@@ -75,7 +75,7 @@ def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_
 def _slice_inputs(case: LabeledCase, size: int = DETECT_INPUT_SIZE):
     """(inputs, blank): every slice's (size, size, 1) detection input, and
     which slices have an empty epicardium and so a blank input."""
-    blank = ~case.epicardium.data.any(axis=(1, 2))
+    blank = ~(case.myocardium.data | case.endocardium.data).any(axis=(1, 2))
     x = np.stack([np.zeros((size, size)) if b else extract_detection_input(case, k, size)
                   for k, b in enumerate(blank)])
     return x[..., None], blank

@@ -3,6 +3,8 @@ descent on the regularized hinge loss.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,17 @@ class MarginModel:
     b: float
     lam: float
     objective_trace: list = field(default_factory=list)  # per-epoch objective
+
+    def __post_init__(self):
+        if not (isinstance(self.w, np.ndarray) and self.w.ndim == 1):
+            raise ShapeError(f"a margin model's w is a 1-D array, not {type(self.w).__name__} "
+                             f"of shape {np.shape(self.w)}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in (self.b, self.lam)):
+            raise TypeError(f"a margin model's b and lam are real numbers, not "
+                            f"{self.b!r} and {self.lam!r}")
+        if not (np.isfinite(self.w).all() and math.isfinite(self.b) and math.isfinite(self.lam)):
+            raise DataError("a margin model's w, b and lam must be finite")
 
 
 def _samples(x) -> np.ndarray:

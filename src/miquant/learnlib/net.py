@@ -470,8 +470,14 @@ class NetModel:
     train_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not all(type(layer) in LAYER_TYPES.values() for layer in self.layers):
-            raise TypeError(f"a net's layers must be {sorted(LAYER_TYPES)} layers")
+        if not (isinstance(self.layers, list)
+                and all(type(layer) in LAYER_TYPES.values() for layer in self.layers)):
+            raise TypeError(f"a net's layers must be a list of {sorted(LAYER_TYPES)} layers")
+        head = self.feature_layer
+        if head is not None and (not isinstance(head, (int, np.integer)) or isinstance(head, bool)
+                                 or not 1 <= head <= len(self.layers)):
+            raise ShapeError(f"a net's feature layer is None or a layer count in "
+                             f"[1, {len(self.layers)}], not {head!r}")
         shape = self.input_shape
         if not (isinstance(shape, (tuple, list)) and len(shape) == 3 and all(
                 isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s > 0
@@ -589,33 +595,28 @@ def build_net(input_shape, layer_specs, seed: int, feature_layer=None) -> NetMod
     He-normal weight init, zero biases, seeded.
     """
     rng = np.random.default_rng(seed)
-    h, w, c = input_shape
-    flat = None
+    h, w, width = input_shape  # width: the channels, then the flat features
     layers = []
     for tag, *args in layer_specs:
         if tag not in LAYER_TYPES:
             raise ShapeError(f"unknown layer tag {tag!r}")
         if tag == "conv":
             k, cout = args
-            std = np.sqrt(2.0 / (k * k * c))
-            layers.append(Conv2D(rng.normal(0, std, (k, k, c, cout)), np.zeros(cout)))
-            h, w, c = h - k + 1, w - k + 1, cout
-            if h < 1 or w < 1:
-                raise ShapeError("conv layer does not fit its input")
+            std = np.sqrt(2.0 / (k * k * width))
+            layers.append(Conv2D(rng.normal(0, std, (k, k, width, cout)), np.zeros(cout)))
+            width = cout
         elif tag == "dense":
             (dout,) = args
-            din = flat if flat is not None else c
-            std = np.sqrt(2.0 / din)
-            layers.append(Dense(rng.normal(0, std, (din, dout)), np.zeros(dout)))
-            flat = dout
+            std = np.sqrt(2.0 / width)
+            layers.append(Dense(rng.normal(0, std, (width, dout)), np.zeros(dout)))
+            width = dout
         else:
             layers.append(LAYER_TYPES[tag](*args))
-            if tag == "maxpool":
-                h, w = h // 2, w // 2
-                if h < 1 or w < 1:
-                    raise ShapeError("pool layer does not fit its input")
-            elif tag == "flatten":
-                flat = h * w * c
+        fh, fw = _trunk_extent(layers, h, 0), _trunk_extent(layers, w, 1)
+        if min(fh, fw) < 1:
+            raise ShapeError(f"a {tag} layer does not fit its input")
+        if tag == "flatten":
+            width *= fh * fw
     return NetModel(layers, input_shape, feature_layer=feature_layer)
 
 

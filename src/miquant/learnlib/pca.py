@@ -19,6 +19,19 @@ class PcaModel:
     variances: np.ndarray   # (K,), non-increasing
     k: int
 
+    def __post_init__(self):
+        k, arrays = self.k, (self.mean, self.axes, self.variances)
+        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
+            raise TypeError(f"a PCA model's k is an int >= 1, not {k!r}")
+        if not all(isinstance(a, np.ndarray) for a in arrays):
+            raise TypeError("a PCA model's mean, axes and variances are arrays")
+        if (self.mean.ndim != 1 or self.axes.shape != (len(self.mean), k)
+                or self.variances.shape != (k,)):
+            raise ShapeError(f"a PCA model with k={k} has mean {self.mean.shape}, "
+                             f"axes {self.axes.shape} and variances {self.variances.shape}")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise DataError("a PCA model's mean, axes and variances must be finite")
+
 
 def pca_fit(x: np.ndarray) -> PcaModel:
     """Eigendecomposition of the sample covariance; K is minimal with

@@ -100,7 +100,8 @@ def _heart_span(centre: float, reach_px: float, n: int) -> slice:
 
 
 def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> LabeledCase:
-    """Deterministic labeled case for (spec, seed); the seed is required.
+    """Deterministic labeled case for (spec, seed); the seed is required and
+    must be an int >= 0 (SpecError otherwise).
 
     Each slice draws from one generator in a fixed order: the two centre
     jitter uniforms, then whole-slice background, healthy, bright (scar),
@@ -115,6 +116,8 @@ def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> Lab
     its mask holds, myocardium, scar, MVO, then blood pool.
     """
     spec.validate()
+    if not _is_int_from(seed, 0):
+        raise SpecError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     nx, ny, nz = spec.dims
     sx, sy, sz = spec.spacing
@@ -172,7 +175,6 @@ def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> Lab
         volume=Volume(spec.spacing, vol),
         myocardium=Mask(spec.spacing, myo),
         endocardium=Mask(spec.spacing, endo),
-        epicardium=Mask(spec.spacing, myo | endo),
         gt_scar=Mask(spec.spacing, scar),
         gt_mvo=Mask(spec.spacing, mvo) if spec.mvo else None,
         per_slice_labels=labels,

@@ -263,7 +263,6 @@ def preprocess_case(case: LabeledCase) -> LabeledCase:
 
     myo = rs(case.myocardium)
     endo = rs(case.endocardium)
-    epi = rs(case.epicardium)
     gt_scar = rs(case.gt_scar)
     gt_mvo = rs(case.gt_mvo)
 
@@ -285,7 +284,6 @@ def preprocess_case(case: LabeledCase) -> LabeledCase:
         volume=Volume(CANONICAL_SPACING, out),
         myocardium=myo,
         endocardium=endo,
-        epicardium=epi,
         gt_scar=gt_scar,
         gt_mvo=gt_mvo,
         per_slice_labels=case.per_slice_labels,

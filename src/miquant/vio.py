@@ -147,8 +147,8 @@ def write_mask(mask: Mask, path: str) -> None:
 # case manifests
 # ---------------------------------------------------------------------------
 
-# manifest mask roles, named as LabeledCase fields; the first three are required
-_ROLES = ("myocardium", "endocardium", "epicardium", "gt_scar", "gt_mvo")
+# manifest mask roles, named as LabeledCase fields; the first two are required
+_ROLES = ("myocardium", "endocardium", "gt_scar", "gt_mvo")
 
 
 @dataclass
@@ -187,7 +187,7 @@ def read_manifest(path: str) -> CaseManifest:
     if not os.path.exists(volume_path):
         raise ManifestError(f"{path}: volume file not found: {doc['volume']}")
     mask_paths = {}
-    for role in _ROLES[:3]:
+    for role in _ROLES[:2]:
         if role not in masks:
             raise ManifestError(f"{path}: missing mask role {role!r}")
     for role, rel in masks.items():

@@ -98,7 +98,8 @@ def check_shapes(**arrays) -> None:
 class LabeledCase:
     """A volume plus aligned contour masks and optional ground truth.
 
-    gt_scar is the hyper-enhanced region only; gt_mvo is the disjoint
+    The epicardium is ``myocardium | endocardium`` and is not stored. gt_scar
+    is the hyper-enhanced region only; gt_mvo is the disjoint
     microvascular-obstruction region. per_slice_labels, when present, is a
     list of "healthy"/"diseased" of length nz.
     """
@@ -107,13 +108,12 @@ class LabeledCase:
     volume: Volume
     myocardium: Mask
     endocardium: Mask
-    epicardium: Mask
     gt_scar: Mask | None = None
     gt_mvo: Mask | None = None
     per_slice_labels: list[str] | None = None
 
     def __post_init__(self):
-        grids = [self.volume, self.myocardium, self.endocardium, self.epicardium]
+        grids = [self.volume, self.myocardium, self.endocardium]
         grids += [m for m in (self.gt_scar, self.gt_mvo) if m is not None]
         check_aligned(*grids)
         nz = self.volume.data.shape[0]

@@ -175,8 +175,7 @@ def whole_slice_preprocess(case):
             continue
         out[k] = preprocess.gamma_enhance(normalized, preprocess.GAMMA)
     return LabeledCase(case.case_id, Volume(preprocess.CANONICAL_SPACING, out), myo, endo,
-                       rs(case.epicardium), rs(case.gt_scar), rs(case.gt_mvo),
-                       case.per_slice_labels)
+                       rs(case.gt_scar), rs(case.gt_mvo), case.per_slice_labels)
 
 
 def whole_slice_coarse(img, myo):
@@ -389,7 +388,6 @@ def whole_slice_phantom(spec, seed, case_id="phantom"):
         volume=Volume(spec.spacing, vol),
         myocardium=Mask(spec.spacing, myo),
         endocardium=Mask(spec.spacing, endo),
-        epicardium=Mask(spec.spacing, myo | endo),
         gt_scar=Mask(spec.spacing, scar),
         gt_mvo=Mask(spec.spacing, mvo) if spec.mvo else None,
         per_slice_labels=labels,

@@ -112,8 +112,7 @@ def _border_case():
         img[k][myo[k] & (xx > cx + (yy - cy) // 2)] += 100.0
         img[k][endo[k]] = 200.0
     spacing = (1.25, 1.25, 8.0)
-    return LabeledCase("border", Volume(spacing, img), Mask(spacing, myo),
-                       Mask(spacing, endo), Mask(spacing, myo | endo))
+    return LabeledCase("border", Volume(spacing, img), Mask(spacing, myo), Mask(spacing, endo))
 
 
 @pytest.mark.parametrize("with_remote", [False, True], ids=["auto", "remote"])

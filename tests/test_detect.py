@@ -12,6 +12,7 @@ from miquant.errors import (
     EmptyMask,
     FormatError,
     LengthMismatch,
+    MiquantError,
     SingleClassError,
     Unachievable,
 )
@@ -32,10 +33,7 @@ def _ring_case(center=(48, 48), nz=1, n=96, bright_sector=False):
     if bright_sector:
         sector = (np.degrees(np.arctan2(yy - center[0], xx - center[1])) % 360 < 90)
         img[0][myo[0] & sector] = 180.0
-    return LabeledCase(
-        "ring", Volume(spacing, img), Mask(spacing, myo), Mask(spacing, endo),
-        Mask(spacing, myo | endo),
-    )
+    return LabeledCase("ring", Volume(spacing, img), Mask(spacing, myo), Mask(spacing, endo))
 
 
 # --- input extraction ---
@@ -70,7 +68,8 @@ def test_extract_is_padded_crop_of_masked_slice(size):
     patch = detect.extract_detection_input(case, 0, size)
     assert patch.shape == (size, size)
     masked = np.where(case.myocardium.data[0], case.volume.data[0], 0.0)
-    cy, cx = (int(round(c)) for c in np.argwhere(case.epicardium.data[0]).mean(axis=0))
+    epi = case.myocardium.data[0] | case.endocardium.data[0]
+    cy, cx = (int(round(c)) for c in np.argwhere(epi).mean(axis=0))
     # pad by size on every side: the crop starts at (cy, cx) - size // 2
     padded = np.pad(masked, size)
     y0, x0 = cy + size - size // 2, cx + size - size // 2
@@ -86,7 +85,8 @@ def test_extract_zero_intensities_give_zero_patch():
 
 def test_extract_empty_epicardium_raises():
     case = _ring_case()
-    case.epicardium.data[...] = False
+    case.myocardium.data[...] = False
+    case.endocardium.data[...] = False
     with pytest.raises(EmptyMask):
         detect.extract_detection_input(case, 0)
 
@@ -318,6 +318,29 @@ def test_a_net_input_shape_that_does_not_fit_the_layers_fails_at_load(tmp_path, 
         vio.load_model(path, detect.DetectionModel)
 
 
+@pytest.mark.parametrize("part, name, value", [
+    ("pca", "axes", [1]),
+    ("pca", "k", 99),
+    ("pca", "variances", vio.encode_array(np.ones(2))),
+    ("margin", "w", None),
+    ("margin", "b", "x"),
+    ("margin", "b", None),
+    ("margin", "lam", float("inf")),
+    ("net", "feature_layer", "x"),
+    ("net", "feature_layer", 9),
+    ("net", "layers", {}),
+], ids=["PCA axes a list", "more PCA axes than stored", "PCA variances of another length",
+        "no margin weights", "margin bias a string", "no margin bias", "infinite margin lam",
+        "feature layer a string", "feature layer past the last layer", "layers an object"])
+def test_a_malformed_model_part_fails_at_load(tmp_path, part, name, value):
+    doc = vio.read_json(PINNED_MODEL)
+    doc[part][name] = value
+    path = str(tmp_path / "edited.json")
+    vio.write_json(doc, path)
+    with pytest.raises(MiquantError):
+        vio.load_model(path, detect.DetectionModel)
+
+
 def test_predict_threshold_limits(tiny_detector, mixed_cases):
     case = mixed_cases[0]
     low = detect.DetectionModel(
@@ -333,9 +356,10 @@ def test_predict_threshold_limits(tiny_detector, mixed_cases):
 def test_empty_epicardium_slice_is_healthy_and_others_keep_their_scores(
         tiny_detector, mixed_cases, tiny_detect_cfg):
     case = next(c for c in mixed_cases if detect.case_label(c) == "diseased")
-    epi = case.epicardium.data.copy()
-    epi[0] = False
-    holed = replace(case, epicardium=Mask(case.epicardium.spacing, epi))
+    myo, endo = case.myocardium.data.copy(), case.endocardium.data.copy()
+    myo[0] = endo[0] = False
+    holed = replace(case, myocardium=Mask(case.myocardium.spacing, myo),
+                    endocardium=Mask(case.endocardium.spacing, endo))
 
     scores = detect.detect_scores(tiny_detector, holed)
     assert scores[0] == -np.inf

@@ -44,9 +44,8 @@ def test_same_spec_and_seed_is_bit_identical():
 def test_geometry_invariants():
     spec = phantom.PhantomSpec(scar=True, mvo=True)
     case = phantom.generate_case(spec, seed=3)
-    myo, endo, epi = case.myocardium.data, case.endocardium.data, case.epicardium.data
+    myo, endo = case.myocardium.data, case.endocardium.data
     assert not (myo & endo).any()
-    np.testing.assert_array_equal(epi, myo | endo)
     assert np.all(case.gt_scar.data <= myo)
     assert np.all(case.gt_mvo.data <= myo)
     assert not (case.gt_scar.data & case.gt_mvo.data).any()
@@ -118,6 +117,14 @@ def test_spec_out_of_range_is_a_spec_error(fields):
         phantom.generate_case(phantom.PhantomSpec(**fields), seed=0)
 
 
+@pytest.mark.parametrize("seed", [None, True, -1, 2.5, "x"])
+def test_a_seed_that_is_not_an_int_from_0_is_a_spec_error(seed, monkeypatch):
+    # unchecked, None draws a new phantom from OS entropy and True passes as 1
+    monkeypatch.setattr(phantom.np.random, "default_rng", None)  # no draw may happen
+    with pytest.raises(SpecError):
+        phantom.generate_case(phantom.PhantomSpec(dims=(24, 24, 1)), seed=seed)
+
+
 @pytest.mark.parametrize("fields", [
     {"n_cases": 2.5},
     {"n_cases": 0},
@@ -153,7 +160,7 @@ def test_generate_case_matches_the_whole_slice_generator(fields):
     for seed in (0, 1, 2):
         case = phantom.generate_case(spec, seed=seed)
         expected = oracles.whole_slice_phantom(spec, seed=seed)
-        for name in ("volume", "myocardium", "endocardium", "epicardium", "gt_scar", "gt_mvo"):
+        for name in ("volume", "myocardium", "endocardium", "gt_scar", "gt_mvo"):
             got, want = getattr(case, name), getattr(expected, name)
             assert (got is None) == (want is None), name
             if got is not None:

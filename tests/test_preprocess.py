@@ -447,7 +447,6 @@ def _piecewise_case(spacing=(1.25, 1.25, 8.0)):
         Volume(spacing, img),
         Mask(spacing, myo),
         Mask(spacing, endo),
-        Mask(spacing, myo | endo),
     )
 
 
@@ -485,7 +484,7 @@ def test_preprocess_case_equals_the_whole_slice_oracle(spacing):
     spec = replace(phantom.PhantomSpec(), dims=(48, 44, 5), spacing=(spacing, spacing, 8.0),
                    center_jitter_mm=8.0, scar=True, mvo=True)
     case = phantom.generate_case(spec, seed=15)
-    for mask in (case.myocardium, case.endocardium, case.epicardium, case.gt_scar, case.gt_mvo):
+    for mask in (case.myocardium, case.endocardium, case.gt_scar, case.gt_mvo):
         mask.data[1] = False  # a slice without a contoured heart
     vol = case.volume.data
     vol[3] = 90.0  # a constant slice
@@ -503,7 +502,7 @@ def test_preprocess_case_equals_the_whole_slice_oracle(spacing):
     assert not out.volume.data[[1, 3]].any()
     assert out.volume.spacing == expected.volume.spacing
     np.testing.assert_array_equal(out.volume.data, expected.volume.data)
-    for name in ("myocardium", "endocardium", "epicardium", "gt_scar", "gt_mvo"):
+    for name in ("myocardium", "endocardium", "gt_scar", "gt_mvo"):
         np.testing.assert_array_equal(getattr(out, name).data, getattr(expected, name).data)
 
 

@@ -443,8 +443,7 @@ def _flat_ring_case():
     myo[0] = False
     vol = np.full((3, 48, 48), 60.0)
     vol[2][myo[2] & (xx > 24)] = 200.0
-    return LabeledCase("flat", Volume(spacing, vol),
-                       Mask(spacing, myo), Mask(spacing, endo), Mask(spacing, myo | endo))
+    return LabeledCase("flat", Volume(spacing, vol), Mask(spacing, myo), Mask(spacing, endo))
 
 
 def test_segment_case_flags_empty_myocardium_apart_from_degenerate_histogram(tiny_ensemble):
@@ -534,6 +533,10 @@ def test_ensemble_config_needs_odd_member_count_of_three_or_more(members):
         segment.EnsembleConfig(members=members)
 
 
+def test_ensemble_config_defaults_to_the_papers_seven_members():
+    assert segment.EnsembleConfig().members == 7
+
+
 def _with_scar(case, region):
     scar = np.zeros(case.volume.data.shape, dtype=bool)
     scar[region] = True
@@ -559,7 +562,7 @@ def test_training_centres_match_the_distance_transform_oracle(monkeypatch):
     gt = np.stack([(r >= 20) & (r < 27) & (yy < 48), r <= 14])
     vol = Volume((1.0, 1.0, 1.0), np.arange(gt.size, dtype=np.float64).reshape(gt.shape))
     empty = Mask(vol.spacing, np.zeros(gt.shape, dtype=bool))
-    case = LabeledCase("ids", vol, empty, empty, empty, gt_scar=Mask(vol.spacing, gt))
+    case = LabeledCase("ids", vol, empty, empty, gt_scar=Mask(vol.spacing, gt))
     monkeypatch.setattr(ll, "balance_classes", lambda x, y, seed: (x, y))
     x, y = segment.sample_training_patches(case)
 

@@ -43,8 +43,7 @@ def _map_case(case, f):
         return None if mask is None else Mask(mask.spacing, f(mask.data))
 
     return LabeledCase(case.case_id, Volume(case.volume.spacing, f(case.volume.data)),
-                       m(case.myocardium), m(case.endocardium), m(case.epicardium),
-                       m(case.gt_scar), m(case.gt_mvo))
+                       m(case.myocardium), m(case.endocardium), m(case.gt_scar), m(case.gt_mvo))
 
 
 def _assert_same_masks(got, want):
@@ -107,6 +106,6 @@ def test_every_mask_is_unchanged_by_a_positive_affine_map_of_the_raw_volume(
         raw_cases, golden_masks, a, b):
     for raw, masks in zip(raw_cases, golden_masks):
         vol = Volume(raw.volume.spacing, a * raw.volume.data + b)
-        case = LabeledCase(raw.case_id, vol, raw.myocardium, raw.endocardium, raw.epicardium,
-                           raw.gt_scar, raw.gt_mvo, raw.per_slice_labels)
+        case = LabeledCase(raw.case_id, vol, raw.myocardium, raw.endocardium, raw.gt_scar,
+                           raw.gt_mvo, raw.per_slice_labels)
         _assert_same_masks(_masks(preprocess.preprocess_case(case)), masks)

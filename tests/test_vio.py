@@ -25,7 +25,6 @@ def _toy_case(spacing=(1.25, 1.25, 8.0), nz=2, n=6):
         vol,
         Mask(spacing, myo),
         Mask(spacing, endo),
-        Mask(spacing, myo | endo),
         gt_scar=Mask(spacing, scar),
     )
 
@@ -107,8 +106,7 @@ def test_case_with_an_mvo_core_roundtrips_every_mask(tmp_path):
     mvo[1, 2, 1] = True  # beside the scar, not in it
     case.gt_mvo = Mask(case.volume.spacing, mvo)
     manifest = vio.read_manifest(vio.write_case(case, str(tmp_path / "c")))
-    assert sorted(manifest.mask_paths) == ["endocardium", "epicardium", "gt_mvo", "gt_scar",
-                                           "myocardium"]
+    assert sorted(manifest.mask_paths) == ["endocardium", "gt_mvo", "gt_scar", "myocardium"]
     back = vio.load_case(manifest)
     for role in manifest.mask_paths:
         np.testing.assert_array_equal(getattr(back, role).data, getattr(case, role).data)
@@ -142,8 +140,26 @@ def test_manifest_and_load_read_each_payload_once(tmp_path, monkeypatch):
     monkeypatch.setattr(vio, "open", counting_open, raising=False)
     vio.load_case(vio.read_manifest(manifest_path))
     raws = sorted(name for name in opened if name.endswith(".raw"))
-    assert raws == ["endocardium.raw", "epicardium.raw", "gt_scar.raw",
-                    "myocardium.raw", "volume.raw"]
+    assert raws == ["endocardium.raw", "gt_scar.raw", "myocardium.raw", "volume.raw"]
+
+
+def test_a_manifest_listing_an_epicardium_loads_the_same_case(tmp_path):
+    # manifests written while cases stored their epicardium list it as a role
+    case = _toy_case()
+    plain = vio.load_case(vio.read_manifest(vio.write_case(case, str(tmp_path / "plain"))))
+    old = tmp_path / "old"
+    vio.write_case(case, str(old))
+    epi = Mask(case.volume.spacing, case.myocardium.data | case.endocardium.data)
+    vio.write_mask(epi, str(old / "epicardium.mhd"))
+    _edit_manifest(old, lambda doc: doc["masks"].update(epicardium="epicardium.mhd"))
+    manifest = _read_manifest(old)
+    assert sorted(manifest.mask_paths) == ["endocardium", "epicardium", "gt_scar", "myocardium"]
+    back = vio.load_case(manifest)
+    np.testing.assert_array_equal(back.volume.data, plain.volume.data)
+    for role in ("myocardium", "endocardium", "gt_scar"):
+        np.testing.assert_array_equal(getattr(back, role).data, getattr(plain, role).data)
+    assert (back.case_id, back.gt_mvo, back.per_slice_labels) == (
+        plain.case_id, plain.gt_mvo, plain.per_slice_labels)
 
 
 def test_manifest_rejects_non_uchar_mask(tmp_path):
@@ -251,7 +267,7 @@ def _read_manifest(d):
     (lambda d: _edit_manifest(d, lambda doc: doc["masks"].pop("endocardium")),
      _read_manifest, ManifestError),
     (lambda d: os.remove(d / "volume.mhd"), _read_manifest, ManifestError),
-    (lambda d: os.remove(d / "epicardium.mhd"), _read_manifest, ManifestError),
+    (lambda d: os.remove(d / "endocardium.mhd"), _read_manifest, ManifestError),
     (lambda d: _rewrite_header_field(d / "myocardium.mhd", "ElementSpacing", "1.25 1.25 9.0"),
      _read_manifest, ManifestError),
     (lambda d: _edit_manifest(d, lambda doc: doc.update(per_slice_labels=["healthy", "sick"])),

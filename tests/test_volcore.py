@@ -319,7 +319,7 @@ _GRID = vc.Mask((1, 1, 1), np.zeros((2, 2, 2)))
     lambda: vc.Volume((1, 0, 1), np.zeros((1, 2, 2))),
     lambda: vc.Volume((1, 1), np.zeros((1, 2, 2))),
     lambda: vc.LabeledCase("c", vc.Volume((1, 1, 1), np.zeros((2, 2, 2))),
-                           _GRID, _GRID, _GRID, per_slice_labels=["healthy"]),
+                           _GRID, _GRID, per_slice_labels=["healthy"]),
 ], ids=["2-d grid", "empty axis", "zero spacing", "two spacings", "label count"])
 def test_bad_grid_labels_or_histogram_is_a_data_error(make):
     with pytest.raises(DataError):
@@ -362,7 +362,7 @@ def test_labeled_case_slice_labels_derived_from_gt():
     scar = np.zeros((2, 4, 4), dtype=bool)
     scar[1, 2, 2] = True
     case = vc.LabeledCase(
-        "c0", vol, myo, vc.Mask((1, 1, 1), np.zeros((2, 4, 4), dtype=bool)), myo, gt_scar=vc.Mask((1, 1, 1), scar)
+        "c0", vol, myo, vc.Mask((1, 1, 1), np.zeros((2, 4, 4), dtype=bool)), gt_scar=vc.Mask((1, 1, 1), scar)
     )
     assert case.slice_label(0) == "healthy"
     assert case.slice_label(1) == "diseased"
