@@ -16,6 +16,7 @@ from .errors import (
     EmptyDenominator,
     EmptyMask,
     LengthMismatch,
+    ShapeError,
     SingleClassError,
     Unachievable,
 )
@@ -43,6 +44,10 @@ class DetectConfig:
 @vio.model_kind("detection")
 @dataclass
 class DetectionModel:
+    """Net features -> PCA -> margin score. The parts must chain: ShapeError
+    unless the PCA takes the width of the net's feature head and the margin
+    weighs its ``k`` projections."""
+
     net: ll.NetModel
     pca: ll.PcaModel
     margin: ll.MarginModel
@@ -55,6 +60,11 @@ class DetectionModel:
         bad = [name for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)]
         if bad:
             raise TypeError(f"a detection model's {', '.join(bad)} have the wrong type")
+        feature_shape = self.net.features(np.zeros((0, *self.net.input_shape))).shape[1:]
+        if feature_shape != self.pca.mean.shape or self.margin.w.shape != (self.pca.k,):
+            raise ShapeError(f"a detector's net gives {feature_shape} features, its PCA takes "
+                             f"{self.pca.mean.shape} to {self.pca.k} and its margin weighs "
+                             f"{self.margin.w.shape}")
 
 
 def extract_detection_input(case: LabeledCase, k: int, size: int = DETECT_INPUT_SIZE) -> np.ndarray:

@@ -18,11 +18,9 @@ view of its input; training also compares three phases of that view
 with the maximum and keeps a first-max mask per phase (the fourth phase's
 is the blocks the first three miss), so the backward
 pass writes each phase of the input gradient with one product. Inference
-(``forward(train=False)``) keeps no masks, and runs the convolutional trunk
-over chunks of ``INFER_CHUNK`` samples so that each im2col matrix stays
-cache-sized. The dense head then runs on the whole batch at once, as it
-does in training, because a BLAS matrix product can round a row
-differently depending on how many rows share the call.
+(``forward(train=False)``) keeps no masks and otherwise runs exactly the
+layer sequence training runs, on the whole batch; the caller bounds the
+batch, as ``TrainConfig.batch_size`` does for training.
 
 Windowed inference (``NetModel.forward_windows``) classifies many
 overlapping windows of one image, each minus the same scalar ``offset``.
@@ -103,9 +101,6 @@ from ..errors import (
     LengthMismatch,
     ShapeError,
 )
-
-INFER_CHUNK = 32  # samples per trunk pass at inference
-
 
 # ---------------------------------------------------------------------------
 # layers
@@ -499,13 +494,7 @@ class NetModel:
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"expected input {self.input_shape}, got {x.shape[1:]}")
         layers = self.layers[: len(self.layers) if n_layers is None else n_layers]
-        if train:
-            return _run(layers, x, train=True, rng=rng)
-        flat = _flatten_index(layers)
-        # the trunk in cache-sized chunks, then the head on the whole batch
-        parts = [_run(layers[:flat], x[s : s + INFER_CHUNK])
-                 for s in range(0, max(len(x), 1), INFER_CHUNK)]
-        return _run(layers[flat:], parts[0] if len(parts) == 1 else np.concatenate(parts))
+        return _run(layers, x, train=train, rng=rng)
 
     def forward_windows(self, image, oy, ox, offset):
         """``forward`` on the input-sized windows of a 2-D ``image`` whose

@@ -26,6 +26,7 @@ from .errors import (
     FormatError,
     IoError,
     ManifestError,
+    MiquantError,
     ShapeError,
     UnsupportedElementType,
 )
@@ -371,7 +372,7 @@ def decode_model(doc):
         values = {key: decode_model(value) for key, value in doc.items() if key != "kind"}
         try:
             return _KINDS[kind](**values)
-        except (TypeError, ShapeError) as exc:
+        except (TypeError, DataError, ShapeError) as exc:
             raise FormatError(f"bad {kind!r} model: {exc}") from exc
     return {key: decode_model(value) for key, value in doc.items()}
 
@@ -381,12 +382,16 @@ def save_model(model, path: str) -> None:
 
 
 def load_model(path: str, cls: type):
-    """Read a model file that must hold a ``cls`` model."""
+    """Read a model file that must hold a ``cls`` model. An error in
+    decoding it keeps its type and names ``path``."""
     doc = read_json(path)
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind != cls.model_kind:
         raise FormatError(f"{path}: expected model kind {cls.model_kind!r}, got {kind!r}")
-    return decode_model(doc)
+    try:
+        return decode_model(doc)
+    except MiquantError as exc:  # the same error, naming the file
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

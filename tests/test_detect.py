@@ -13,6 +13,7 @@ from miquant.errors import (
     FormatError,
     LengthMismatch,
     MiquantError,
+    ShapeError,
     SingleClassError,
     Unachievable,
 )
@@ -321,6 +322,8 @@ def test_a_net_input_shape_that_does_not_fit_the_layers_fails_at_load(tmp_path, 
 @pytest.mark.parametrize("part, name, value", [
     ("pca", "axes", [1]),
     ("pca", "k", 99),
+    ("pca", "k", True),
+    ("pca", "k", 0),
     ("pca", "variances", vio.encode_array(np.ones(2))),
     ("margin", "w", None),
     ("margin", "b", "x"),
@@ -329,8 +332,9 @@ def test_a_net_input_shape_that_does_not_fit_the_layers_fails_at_load(tmp_path, 
     ("net", "feature_layer", "x"),
     ("net", "feature_layer", 9),
     ("net", "layers", {}),
-], ids=["PCA axes a list", "more PCA axes than stored", "PCA variances of another length",
-        "no margin weights", "margin bias a string", "no margin bias", "infinite margin lam",
+], ids=["PCA axes a list", "more PCA axes than stored", "PCA k a bool", "PCA k zero",
+        "PCA variances of another length", "no margin weights", "margin bias a string",
+        "no margin bias", "infinite margin lam",
         "feature layer a string", "feature layer past the last layer", "layers an object"])
 def test_a_malformed_model_part_fails_at_load(tmp_path, part, name, value):
     doc = vio.read_json(PINNED_MODEL)
@@ -339,6 +343,46 @@ def test_a_malformed_model_part_fails_at_load(tmp_path, part, name, value):
     vio.write_json(doc, path)
     with pytest.raises(MiquantError):
         vio.load_model(path, detect.DetectionModel)
+
+
+@pytest.mark.parametrize("part, name, value", [
+    ("margin", "lam", float("inf")),
+    ("pca", "variances", vio.encode_array(np.array([np.nan]))),
+], ids=["infinite margin lam", "NaN PCA variance"])
+def test_a_non_finite_model_part_is_a_format_error_naming_the_file_and_the_kind(
+        tmp_path, part, name, value):
+    doc = vio.read_json(PINNED_MODEL)
+    doc[part][name] = value
+    path = str(tmp_path / "edited.json")
+    vio.write_json(doc, path)
+    with pytest.raises(FormatError) as info:
+        vio.load_model(path, detect.DetectionModel)
+    assert path in str(info.value) and repr(part) in str(info.value)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["margin"].update(w=vio.encode_array(np.array([1.5, 0.0]))),
+    lambda doc: doc["pca"].update(mean=vio.encode_array(np.array([0.5, -0.25, 0.0])),
+                                  axes=vio.encode_array(np.array([[0.6], [0.8], [0.0]]))),
+], ids=["one margin weight too many", "a PCA one row wider than the features"])
+def test_a_detector_whose_parts_do_not_chain_fails_at_load(tmp_path, edit):
+    doc = vio.read_json(PINNED_MODEL)
+    edit(doc)
+    path = str(tmp_path / "edited.json")
+    vio.write_json(doc, path)
+    with pytest.raises(FormatError, match="detection"):
+        vio.load_model(path, detect.DetectionModel)
+    parts = {name: vio.decode_model(doc[name]) for name in ("net", "pca", "margin")}
+    with pytest.raises(ShapeError):
+        detect.DetectionModel(**parts)
+
+
+def test_a_slice_scoring_exactly_tau_is_diseased(tiny_detector, mixed_cases):
+    case = mixed_cases[0]
+    scores = detect.detect_scores(tiny_detector, case)
+    at = replace(tiny_detector, tau=float(scores[0]))
+    predicted = detect.detect_predict(at, case)
+    assert predicted[0] == (scores[0], "diseased")
 
 
 def test_predict_threshold_limits(tiny_detector, mixed_cases):
@@ -385,6 +429,13 @@ def test_stratified_split_keeps_cases_whole(mixed_cases):
     assert all_idx == list(range(len(mixed_cases)))
     test_labels = {detect.case_label(mixed_cases[i]) for i in test}
     assert test_labels == {"healthy", "diseased"}
+
+
+def test_stratified_split_of_one_class_splits_that_class(mixed_cases):
+    diseased = [c for c in mixed_cases if detect.case_label(c) == "diseased"]
+    train, val, test = detect.stratified_split(diseased, seed=3)
+    assert sorted(train + val + test) == list(range(len(diseased)))
+    assert len(test) == 1 and len(val) == 1
 
 
 def test_permutation_p_arithmetic():

@@ -6,9 +6,17 @@ ensemble, ``run_baselines`` and ``case_row``. The per-method mean Dice and
 mean Hausdorff distance were measured once and are pinned to 1e-9: a change
 that moves any mask of any method moves them. Do not re-measure them to make
 a change pass; a change that is meant to move them says so and why.
+
+The refined golden runs ``segment_case`` with the session's ``tiny_ensemble``,
+trained in the test session on the first four ``diseased_cases``, on the two
+held-out ones. It pins each case's final voxel count, Dice, Hausdorff
+distance and the final voxels more than 5 px (in-slice) from the ground
+truth, so a change to the refine band, the training band, the patch stride or
+training's input centring moves it.
 """
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 
 from miquant import baselines, metrics, phantom, segment
 from miquant.volcore import Mask
@@ -68,3 +76,24 @@ def test_golden_paper_method_finds_mvo_on_the_mvo_cases(golden_rows):
             if r.method == "paper" and r.mvo_sensitivity is not None]
     assert len(sens) == 2
     assert all(s > 0 for s in sens)
+
+
+# case: (final voxels, Dice %, Hausdorff mm, final voxels > 5 px from GT)
+GOLDEN_REFINED = {
+    "case_004": (256, 87.34177215189874, 20.155644370746373, 36),
+    "case_005": (468, 91.95402298850574, 3.5355339059327378, 0),
+}
+
+
+def test_golden_refined_on_the_held_out_cases(diseased_cases, tiny_ensemble):
+    for case in diseased_cases[4:]:
+        final = segment.segment_case(case, ensemble=tiny_ensemble).final
+        gt = case.gt_scar  # no MVO in these two
+        row = metrics.case_row(case.case_id, "paper", final, gt, case.myocardium, case.gt_mvo)
+        far = sum(int((ndi.distance_transform_edt(~g)[f] > 5).sum())
+                  for g, f in zip(gt.data, final.data))
+        count, dice_pct, hd_mm, far_voxels = GOLDEN_REFINED[case.case_id]
+        assert case.gt_mvo is None and gt.data.any(axis=(1, 2)).all()
+        assert (final.count(), far) == (count, far_voxels)
+        assert row.dice_pct == pytest.approx(dice_pct, rel=0, abs=1e-9)
+        assert row.hausdorff_mm == pytest.approx(hd_mm, rel=0, abs=1e-9)

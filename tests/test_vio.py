@@ -184,6 +184,8 @@ def _rewrite_header_field(path, key, value):
     ("ElementSpacing", "1.0 inf 1.0"),
     ("DimSize", "6 6 0"),
     ("DimSize", "-6 6 2"),
+    ("DimSize", "6 six 2"),
+    ("ElementSpacing", "1.25 1.25"),
 ])
 def test_bad_grid_geometry_in_header_is_a_format_error(tmp_path, key, value):
     manifest_path = vio.write_case(_toy_case(), str(tmp_path / "c"))
@@ -193,6 +195,16 @@ def test_bad_grid_geometry_in_header_is_a_format_error(tmp_path, key, value):
         vio.read_mask(str(header))
     with pytest.raises(FormatError):
         vio.read_manifest(manifest_path)
+
+
+def test_blank_header_lines_are_skipped(tmp_path):
+    vio.write_case(_toy_case(), str(tmp_path / "c"))
+    header = tmp_path / "c" / "myocardium.mhd"
+    want = vio.read_mask(str(header))
+    header.write_text("\n" + header.read_text().replace("\n", "\n\n  \n"))
+    got = vio.read_mask(str(header))
+    assert got.spacing == want.spacing
+    np.testing.assert_array_equal(got.data, want.data)
 
 
 def test_nan_in_volume_payload_is_a_format_error(tmp_path):
