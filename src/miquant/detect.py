@@ -46,7 +46,8 @@ class DetectConfig:
 class DetectionModel:
     """Net features -> PCA -> margin score. The parts must chain: ShapeError
     unless the PCA takes the width of the net's feature head and the margin
-    weighs its ``k`` projections."""
+    weighs its ``k`` projections. ``tau`` is a finite int or float: TypeError
+    for a bool, DataError for NaN or an infinity."""
 
     net: ll.NetModel
     pca: ll.PcaModel
@@ -58,8 +59,12 @@ class DetectionModel:
         kinds = {"net": ll.NetModel, "pca": ll.PcaModel, "margin": ll.MarginModel,
                  "tau": (int, float)}
         bad = [name for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)]
+        if isinstance(self.tau, bool):  # an int to isinstance, but not a threshold
+            bad.append("tau")
         if bad:
             raise TypeError(f"a detection model's {', '.join(bad)} have the wrong type")
+        if not np.isfinite(self.tau):
+            raise DataError(f"a detection model's tau must be finite, not {self.tau!r}")
         feature_shape = self.net.features(np.zeros((0, *self.net.input_shape))).shape[1:]
         if feature_shape != self.pca.mean.shape or self.margin.w.shape != (self.pca.k,):
             raise ShapeError(f"a detector's net gives {feature_shape} features, its PCA takes "

@@ -169,7 +169,6 @@ def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> Lab
         myo[k][box], endo[k][box] = myo_k, endo_k
         scar[k][box], mvo[k][box] = scar_k & ~mvo_k, mvo_k
 
-    labels = ["diseased" if scar[k].any() else "healthy" for k in range(nz)]
     return LabeledCase(
         case_id=case_id,
         volume=Volume(spec.spacing, vol),
@@ -177,7 +176,6 @@ def generate_case(spec: PhantomSpec, seed: int, case_id: str = "phantom") -> Lab
         endocardium=Mask(spec.spacing, endo),
         gt_scar=Mask(spec.spacing, scar),
         gt_mvo=Mask(spec.spacing, mvo) if spec.mvo else None,
-        per_slice_labels=labels,
     )
 
 

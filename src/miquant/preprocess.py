@@ -286,5 +286,4 @@ def preprocess_case(case: LabeledCase) -> LabeledCase:
         endocardium=endo,
         gt_scar=gt_scar,
         gt_mvo=gt_mvo,
-        per_slice_labels=case.per_slice_labels,
     )

@@ -157,11 +157,13 @@ class CaseManifest:
     case_id: str
     volume_path: str
     mask_paths: dict  # role -> path; gt_scar / gt_mvo optional
-    per_slice_labels: list[str] | None = None
 
 
 def read_manifest(path: str) -> CaseManifest:
-    """Parse and fully validate a case manifest (cross-file invariants too)."""
+    """Parse and fully validate a case manifest (cross-file invariants too).
+
+    Unknown keys are ignored, among them the list of slice labels that older
+    manifests hold: a slice is diseased iff its gt_scar mask holds a voxel."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -175,14 +177,11 @@ def read_manifest(path: str) -> CaseManifest:
     for key in ("case_id", "volume", "masks"):
         if key not in doc:
             raise ManifestError(f"{path}: missing key {key!r}")
-    masks, labels = doc["masks"], doc.get("per_slice_labels")
+    masks = doc["masks"]
     if not isinstance(doc["volume"], str):
         raise ManifestError(f"{path}: 'volume' is not a file name")
     if not (isinstance(masks, dict) and all(isinstance(rel, str) for rel in masks.values())):
         raise ManifestError(f"{path}: 'masks' is not a JSON object of file names")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(label, str) for label in labels)):
-        raise ManifestError(f"{path}: 'per_slice_labels' is not a list of strings")
     root = os.path.dirname(os.path.abspath(path))
     volume_path = os.path.join(root, doc["volume"])
     if not os.path.exists(volume_path):
@@ -197,7 +196,7 @@ def read_manifest(path: str) -> CaseManifest:
             raise ManifestError(f"{path}: mask file not found: {rel}")
         mask_paths[role] = full
 
-    manifest = CaseManifest(str(doc["case_id"]), volume_path, mask_paths, labels)
+    manifest = CaseManifest(str(doc["case_id"]), volume_path, mask_paths)
     _validate_manifest(manifest, path)
     return manifest
 
@@ -215,23 +214,13 @@ def _validate_manifest(manifest: CaseManifest, path: str) -> None:
             raise ManifestError(
                 f"{path}: mask {role!r} spacing {mask_spacing} != volume spacing {spacing}"
             )
-    if manifest.per_slice_labels is not None:
-        nz = dims[2]
-        if len(manifest.per_slice_labels) != nz:
-            raise ManifestError(
-                f"{path}: {len(manifest.per_slice_labels)} slice labels for {nz} slices"
-            )
-        bad = set(manifest.per_slice_labels) - {"healthy", "diseased"}
-        if bad:
-            raise ManifestError(f"{path}: unknown slice labels {sorted(bad)}")
 
 
 def load_case(manifest: CaseManifest) -> LabeledCase:
     """Read every file the manifest lists; a role outside ``_ROLES`` is then dropped."""
     masks = {role: read_mask(p) for role, p in manifest.mask_paths.items()}
     return LabeledCase(manifest.case_id, read_volume(manifest.volume_path),
-                       **{role: masks.get(role) for role in _ROLES},
-                       per_slice_labels=manifest.per_slice_labels)
+                       **{role: masks.get(role) for role in _ROLES})
 
 
 def write_case(case: LabeledCase, directory: str) -> str:
@@ -246,11 +235,6 @@ def write_case(case: LabeledCase, directory: str) -> str:
         "volume": "volume.mhd",
         "masks": {role: f"{role}.mhd" for role in roles},
     }
-    labels = case.per_slice_labels
-    if labels is None and case.gt_scar is not None:
-        labels = [case.slice_label(k) for k in range(case.nz)]
-    if labels is not None:
-        doc["per_slice_labels"] = labels
     manifest_path = os.path.join(directory, "manifest.json")
     write_json(doc, manifest_path)
     return manifest_path

@@ -100,8 +100,9 @@ class LabeledCase:
 
     The epicardium is ``myocardium | endocardium`` and is not stored. gt_scar
     is the hyper-enhanced region only; gt_mvo is the disjoint
-    microvascular-obstruction region. per_slice_labels, when present, is a
-    list of "healthy"/"diseased" of length nz.
+    microvascular-obstruction region. A slice is "diseased" iff its gt_scar
+    holds a voxel (``slice_label``); no label is stored, and a manifest's list
+    of slice labels is ignored.
     """
 
     case_id: str
@@ -110,26 +111,18 @@ class LabeledCase:
     endocardium: Mask
     gt_scar: Mask | None = None
     gt_mvo: Mask | None = None
-    per_slice_labels: list[str] | None = None
 
     def __post_init__(self):
         grids = [self.volume, self.myocardium, self.endocardium]
         grids += [m for m in (self.gt_scar, self.gt_mvo) if m is not None]
         check_aligned(*grids)
-        nz = self.volume.data.shape[0]
-        if self.per_slice_labels is not None and len(self.per_slice_labels) != nz:
-            raise DataError(
-                f"per_slice_labels has {len(self.per_slice_labels)} entries, expected {nz}"
-            )
 
     @property
     def nz(self) -> int:
         return self.volume.data.shape[0]
 
     def slice_label(self, k: int) -> str:
-        """Label of slice k; derived from gt_scar when labels are absent."""
-        if self.per_slice_labels is not None:
-            return self.per_slice_labels[k]
+        """"diseased" iff gt_scar exists and holds a voxel on slice k."""
         if self.gt_scar is not None and self.gt_scar.data[k].any():
             return "diseased"
         return "healthy"

@@ -63,6 +63,12 @@ MUTANTS = [
            "the NLM filter strength"),
     Mutant("detect.py", '"diseased" if s >= model.tau else "healthy"',
            '"diseased" if s > model.tau else "healthy"', "a slice scoring tau is diseased"),
+    Mutant("volcore.py", "if self.gt_scar is not None and self.gt_scar.data[k].any():",
+           "if self.gt_scar is not None and self.gt_scar.data[k].sum() > 1:",
+           "a slice with one scar voxel is diseased"),
+    Mutant("detect.py",
+           'raise DataError(f"a detection model\'s tau must be finite, not {self.tau!r}")',
+           "pass", "a detector's tau is finite"),
 ]
 
 

@@ -175,7 +175,7 @@ def whole_slice_preprocess(case):
             continue
         out[k] = preprocess.gamma_enhance(normalized, preprocess.GAMMA)
     return LabeledCase(case.case_id, Volume(preprocess.CANONICAL_SPACING, out), myo, endo,
-                       rs(case.gt_scar), rs(case.gt_mvo), case.per_slice_labels)
+                       rs(case.gt_scar), rs(case.gt_mvo))
 
 
 def whole_slice_coarse(img, myo):
@@ -382,7 +382,6 @@ def whole_slice_phantom(spec, seed, case_id="phantom"):
         myo[k], endo[k] = myo_k, endo_k
         scar[k], mvo[k] = scar_k & ~mvo_k, mvo_k
 
-    labels = ["diseased" if scar[k].any() else "healthy" for k in range(nz)]
     return LabeledCase(
         case_id=case_id,
         volume=Volume(spec.spacing, vol),
@@ -390,7 +389,6 @@ def whole_slice_phantom(spec, seed, case_id="phantom"):
         endocardium=Mask(spec.spacing, endo),
         gt_scar=Mask(spec.spacing, scar),
         gt_mvo=Mask(spec.spacing, mvo) if spec.mvo else None,
-        per_slice_labels=labels,
     )
 
 

@@ -360,6 +360,24 @@ def test_a_non_finite_model_part_is_a_format_error_naming_the_file_and_the_kind(
     assert path in str(info.value) and repr(part) in str(info.value)
 
 
+@pytest.mark.parametrize("tau, kind", [
+    (float("nan"), DataError), (float("inf"), DataError), (float("-inf"), DataError),
+    (True, TypeError),
+], ids=["NaN", "infinite", "minus infinite", "a bool"])
+def test_a_tau_that_is_not_a_finite_real_fails_at_load(tmp_path, tau, kind):
+    # a NaN tau would label every slice healthy, and a bool would load as 0 or 1
+    doc = vio.read_json(PINNED_MODEL)
+    doc["tau"] = tau
+    path = str(tmp_path / "edited.json")
+    vio.write_json(doc, path)
+    with pytest.raises(FormatError) as info:
+        vio.load_model(path, detect.DetectionModel)
+    assert path in str(info.value) and "'detection'" in str(info.value)
+    parts = {name: vio.decode_model(doc[name]) for name in ("net", "pca", "margin")}
+    with pytest.raises(kind):
+        detect.DetectionModel(**parts, tau=tau)
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["margin"].update(w=vio.encode_array(np.array([1.5, 0.0]))),
     lambda doc: doc["pca"].update(mean=vio.encode_array(np.array([0.5, -0.25, 0.0])),
@@ -386,13 +404,15 @@ def test_a_slice_scoring_exactly_tau_is_diseased(tiny_detector, mixed_cases):
 
 
 def test_predict_threshold_limits(tiny_detector, mixed_cases):
+    # tau is finite, so the limits are the largest finite floats
     case = mixed_cases[0]
+    top = np.finfo(np.float64).max
     low = detect.DetectionModel(
-        tiny_detector.net, tiny_detector.pca, tiny_detector.margin, tau=-np.inf
+        tiny_detector.net, tiny_detector.pca, tiny_detector.margin, tau=-top
     )
     assert all(l == "diseased" for _, l in detect.detect_predict(low, case))
     high = detect.DetectionModel(
-        tiny_detector.net, tiny_detector.pca, tiny_detector.margin, tau=np.inf
+        tiny_detector.net, tiny_detector.pca, tiny_detector.margin, tau=top
     )
     assert all(l == "healthy" for _, l in detect.detect_predict(high, case))
 

@@ -11,7 +11,7 @@ def test_healthy_spec_has_empty_gt_and_healthy_labels():
     case = phantom.generate_case(phantom.PhantomSpec(scar=False), seed=1)
     assert case.gt_scar.count() == 0
     assert case.gt_mvo is None
-    assert all(l == "healthy" for l in case.per_slice_labels)
+    assert all(case.slice_label(k) == "healthy" for k in range(case.nz))
 
 
 def test_full_ring_scar_degenerates_to_myocardium():
@@ -69,7 +69,7 @@ def test_diseased_labels_follow_gt():
     spec = phantom.PhantomSpec(scar=True)
     case = phantom.generate_case(spec, seed=4)
     for k in range(case.nz):
-        assert (case.per_slice_labels[k] == "diseased") == case.gt_scar.data[k].any()
+        assert (case.slice_label(k) == "diseased") == case.gt_scar.data[k].any()
 
 
 def test_spec_validation_errors():
@@ -165,7 +165,6 @@ def test_generate_case_matches_the_whole_slice_generator(fields):
             assert (got is None) == (want is None), name
             if got is not None:
                 np.testing.assert_array_equal(got.data, want.data, err_msg=name)
-        assert case.per_slice_labels == expected.per_slice_labels
 
 
 def test_corpus_mix_and_determinism():

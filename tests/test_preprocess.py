@@ -526,3 +526,21 @@ def test_preprocess_case_rejects_a_case_whose_noise_overflows_h_squared():
     with pytest.raises(DataError):
         pp.preprocess_case(case)
 
+
+
+@pytest.mark.parametrize("spacing, seed, changed", [(1.25, 1, []), (1.5625, 4, []), (0.7, 1, [2])],
+                         ids=["canonical", "coarse", "fine"])
+def test_a_preprocessed_slice_is_diseased_iff_its_resliced_scar_holds_a_voxel(
+        spacing, seed, changed):
+    # a 5-degree, 0.1-transmural scar holds 1 to 4 voxels a slice; only a grid
+    # finer than the canonical one can lose all of a slice's scar voxels to
+    # nearest-neighbour reslicing, and that slice then reads healthy
+    n = round(64 / spacing)
+    spec = replace(phantom.PhantomSpec(), dims=(n, n, 3), spacing=(spacing, spacing, 8.0),
+                   scar=True, scar_extent_deg=5.0, scar_transmural=0.1)
+    raw = phantom.generate_case(spec, seed=seed)
+    out = pp.preprocess_case(raw)
+    assert ([out.slice_label(k) == "diseased" for k in range(out.nz)]
+            == list(out.gt_scar.data.any(axis=(1, 2))))
+    assert [k for k in range(raw.nz) if raw.slice_label(k) != out.slice_label(k)] == changed
+    assert all(raw.slice_label(k) == "diseased" for k in changed)

@@ -107,5 +107,5 @@ def test_every_mask_is_unchanged_by_a_positive_affine_map_of_the_raw_volume(
     for raw, masks in zip(raw_cases, golden_masks):
         vol = Volume(raw.volume.spacing, a * raw.volume.data + b)
         case = LabeledCase(raw.case_id, vol, raw.myocardium, raw.endocardium, raw.gt_scar,
-                           raw.gt_mvo, raw.per_slice_labels)
+                           raw.gt_mvo)
         _assert_same_masks(_masks(preprocess.preprocess_case(case)), masks)

@@ -96,8 +96,8 @@ def test_case_roundtrip_and_manifest_load(tmp_path):
     np.testing.assert_array_equal(back.myocardium.data, case.myocardium.data)
     np.testing.assert_array_equal(back.gt_scar.data, case.gt_scar.data)
     assert back.gt_mvo is None
-    # labels were derived from gt at write time
-    assert back.per_slice_labels == ["healthy", "diseased"]
+    assert "per_slice_labels" not in vio.read_json(manifest_path)
+    assert [back.slice_label(k) for k in range(back.nz)] == ["healthy", "diseased"]
 
 
 def test_case_with_an_mvo_core_roundtrips_every_mask(tmp_path):
@@ -158,8 +158,27 @@ def test_a_manifest_listing_an_epicardium_loads_the_same_case(tmp_path):
     np.testing.assert_array_equal(back.volume.data, plain.volume.data)
     for role in ("myocardium", "endocardium", "gt_scar"):
         np.testing.assert_array_equal(getattr(back, role).data, getattr(plain, role).data)
-    assert (back.case_id, back.gt_mvo, back.per_slice_labels) == (
-        plain.case_id, plain.gt_mvo, plain.per_slice_labels)
+    assert (back.case_id, back.gt_mvo) == (plain.case_id, plain.gt_mvo)
+    assert [back.slice_label(k) for k in range(back.nz)] == ["healthy", "diseased"]
+
+
+@pytest.mark.parametrize("labels", [
+    ["diseased", "diseased"], ["healthy"], ["healthy", "sick"], [["healthy"], ["diseased"]], 2,
+], ids=["contradicting gt_scar", "too few labels", "unknown slice labels", "labels of lists",
+        "labels a number"])
+def test_a_manifests_slice_labels_are_ignored(tmp_path, labels):
+    # manifests written while cases stored their slice labels list them; a
+    # slice is diseased iff its gt_scar holds a voxel
+    case = _toy_case()
+    plain = vio.load_case(vio.read_manifest(vio.write_case(case, str(tmp_path / "plain"))))
+    old = tmp_path / "old"
+    vio.write_case(case, str(old))
+    _edit_manifest(old, lambda doc: doc.update(per_slice_labels=labels))
+    back = vio.load_case(_read_manifest(old))
+    for role in ("volume", "myocardium", "endocardium", "gt_scar"):
+        np.testing.assert_array_equal(getattr(back, role).data, getattr(plain, role).data)
+    assert (back.case_id, back.gt_mvo) == (plain.case_id, plain.gt_mvo)
+    assert [back.slice_label(k) for k in range(back.nz)] == ["healthy", "diseased"]
 
 
 def test_manifest_rejects_non_uchar_mask(tmp_path):
@@ -219,29 +238,13 @@ def test_nan_in_volume_payload_is_a_format_error(tmp_path):
         vio.load_case(vio.read_manifest(manifest_path))
 
 
-def test_manifest_rejects_label_length(tmp_path):
-    case = _toy_case()
-    case.per_slice_labels = ["healthy", "diseased"]
-    d = tmp_path / "c2"
-    manifest_path = vio.write_case(case, str(d))
-    doc = vio.read_json(manifest_path)
-    doc["per_slice_labels"] = ["healthy"]
-    vio.write_json(doc, manifest_path)
-    with pytest.raises(ManifestError):
-        vio.read_manifest(manifest_path)
-
-
-
 @pytest.mark.parametrize("edit", [
     lambda doc: 3,
     lambda doc: [doc],
     lambda doc: {**doc, "volume": 7},
     lambda doc: {**doc, "masks": "myocardium.mhd"},
     lambda doc: {**doc, "masks": {**doc["masks"], "gt_scar": 1}},
-    lambda doc: {**doc, "per_slice_labels": [["healthy"], ["diseased"]]},
-    lambda doc: {**doc, "per_slice_labels": 2},
-], ids=["number", "list", "volume not a name", "masks a string", "mask not a name",
-        "labels of lists", "labels a number"])
+], ids=["number", "list", "volume not a name", "masks a string", "mask not a name"])
 def test_malformed_manifest_is_a_manifest_error(tmp_path, edit):
     manifest_path = vio.write_case(_toy_case(), str(tmp_path / "c"))
     vio.write_json(edit(vio.read_json(manifest_path)), manifest_path)
@@ -282,8 +285,6 @@ def _read_manifest(d):
     (lambda d: os.remove(d / "endocardium.mhd"), _read_manifest, ManifestError),
     (lambda d: _rewrite_header_field(d / "myocardium.mhd", "ElementSpacing", "1.25 1.25 9.0"),
      _read_manifest, ManifestError),
-    (lambda d: _edit_manifest(d, lambda doc: doc.update(per_slice_labels=["healthy", "sick"])),
-     _read_manifest, ManifestError),
     (lambda d: _append(d / "model.json", "{"),
      lambda d: vio.load_model(str(d / "model.json"), NetModel), FormatError),
     (lambda d: _append(d / "report.csv", "case,method\n"),
@@ -291,7 +292,7 @@ def _read_manifest(d):
 ], ids=["malformed header line", "unsupported element type", "a float volume read as a mask",
         "invalid manifest JSON", "missing manifest key", "missing mask role",
         "missing volume file", "missing mask file", "mask spacing mismatch",
-        "unknown slice labels", "invalid model JSON", "unexpected report columns"])
+        "invalid model JSON", "unexpected report columns"])
 def test_each_malformed_file_raises_its_error(tmp_path, edit, read, error):
     vio.write_case(_toy_case(), str(tmp_path))
     edit(tmp_path)
