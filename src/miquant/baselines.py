@@ -20,10 +20,10 @@ from .volcore import (
     LabeledCase,
     Mask,
     bounding_box,
-    check_aligned,
     check_shapes,
     intensity_levels,
     otsu_threshold,
+    real_array,
 )
 
 N_SECTORS = 6
@@ -70,7 +70,7 @@ def auto_remote_region(img: np.ndarray, myo: np.ndarray, endo: np.ndarray) -> np
     crop = (slice(y0, y1), slice(x0, x1))
     myo_crop = myo[crop]
     sectors = sector_index(myo_crop, cy, cx, (y0, x0))
-    img = np.asarray(img, dtype=np.float64)[crop]
+    img = real_array(img)[crop]
     best_idx, best_mean = None, np.inf
     for s in range(N_SECTORS):
         members = myo_crop & (sectors == s)
@@ -91,7 +91,7 @@ def nsd_segment(img: np.ndarray, myo: np.ndarray, remote: np.ndarray, n: int) ->
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     check_shapes(img=img, myo=myo, remote=remote)
-    img = np.asarray(img, dtype=np.float64)
+    img = real_array(img)
     values = img[np.asarray(remote, dtype=bool)]
     if values.size == 0:
         raise EmptyRegion("remote region is empty")
@@ -109,7 +109,7 @@ def fwhm_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("FWHM needs a non-empty myocardium")
-    img = np.asarray(img, dtype=np.float64)
+    img = real_array(img)
     values = img[myo]
     top = float(values.max())
     if top == float(values.min()):
@@ -119,15 +119,18 @@ def fwhm_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
 
 
 def otsu_segment(img: np.ndarray, myo: np.ndarray) -> np.ndarray:
-    """Otsu threshold of the raw (un-enhanced) myocardial histogram. Raises
-    AlignmentError when img and myo differ in shape."""
+    """Otsu threshold of the raw (un-enhanced) myocardial histogram; only
+    myocardial intensities are read. Raises AlignmentError when img and myo
+    differ in shape."""
     check_shapes(img=img, myo=myo)
     myo = np.asarray(myo, dtype=bool)
     if not myo.any():
         raise EmptyMask("Otsu needs a non-empty myocardium")
-    img = np.asarray(img, dtype=np.float64)
-    t = otsu_threshold(img[myo])
-    return (intensity_levels(img) > t) & myo
+    values = real_array(img)[myo]
+    t = otsu_threshold(values)
+    out = np.zeros(myo.shape, dtype=bool)
+    out[myo] = intensity_levels(values) > t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +158,7 @@ def _gmm_init(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x, pi, mu, sd): the sample as float64 and the mixture parameters of
     its Otsu split; raises DegenerateData with no mixture to fit, DataError
     on a NaN or an infinity."""
-    x = np.asarray(values, dtype=np.float64).ravel()
+    x = real_array(values).ravel()
     if not np.isfinite(x).all():
         raise DataError("GMM needs finite intensities")
     if x.size < 10 or float(x.std()) == 0.0:
@@ -289,15 +292,13 @@ def gmm_segment(img: np.ndarray, myo: np.ndarray, gmm: Gmm2) -> np.ndarray:
 # batch runner
 # ---------------------------------------------------------------------------
 
-def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Mask]:
+def run_baselines(case: LabeledCase) -> dict[str, Mask]:
     """The nine methods of BASELINE_METHODS over every slice of a
     preprocessed case.
 
     Slices where a method degenerates (empty myocardium, constant
-    intensities) contribute empty masks. The n-SD family uses the provided
-    remote mask within the myocardium, or auto_remote_region on slices
-    where that is empty. Raises AlignmentError when remote is not on the
-    case's grid.
+    intensities) contribute empty masks. The n-SD family takes its remote
+    reference on each slice from auto_remote_region, the darkest sector.
 
     Every method's mask lies inside the myocardium and reads only
     myocardial intensities, so each method runs on ``bounding_box(myo, 0)``
@@ -306,8 +307,6 @@ def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Ma
     mixture is fitted once per case: one ``gmm_fit_all`` over every slice's
     myocardial intensities, each fit equal to that slice's ``gmm_fit``.
     """
-    if remote is not None:
-        check_aligned(case.volume, remote)
     shape = case.volume.data.shape
     out = {m: np.zeros(shape, dtype=bool) for m in BASELINE_METHODS}
     crops = []
@@ -320,10 +319,8 @@ def run_baselines(case: LabeledCase, remote: Mask | None = None) -> dict[str, Ma
         myo = case.myocardium.data[crop]
         img = case.volume.data[crop]
         crops.append((crop, img, myo))
-        ref = None if remote is None else remote.data[crop] & myo
-        if ref is None or not ref.any():
-            ref = auto_remote_region(case.volume.data[k], case.myocardium.data[k],
-                                     case.endocardium.data[k])[rows, cols]
+        ref = auto_remote_region(case.volume.data[k], case.myocardium.data[k],
+                                 case.endocardium.data[k])[rows, cols]
         for n in range(1, 7):
             out[f"{n}-sd"][crop] = nsd_segment(img, myo, ref, n)
         try:

@@ -20,7 +20,7 @@ from .errors import (
     SingleClassError,
     Unachievable,
 )
-from .volcore import INPUT_SCALE, LabeledCase, extract_patches
+from .volcore import INPUT_SCALE, LabeledCase, extract_patches, real_array
 
 DETECT_INPUT_SIZE = 89
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, validation, test
@@ -173,7 +173,7 @@ class RocCurve:
 def roc_curve(scores, labels) -> RocCurve:
     """Threshold sweep over the unique scores; AUC by the trapezoid rule,
     which equals the Mann-Whitney pair count with ties counted half."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = real_array(scores)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise LengthMismatch(f"{scores.shape} scores vs {labels.shape} labels")

@@ -11,6 +11,10 @@ import numpy as np
 
 from .. import vio
 from ..errors import DataError, LengthMismatch, ShapeError, SingleClassError
+from ..volcore import real_array
+
+MARGIN_LAMBDA = 1e-3  # weight of the L2 term of the hinge objective
+MARGIN_EPOCHS = 400
 
 
 @vio.model_kind("margin")
@@ -34,7 +38,7 @@ class MarginModel:
 
 
 def _samples(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x)
     if x.ndim != 2:
         raise ShapeError(f"expected (N, D) samples, got shape {x.shape}")
     return x
@@ -45,17 +49,17 @@ def hinge_objective(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, lam: 
     return 0.5 * lam * float(w @ w) + float(np.mean(np.maximum(margins, 0.0)))
 
 
-def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
-                 epochs: int = 400) -> MarginModel:
-    """Full-batch subgradient descent on (N, D) samples, with decaying steps
-    and iterate averaging; the returned model is the averaged iterate.
+def margin_train(x: np.ndarray, y: np.ndarray) -> MarginModel:
+    """Full-batch subgradient descent on (N, D) samples for MARGIN_EPOCHS
+    epochs at regularization MARGIN_LAMBDA, with decaying steps and iterate
+    averaging; the returned model is the averaged iterate.
 
     The per-epoch objective of the running average is stored on the model
     as ``objective_trace``, which a model file keeps. Raises DataError on a
     non-finite sample and LengthMismatch unless ``y`` has one label a row.
     """
     x = _samples(x)
-    y = np.asarray(y, dtype=np.float64)
+    y = real_array(y)
     if not np.isfinite(x).all():
         raise DataError("margin training needs finite samples")
     if y.shape != x.shape[:1]:
@@ -72,10 +76,10 @@ def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
     w_avg = np.zeros(d)
     b_avg = 0.0
     trace = []
-    for t in range(1, epochs + 1):
+    for t in range(1, MARGIN_EPOCHS + 1):
         margins = 1.0 - y * (x @ w + b)
         active = margins > 0.0
-        gw = lam * w
+        gw = MARGIN_LAMBDA * w
         gb = 0.0
         if active.any():
             gw = gw - (y[active, None] * x[active]).sum(axis=0) / n
@@ -85,8 +89,8 @@ def margin_train(x: np.ndarray, y: np.ndarray, lam: float = 1e-3,
         b = b - step * gb
         w_avg += (w - w_avg) / t
         b_avg += (b - b_avg) / t
-        trace.append(hinge_objective(w_avg, b_avg, x, y, lam))
-    return MarginModel(w=w_avg, b=b_avg, lam=lam, objective_trace=trace)
+        trace.append(hinge_objective(w_avg, b_avg, x, y, MARGIN_LAMBDA))
+    return MarginModel(w=w_avg, b=b_avg, lam=MARGIN_LAMBDA, objective_trace=trace)
 
 
 def margin_decide(model: MarginModel, x: np.ndarray) -> np.ndarray:

@@ -452,10 +452,6 @@ def _trunk_extent(trunk, size, axis):
     return size
 
 
-def _flatten_index(layers):
-    return next((i for i, l in enumerate(layers) if isinstance(l, Flatten)), len(layers))
-
-
 @vio.model_kind("net")
 @dataclass
 class NetModel:
@@ -523,12 +519,7 @@ class NetModel:
         if len(oy) and (oy.min() < 0 or ox.min() < 0 or oy.max() + h > image.shape[0]
                         or ox.max() + w > image.shape[1]):
             raise ShapeError(f"a {h}x{w} window leaves the {image.shape} image")
-        flat = _flatten_index(self.layers)
-        trunk = self.layers[:flat]
-        if not (trunk and isinstance(trunk[0], Conv2D)
-                and all(isinstance(l, (Conv2D, ReLU, MaxPool2)) for l in trunk)):
-            raise ShapeError("windowed inference needs a conv/relu/pool trunk "
-                             "that starts with a conv")
+        trunk = self.windowed_trunk()
         if not len(oy):
             return self.forward(np.zeros((0, h, w, 1)))
         y0, x0 = oy.min(), ox.min()
@@ -549,7 +540,20 @@ class NetModel:
         fh, fw = (_trunk_extent(trunk, size, axis) for axis, size in ((0, h), (1, w)))
         rows = oy[:, None, None] + d * np.arange(fh)[None, :, None]
         cols = ox[:, None, None] + d * np.arange(fw)[None, None, :]
-        return _run(self.layers[flat:], x[0, rows, cols]).astype(np.float64)
+        return _run(self.layers[len(trunk):], x[0, rows, cols]).astype(np.float64)
+
+    def windowed_trunk(self) -> list:
+        """The layers before the flatten, which ``forward_windows`` scans.
+        Raises ShapeError unless they are conv, ReLU and pool layers that
+        start with a conv."""
+        flat = next((i for i, l in enumerate(self.layers) if isinstance(l, Flatten)),
+                    len(self.layers))
+        trunk = self.layers[:flat]
+        if not (trunk and isinstance(trunk[0], Conv2D)
+                and all(isinstance(l, (Conv2D, ReLU, MaxPool2)) for l in trunk)):
+            raise ShapeError("windowed inference needs a conv/relu/pool trunk "
+                             "that starts with a conv")
+        return trunk
 
     def features(self, x):
         """Activations of the feature head (penultimate FC), inference mode."""

@@ -7,6 +7,7 @@ import numpy as np
 
 from .. import vio
 from ..errors import DataError, DegenerateData, ShapeError
+from ..volcore import real_array
 
 VAR_FRAC = 0.95  # the share of the total variance the retained axes keep
 
@@ -40,7 +41,7 @@ def pca_fit(x: np.ndarray) -> PcaModel:
     Axis signs are fixed (largest-magnitude component positive) so fits
     are reproducible. Raises DataError on a non-finite sample.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DegenerateData("PCA needs an N x D matrix with N >= 2")
     if not np.isfinite(x).all():

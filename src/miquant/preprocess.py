@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, DegenerateRange, EmptyRegion, SpacingError
-from .volcore import LabeledCase, Mask, Volume, bounding_box, check_shapes
+from .volcore import LabeledCase, Mask, Volume, bounding_box, check_shapes, real_array
 
 CANONICAL_SPACING = (1.25, 1.25, 8.0)
 GAMMA = 1.5
@@ -25,7 +25,7 @@ def estimate_noise_sigma(img: np.ndarray):
     sigma = MAD(L) / 0.6745 / sqrt(20). Computed on the interior to avoid
     border effects; requires slices of at least 3x3.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = real_array(img)
     if img.ndim < 2 or img.shape[-2] < 3 or img.shape[-1] < 3:
         raise DataError(f"noise estimation needs slices of at least 3x3, got {img.shape}")
     lap = (
@@ -54,9 +54,9 @@ def denoise_nlm(stack: np.ndarray, sigmas, box=None) -> np.ndarray:
 
     Each output pixel is a convex combination of the pixels in its search
     window on its own slice. A slice whose sigma is 0, or so small that h^2
-    underflows to 0, is returned unchanged. Raises DataError for a sigma
-    whose h^2 is not finite: a non-finite sigma, or one so large that h^2
-    overflows.
+    underflows to 0, is returned unchanged. Raises DataError for a NaN or
+    infinite intensity, and for a sigma whose h^2 is not finite: a
+    non-finite sigma, or one so large that h^2 overflows.
 
     Only the pixels of ``box = (y0, y1, x0, x1)`` (half-open, one box for
     every slice) are denoised; the rest of the output is the input. ``None``
@@ -77,11 +77,13 @@ def denoise_nlm(stack: np.ndarray, sigmas, box=None) -> np.ndarray:
     is computed once per pair of offsets, on the box joined with its shift
     by -o, and the 49 offsets are accumulated in their usual order.
     """
-    stack = np.asarray(stack, dtype=np.float64)
+    stack = real_array(stack)
     if stack.ndim != 3:
         raise DataError(f"denoising needs a stack of slices, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise DataError("denoising needs finite intensities")
     nz, ny, nx = stack.shape
-    sigmas = np.asarray(sigmas, dtype=np.float64)
+    sigmas = real_array(sigmas)
     if sigmas.shape != (nz,):
         raise DataError(f"{sigmas.size} noise sigmas for {nz} slices")
     y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else (int(v) for v in box)
@@ -209,7 +211,7 @@ def normalize_slice(img: np.ndarray, myo: np.ndarray, bloodpool: np.ndarray) -> 
     AlignmentError when img, myo and bloodpool differ in shape.
     """
     check_shapes(img=img, myo=myo, bloodpool=bloodpool)
-    img = np.asarray(img, dtype=np.float64)
+    img = real_array(img)
     myo = np.asarray(myo, dtype=bool)
     bloodpool = np.asarray(bloodpool, dtype=bool)
     if not myo.any():
@@ -227,10 +229,10 @@ def normalize_slice(img: np.ndarray, myo: np.ndarray, bloodpool: np.ndarray) -> 
     return out
 
 
-def gamma_enhance(img: np.ndarray, gamma: float) -> np.ndarray:
-    """out = 255 * (in/255)^gamma on [0, 255]; endpoints fixed, monotone."""
-    img = np.asarray(img, dtype=np.float64)
-    return 255.0 * (np.clip(img, 0.0, 255.0) / 255.0) ** gamma
+def gamma_enhance(img: np.ndarray) -> np.ndarray:
+    """out = 255 * (in/255)^GAMMA on [0, 255]; endpoints fixed, monotone."""
+    img = real_array(img)
+    return 255.0 * (np.clip(img, 0.0, 255.0) / 255.0) ** GAMMA
 
 
 def preprocess_case(case: LabeledCase) -> LabeledCase:
@@ -277,7 +279,7 @@ def preprocess_case(case: LabeledCase) -> LabeledCase:
                 normalized[k] = normalize_slice(img, m, e)
             except (EmptyRegion, DegenerateRange):
                 pass  # the slice stays 0, which gamma keeps
-        out[crop] = gamma_enhance(normalized, GAMMA)
+        out[crop] = gamma_enhance(normalized)
 
     return LabeledCase(
         case_id=case.case_id,

@@ -39,6 +39,7 @@ from .volcore import (
     make_disk_se,
     otsu_threshold,
     pad_for_patches,
+    real_array,
     white_tophat,
 )
 
@@ -59,7 +60,7 @@ def tophat_enhance(img: np.ndarray, box) -> np.ndarray:
     (30-degree steps); clamped to [0, 255] after summation. img is a slice
     or a stack of slices (..., ny, nx). Returns ``box = (y0, y1, x0, x1)``
     of each enhanced slice only; see ``white_tophat``."""
-    img = np.asarray(img, dtype=np.float64)
+    img = real_array(img)
     y0, y1, x0, x1 = box
     acc = img[..., y0:y1, x0:x1].copy()
     for se in _BAR_SES:
@@ -130,7 +131,8 @@ class PatchEnsemble:
     value; any other array, such as the per-pixel mean of a model file
     saved before ensembles were centred on a scalar, raises ConfigError, as
     does a non-finite mean. Members that are not a list of nets raise
-    TypeError."""
+    TypeError, and a member whose trunk ``forward_windows`` cannot scan
+    raises ShapeError, so such a model file fails at load."""
 
     members: list  # odd number of NetModel voters
     mean_patch: float
@@ -156,6 +158,7 @@ class PatchEnsemble:
             if member.input_shape != (size, size, 1):
                 raise ConfigError(f"member {i} takes input {member.input_shape}, "
                                   f"not a {size}-px patch")
+            member.windowed_trunk()
 
     def vote(self, ys, xs, img: np.ndarray) -> np.ndarray:
         """Majority vote on the centred patch of img around each (ys[i],

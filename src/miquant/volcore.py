@@ -87,6 +87,15 @@ def check_aligned(*grids) -> None:
             )
 
 
+def real_array(values) -> np.ndarray:
+    """values as a float64 array. Raises DataError for values that are not
+    bool, integer or floating-point numbers, such as text or objects."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise DataError(f"expected real numbers, not an array of {values.dtype}")
+    return values.astype(np.float64, copy=False)
+
+
 def check_shapes(**arrays) -> None:
     """Raise AlignmentError unless the named slices or stacks share one shape."""
     shapes = {name: np.shape(a) for name, a in arrays.items()}
@@ -227,8 +236,13 @@ def white_tophat(img: np.ndarray, se: StructuringElement, box=None) -> np.ndarra
     and -min(dx) right, clipped to the slice. Both stages read the whole
     slice, and every p - o inside the slice lies inside the grown box, so
     each box pixel gets the whole-slice value, whatever else the box holds.
+    Raises DataError unless img has two or more axes and finite values.
     """
-    img = np.asarray(img, dtype=np.float64)
+    img = real_array(img)
+    if img.ndim < 2:
+        raise DataError(f"a top-hat is of a slice or a stack, not shape {img.shape}")
+    if not np.isfinite(img).all():
+        raise DataError("the top-hat needs finite intensities")
     ny, nx = img.shape[-2:]
     y0, y1, x0, x1 = (0, ny, 0, nx) if box is None else box
     dxs, dys = zip(*se.offsets)
@@ -331,6 +345,7 @@ def otsu_threshold(values: np.ndarray) -> int:
     Ties break toward the smaller t; foreground is levels strictly above t.
     Raises DataError when a sample is NaN or infinite.
     """
+    values = real_array(values)
     if not np.isfinite(values).all():
         raise DataError("Otsu's threshold needs finite intensities")
     counts = np.bincount(intensity_levels(values).ravel(), minlength=HIST_LEVELS).astype(float)

@@ -69,6 +69,10 @@ MUTANTS = [
     Mutant("detect.py",
            'raise DataError(f"a detection model\'s tau must be finite, not {self.tau!r}")',
            "pass", "a detector's tau is finite"),
+    Mutant("segment.py", "member.windowed_trunk()", "pass",
+           "an ensemble member can run windowed inference"),
+    Mutant("baselines.py", "if mean < best_mean:", "if mean <= best_mean:",
+           "remote-sector ties break toward the lowest index"),
 ]
 
 

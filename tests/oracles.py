@@ -173,7 +173,7 @@ def whole_slice_preprocess(case):
         except (EmptyRegion, DegenerateRange):
             out[k] = 0.0
             continue
-        out[k] = preprocess.gamma_enhance(normalized, preprocess.GAMMA)
+        out[k] = preprocess.gamma_enhance(normalized)
     return LabeledCase(case.case_id, Volume(preprocess.CANONICAL_SPACING, out), myo, endo,
                        rs(case.gt_scar), rs(case.gt_mvo))
 

@@ -16,17 +16,6 @@ from miquant.errors import (
 from miquant.volcore import LabeledCase, Mask, Volume, otsu_threshold
 
 
-def test_remote_outside_myocardium_falls_back_to_auto(diseased_cases):
-    case = diseased_cases[0]
-    corner = np.zeros(case.volume.data.shape, dtype=bool)
-    corner[:, :4, :4] = True
-    assert not (corner & case.myocardium.data).any()
-    out = baselines.run_baselines(case, remote=Mask(case.volume.spacing, corner))
-    auto = baselines.run_baselines(case)
-    for method in baselines.BASELINE_METHODS:
-        np.testing.assert_array_equal(out[method].data, auto[method].data)
-
-
 def test_nsd_needs_n_of_one_or_more(diseased_cases):
     case = diseased_cases[0]
     img, myo = case.volume.data[0], case.myocardium.data[0]
@@ -52,13 +41,11 @@ def test_remote_selection_takes_only_2d_slices(shape):
         baselines.auto_remote_region(np.ones(shape), mask, mask)
 
 
-def _per_slice(img, myo, endo, remote=None):
+def _per_slice(img, myo, endo):
     """Each method's mask on one slice, from its own segment function; the
-    n-SD reference is remote within the myocardium or, where that is empty,
-    the whole-slice oracle's darkest sector."""
-    if remote is None or not (remote & myo).any():
-        remote = oracles.whole_slice_remote(img, myo, endo)
-    masks = {f"{n}-sd": baselines.nsd_segment(img, myo, remote & myo, n) for n in range(1, 7)}
+    n-SD reference is the whole-slice oracle's darkest sector."""
+    remote = oracles.whole_slice_remote(img, myo, endo)
+    masks = {f"{n}-sd": baselines.nsd_segment(img, myo, remote, n) for n in range(1, 7)}
     masks["otsu"] = baselines.otsu_segment(img, myo)
     masks["fwhm"] = baselines.fwhm_segment(img, myo)
     masks["gmm"] = baselines.gmm_segment(img, myo, baselines.gmm_fit(img[myo]))
@@ -115,18 +102,12 @@ def _border_case():
     return LabeledCase("border", Volume(spacing, img), Mask(spacing, myo), Mask(spacing, endo))
 
 
-@pytest.mark.parametrize("with_remote", [False, True], ids=["auto", "remote"])
-def test_run_baselines_equals_each_method_on_a_myocardium_touching_each_border(with_remote):
+def test_run_baselines_equals_each_method_on_a_myocardium_touching_each_border():
     case = _border_case()
-    remote = None
-    if with_remote:  # inside the myocardium on every slice but the bottom one
-        top = np.zeros(case.volume.data.shape, dtype=bool)
-        top[:, :26] = True
-        remote = Mask(case.volume.spacing, top)
-    out = baselines.run_baselines(case, remote=remote)
+    out = baselines.run_baselines(case)
     for k in range(case.nz):
         expected = _per_slice(case.volume.data[k], case.myocardium.data[k],
-                              case.endocardium.data[k], None if remote is None else remote.data[k])
+                              case.endocardium.data[k])
         for method in baselines.BASELINE_METHODS:
             np.testing.assert_array_equal(out[method].data[k], expected[method])
 
@@ -142,14 +123,19 @@ def test_auto_remote_region_equals_the_whole_slice_oracle(diseased_cases):
                                   oracles.whole_slice_remote(img, myo, None))
 
 
-def test_run_baselines_rejects_a_remote_mask_off_the_case_grid(diseased_cases):
-    case = diseased_cases[0]
-    nz, ny, nx = case.volume.data.shape
-    wide = Mask(case.volume.spacing, np.ones((nz, ny, nx + 1), dtype=bool))
-    coarse = Mask((2.5, 2.5, 8.0), np.ones((nz, ny, nx), dtype=bool))
-    for remote in (wide, coarse):
-        with pytest.raises(AlignmentError):
-            baselines.run_baselines(case, remote=remote)
+@pytest.mark.parametrize("first", [0, 2], ids=["ring", "arc from sector 2"])
+@pytest.mark.parametrize("level", [0.0, 37.0])
+def test_remote_sector_ties_break_toward_the_lowest_index(first, level):
+    # constant myocardium: every sector holding some of it has the same mean
+    yy, xx = np.mgrid[0:40, 0:40]
+    r = np.hypot(yy - 20, xx - 20)
+    endo = r <= 6
+    sectors = baselines.sector_index(np.ones((40, 40)), 20.0, 20.0, (0, 0))
+    myo = (r > 6) & (r <= 12) & (sectors >= first)
+    img = np.where(endo, 200.0, level)
+    remote = baselines.auto_remote_region(img, myo, endo)
+    np.testing.assert_array_equal(remote, myo & (sectors == first))
+    np.testing.assert_array_equal(remote, oracles.whole_slice_remote(img, myo, endo))
 
 
 def test_fwhm_on_constant_myocardial_intensities_is_degenerate():

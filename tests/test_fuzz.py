@@ -1,11 +1,18 @@
-"""Seeded fuzzing of the files the package reads.
+"""Seeded fuzzing of the files the package reads and of the public
+functions that take raw arrays.
 
-Each mutation changes one place of a file: it deletes a key (or a list item)
-or replaces a value with one of ``VALUES``. The oracle: reading the mutated
-file returns or raises a ``MiquantError``, and a model that loads also
-scores a case, which again returns or raises a ``MiquantError``. Mutations
-are drawn from numpy's ``default_rng`` with a fixed seed and a fixed budget
-per file, so every run tries the same mutations in bounded time.
+Each file mutation changes one place of a file: it deletes a key (or a list
+item) or replaces a value with one of ``VALUES``. The oracle: reading the
+mutated file returns or raises a ``MiquantError``, and a model that loads
+also scores a case, which again returns or raises a ``MiquantError``.
+Mutations are drawn from numpy's ``default_rng`` with a fixed seed and a
+fixed budget per file, so every run tries the same mutations in bounded
+time.
+
+Each array mutation replaces one array argument of a valid call with a copy
+that holds a NaN or an infinity, has another number of axes or no elements,
+has another dtype, or (for every argument but the first) has another shape;
+the oracle is that the call returns or raises a ``MiquantError``.
 """
 import copy
 import functools
@@ -15,7 +22,7 @@ import operator
 import numpy as np
 import pytest
 
-from miquant import detect, segment, vio
+from miquant import baselines, detect, learnlib as ll, preprocess, segment, vio, volcore
 from miquant.errors import MiquantError
 from miquant.volcore import Mask
 
@@ -147,3 +154,84 @@ def test_a_mutated_manifest_or_header_loads_or_fails_inside_the_taxonomy(tmp_pat
         _within_taxonomy(f"{name}: {what}", "load", lambda: _load_labels(manifest_path))
     target.write_text(original)
     assert _load_labels(manifest_path) == ["healthy", "diseased"]
+
+
+# --- raw-array public functions ---
+
+def _array_calls():
+    """(name, function, valid array arguments) of every fuzzed function; the
+    function takes the arrays as its positional arguments."""
+    rng = np.random.default_rng(4)
+    yy, xx = np.mgrid[0:16, 0:16]
+    r = np.hypot(yy - 8, xx - 7)
+    endo, myo = r <= 3, (r > 3) & (r <= 6)
+    img = rng.uniform(0.0, 255.0, (16, 16))
+    img[myo & (xx > 8)] += 100.0
+    stack, myos = np.stack([img, img[::-1]]), np.stack([myo, myo[::-1]])
+    x = rng.normal(size=(12, 3))
+    y = np.where(x[:, 0] > 0, 1.0, -1.0)
+    y[:2] = -1.0, 1.0
+    bar = volcore.make_bar_se(5, 30.0)
+    return [
+        ("estimate_noise_sigma", preprocess.estimate_noise_sigma, [img]),
+        ("denoise_nlm", preprocess.denoise_nlm, [stack, np.array([3.0, 4.0])]),
+        ("normalize_slice", preprocess.normalize_slice, [img, myo, endo]),
+        ("gamma_enhance", preprocess.gamma_enhance, [img]),
+        ("otsu_threshold", volcore.otsu_threshold, [img[myo]]),
+        ("white_tophat", lambda a: volcore.white_tophat(a, bar), [img]),
+        ("fill_holes_2d", volcore.fill_holes_2d, [myo]),
+        ("bounding_box", lambda a: volcore.bounding_box(a, 1), [myo]),
+        ("boundary_region", segment.boundary_region, [myo]),
+        ("coarse_segment", segment.coarse_segment, [stack, myos]),
+        ("include_mvo", segment.include_mvo, [myo & (xx > 8), endo, myo]),
+        ("auto_remote_region", baselines.auto_remote_region, [img, myo, endo]),
+        ("nsd_segment", lambda *a: baselines.nsd_segment(*a, 2), [img, myo, myo & (xx < 7)]),
+        ("fwhm_segment", baselines.fwhm_segment, [img, myo]),
+        ("otsu_segment", baselines.otsu_segment, [img, myo]),
+        ("gmm_fit_all", lambda a: baselines.gmm_fit_all([a]), [img[myo]]),
+        ("pca_fit", ll.pca_fit, [x]),
+        ("margin_train", ll.margin_train, [x, y]),
+        ("roc_curve", detect.roc_curve, [x[:, 0], (y > 0).astype(int)]),
+    ]
+
+
+def _with_element(a, value, rng, dtype=np.float64):
+    out = np.array(a, dtype=dtype)
+    out.flat[rng.integers(out.size)] = value
+    return out
+
+
+ARRAY_MUTATIONS = {
+    "NaN": lambda a, rng: _with_element(a, np.nan, rng),
+    "+inf": lambda a, rng: _with_element(a, np.inf, rng),
+    "-inf": lambda a, rng: _with_element(a, -np.inf, rng),
+    "empty": lambda a, rng: np.zeros((0,) * a.ndim, dtype=a.dtype),
+    "1-D": lambda a, rng: a.ravel(),
+    "1x1": lambda a, rng: a.reshape(-1)[rng.integers(a.size)].reshape(1, 1),
+    "3-D": lambda a, rng: a.reshape((1,) * max(3 - a.ndim, 1) + a.shape),
+    "int": lambda a, rng: a.astype(np.int64),
+    "bool": lambda a, rng: a.astype(bool),
+    "str": lambda a, rng: np.full(a.shape, "x"),
+    "object": lambda a, rng: _with_element(a, None, rng, dtype=object),
+}
+
+
+def _another_shape(a, rng):
+    """a without its last row, or without one of its elements if 1-D."""
+    return np.delete(a, rng.integers(len(a)), axis=0) if a.ndim == 1 else a[:-1]
+
+
+def test_a_mutated_array_argument_returns_or_fails_inside_the_taxonomy():
+    rng = np.random.default_rng(5)
+    calls = 0
+    for name, function, args in _array_calls():
+        assert function(*args) is not None  # the unmutated call runs
+        for i in range(len(args)):
+            mutations = dict(ARRAY_MUTATIONS, **({"another shape": _another_shape} if i else {}))
+            for what, mutate in mutations.items():
+                mutated = list(args)
+                mutated[i] = mutate(args[i], rng)
+                _within_taxonomy(f"{name}, argument {i} {what}", "the call",
+                                 lambda: function(*mutated))
+                calls += 1
+    assert calls == 377

@@ -985,25 +985,29 @@ def test_pca_file_roundtrip_projects_bit_identically():
 
 # --- margin classifier ---
 
-def test_margin_separable_1d():
+def test_margin_separable_1d(monkeypatch):
+    monkeypatch.setattr(ll.margin, "MARGIN_EPOCHS", 200)
     x = np.array([[-2.0], [2.0]])
     y = np.array([-1.0, 1.0])
-    model = ll.margin_train(x, y, lam=1e-3, epochs=200)
+    model = ll.margin_train(x, y)
     assert ll.margin_decide(model, np.array([[-2.0]]))[0] < 0
     assert ll.margin_decide(model, np.array([[2.0]]))[0] > 0
 
 
 @pytest.mark.parametrize("x", [np.ones(4), np.ones((4, 1, 1))], ids=["1-D", "3-D"])
-def test_margin_takes_only_samples_by_features(x):
+def test_margin_takes_only_samples_by_features(x, monkeypatch):
+    monkeypatch.setattr(ll.margin, "MARGIN_EPOCHS", 2)
     y = np.array([-1.0, 1.0, -1.0, 1.0])
     with pytest.raises(ShapeError):
         ll.margin_train(x, y)
-    model = ll.margin_train(np.ones((4, 1)), y, epochs=2)
+    model = ll.margin_train(np.ones((4, 1)), y)
     with pytest.raises(ShapeError):
         ll.margin_decide(model, x)
 
 
-def test_margin_objective_trace_non_increasing():
+def test_margin_objective_trace_non_increasing(monkeypatch):
+    monkeypatch.setattr(ll.margin, "MARGIN_LAMBDA", 1e-2)
+    monkeypatch.setattr(ll.margin, "MARGIN_EPOCHS", 250)
     for seed in range(8):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 40))
@@ -1011,20 +1015,23 @@ def test_margin_objective_trace_non_increasing():
         y = np.where(x @ rng.normal(size=3) > 0.3, 1.0, -1.0)
         if len(np.unique(y)) < 2:
             continue
-        model = ll.margin_train(x, y, lam=1e-2, epochs=250)
+        model = ll.margin_train(x, y)
+        assert model.lam == 1e-2 and len(model.objective_trace) == 250
         trace = np.array(model.objective_trace)
         assert np.max(np.diff(trace)) <= 1e-9
 
 
-def test_margin_close_to_grid_search_optimum():
+def test_margin_close_to_grid_search_optimum(monkeypatch):
+    lam = 0.05
+    monkeypatch.setattr(ll.margin, "MARGIN_LAMBDA", lam)
+    monkeypatch.setattr(ll.margin, "MARGIN_EPOCHS", 800)
     rng = np.random.default_rng(33)
     for _ in range(5):
         x = rng.normal(size=(25, 1)) * 2.0
         y = np.where(x[:, 0] + 0.3 * rng.normal(size=25) > 0.2, 1.0, -1.0)
         if len(np.unique(y)) < 2:
             continue
-        lam = 0.05
-        model = ll.margin_train(x, y, lam=lam, epochs=800)
+        model = ll.margin_train(x, y)
         ours = ll.hinge_objective(model.w, model.b, x, y, lam)
         grid = np.linspace(-6, 6, 481)
         # hinge_objective over the whole (w, b) grid: axis 0 is w, axis 1 is b
@@ -1037,7 +1044,7 @@ def test_margin_close_to_grid_search_optimum():
 
 def test_margin_single_class_error():
     with pytest.raises(SingleClassError):
-        ll.margin_train(np.ones((4, 2)), np.ones(4), lam=0.1, epochs=10)
+        ll.margin_train(np.ones((4, 2)), np.ones(4))
 
 
 def _with(x, index, value):
@@ -1064,7 +1071,7 @@ def test_fits_reject_non_finite_samples_and_unpaired_labels(call, error):
 
 
 _PCA = ll.pca_fit(_XS)
-_MARGIN = ll.margin_train(_XS, _YS, epochs=2)
+_MARGIN = ll.margin_train(_XS, _YS)
 
 
 @pytest.mark.parametrize("call", [

@@ -418,15 +418,19 @@ def test_normalize_preserves_order():
     assert np.all(np.diff(b[order]) >= 0)
 
 
-def test_gamma_identity_and_fixed_points():
+def test_gamma_identity_and_fixed_points(monkeypatch):
     img = np.linspace(0, 255, 64).reshape(8, 8)
-    np.testing.assert_allclose(pp.gamma_enhance(img, 1.0), img)
-    assert pp.gamma_enhance(np.array([[255.0]]), 3.7)[0, 0] == 255.0
-    assert pp.gamma_enhance(np.array([[0.0]]), 0.3)[0, 0] == 0.0
+    monkeypatch.setattr(pp, "GAMMA", 1.0)
+    np.testing.assert_allclose(pp.gamma_enhance(img), img)
+    monkeypatch.setattr(pp, "GAMMA", 3.7)
+    assert pp.gamma_enhance(np.array([[255.0]]))[0, 0] == 255.0
+    monkeypatch.setattr(pp, "GAMMA", 0.3)
+    assert pp.gamma_enhance(np.array([[0.0]]))[0, 0] == 0.0
 
 
-def test_gamma_closed_form():
-    assert pp.gamma_enhance(np.array([[127.5]]), 2.0)[0, 0] == pytest.approx(63.75)
+def test_gamma_closed_form(monkeypatch):
+    monkeypatch.setattr(pp, "GAMMA", 2.0)
+    assert pp.gamma_enhance(np.array([[127.5]]))[0, 0] == pytest.approx(63.75)
 
 
 # --- full pipeline ---

@@ -692,6 +692,20 @@ def test_ensemble_load_rejects_an_unknown_layer_tag(tmp_path, tiny_ensemble):
         vio.load_model(_save_edited(tmp_path, tiny_ensemble, edit), segment.PatchEnsemble)
 
 
+def test_an_ensemble_whose_member_cannot_vote_fails_at_load(tmp_path, tiny_ensemble):
+    # without its flatten, member 0's trunk runs into its dense head, which
+    # windowed inference cannot scan; the net alone still loads
+    def edit(doc):
+        layers = doc["members"][0]["layers"]
+        layers.remove(next(layer for layer in layers if layer["spec"] == ["flatten"]))
+
+    path = _save_edited(tmp_path, tiny_ensemble, edit)
+    assert isinstance(vio.decode_model(vio.read_json(path)["members"][0]), ll.NetModel)
+    with pytest.raises(FormatError, match="'ensemble'") as raised:
+        vio.load_model(path, segment.PatchEnsemble)
+    assert path in str(raised.value)
+
+
 def _dense(doc):
     """Member 0's first dense layer."""
     return next(layer for layer in doc["members"][0]["layers"] if layer["spec"][0] == "dense")
